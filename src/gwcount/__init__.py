@@ -16,7 +16,6 @@ from .keys import (
     binomial,
     complex_dimension_gap,
     enumerate_splits,
-    normalize_insertions,
     real_dimension_gap,
 )
 from .p3 import (
@@ -60,7 +59,6 @@ __all__ = [
     "enumerate_splits",
     "eval_complex",
     "eval_real",
-    "normalize_insertions",
     "parity_report",
     "real_dimension_gap",
     "real_series_p3",

@@ -43,27 +43,14 @@ def _codims(text: str) -> list[int]:
     return entries
 
 
-def _positive(name: str):
+def _at_least(lowest: int, name: str):
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}")
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be >= 1, got {value}")
-        return value
-
-    return parse
-
-
-def _nonnegative(name: str):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}")
-        if value < 0:
-            raise argparse.ArgumentTypeError(f"{name} must be >= 0, got {value}")
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {lowest}, got {value}")
         return value
 
     return parse
@@ -84,17 +71,17 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p_complex = sub.add_parser("complex", help="one complex invariant of P^N")
-    p_complex.add_argument("--dim", type=_positive("--dim"), required=True,
+    p_complex.add_argument("--dim", type=_at_least(1, "--dim"), required=True,
                            help="projective dimension N")
-    p_complex.add_argument("--d", type=_nonnegative("--d"), required=True)
+    p_complex.add_argument("--d", type=_at_least(0, "--d"), required=True)
     p_complex.add_argument("--codims", type=_codims, required=True)
     p_complex.add_argument("--json", action="store_true")
     add_cache_flag(p_complex)
 
     p_real = sub.add_parser("real", help="one real invariant of P^{2n-1}")
-    p_real.add_argument("--n", type=_positive("--n"), required=True,
+    p_real.add_argument("--n", type=_at_least(1, "--n"), required=True,
                         help="half-dimension n (target P^{2n-1})")
-    p_real.add_argument("--d", type=_positive("--d"), required=True)
+    p_real.add_argument("--d", type=_at_least(1, "--d"), required=True)
     p_real.add_argument("--codims", type=_codims, required=True)
     p_real.add_argument("--phi", choices=("tau", "eta"), default="tau",
                         help="involution tag (does not affect the value)")
@@ -102,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_cache_flag(p_real)
 
     p_t1 = sub.add_parser("table1", help="N^R_d of P^3 for odd d")
-    p_t1.add_argument("--dmax", type=_positive("--dmax"), default=31)
-    p_t1.add_argument("--limit", type=_positive("--limit"), default=31,
+    p_t1.add_argument("--dmax", type=_at_least(1, "--dmax"), default=31)
+    p_t1.add_argument("--limit", type=_at_least(1, "--limit"), default=31,
                       help="refuse dmax beyond this bound")
     p_t1.add_argument("--engine", choices=("closed", "general", "both"),
                       default="both")

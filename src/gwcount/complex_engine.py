@@ -10,7 +10,8 @@ the first matching rule:
   3. d = 0                       -> classical triple intersection: 1 iff
                                     k = 3 and c_1+c_2+c_3 = N, else 0
   4. some c_i = 0 and d >= 1     -> 0 (fundamental-class axiom)
-  5. some c_i = 1 and d >= 1     -> d * <rest>_d (divisor axiom)
+  5. m entries c_i = 1, d >= 1   -> d^m * <rest>_d (divisor axiom, applied
+                                    to all m divisors at once)
   6. k <= 2 and d >= 1           -> 1 iff d = 1 and insertions = {H^N, H^N}
                                     (the line through two points), else 0
   7. otherwise                   -> one solved step of the WDVV exchange
@@ -28,6 +29,10 @@ receiver slot H^e (canonically a maximal one) and an exchange partner H^c
           <H^a, H^c, I, H^f>_{d1} * <H^{N-f}, J, H^1, H^e>_{d2}
         - <H^a, H^1, I, H^f>_{d1} * <H^{N-f}, J, H^c, H^e>_{d2}
 
+The sum is evaluated only at the one (d1, f) per split and term that
+balances the left factor (``keys.degeneration_terms``): every other (d1, f)
+gives 0 by rule 2, and f = 0 or f = N by rule 4.
+
 All arithmetic is exact; only the results of step 7 are memoized (the cheap
 structural rules are recomputed on the fly), so the memo holds exactly the
 keys whose evaluation required a full expansion.
@@ -38,7 +43,7 @@ from __future__ import annotations
 import sys
 from typing import Callable
 
-from .keys import CodimVector, ComplexKey, enumerate_splits
+from .keys import CodimVector, ComplexKey, degeneration_terms, enumerate_splits
 
 __all__ = [
     "ComplexEvalContext",
@@ -89,9 +94,6 @@ class ComplexEvalContext:
         self.deep_evals = 0
         self.max_depth = 0
 
-    def evaluate(self, key: ComplexKey) -> int:
-        return eval_complex(key, self)
-
     def stats(self) -> dict[str, int]:
         return {
             "calls": self.calls,
@@ -124,7 +126,8 @@ def _evaluate(N: int, d: int, cv: CodimVector, ctx: ComplexEvalContext, depth: i
     if pairs and pairs[0][0] == 0:
         return 0
     if pairs and pairs[0][0] == 1:
-        return d * _evaluate(N, d, cv.remove(1), ctx, depth + 1)
+        m = pairs[0][1]
+        return d**m * _evaluate(N, d, cv.remove(1, m), ctx, depth + 1)
     if k <= 2:
         return 1 if d == 1 and pairs == ((N, 2),) else 0
     memo_key = (N, d, pairs)
@@ -162,25 +165,11 @@ def wdvv_step(
     total = d * _evaluate(N, d, S.add(a + c).add(e), ctx, nd)
     total += _evaluate(N, d, S.add(a).add(c).add(e + 1), ctx, nd)
     total -= d * _evaluate(N, d, S.add(a).add(c + e), ctx, nd)
-    # Degeneration sum: precompute the four split-dependent bases once, they
-    # do not depend on the degree split.
-    split_bases = [
-        (I.add(a).add(c), I.add(a).add(1), J.add(1).add(e), J.add(c).add(e), w)
-        for I, J, w in enumerate_splits(S, 1)
-    ]
-    for d1 in range(1, d):
-        d2 = d - d1
-        for left_ac, left_a1, right_1e, right_ce, w in split_bases:
-            for f in range(N + 1):
-                g = N - f
-                t = _evaluate(N, d1, left_ac.add(f), ctx, nd)
-                if t:
-                    t *= _evaluate(N, d2, right_1e.add(g), ctx, nd)
-                    if t:
-                        total += w * t
-                t = _evaluate(N, d1, left_a1.add(f), ctx, nd)
-                if t:
-                    t *= _evaluate(N, d2, right_ce.add(g), ctx, nd)
-                    if t:
-                        total -= w * t
+    terms = ((1, (a, c), (1, e)), (-1, (a, 1), (c, e)))
+    for sign, w, d1, left, right in degeneration_terms(
+            N, enumerate_splits(S, 1), terms, lambda d1, f: 0 < d1 < d and 0 < f < N):
+        t = _evaluate(N, d1, left, ctx, nd)
+        if t:
+            t *= _evaluate(N, d - d1, right, ctx, nd)
+            total += sign * w * t
     return total

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "CodimVector",
@@ -20,9 +20,10 @@ __all__ = [
     "RealKey",
     "binomial",
     "complex_dimension_gap",
+    "degeneration_terms",
     "enumerate_splits",
-    "normalize_insertions",
     "real_dimension_gap",
+    "solve_left_factor",
 ]
 
 INVOLUTIONS = ("tau", "eta")
@@ -147,11 +148,6 @@ class CodimVector:
         return ",".join(str(c) for c in self.expand())
 
 
-def normalize_insertions(entries: Iterable[int]) -> CodimVector:
-    """Canonicalize a raw list of codimensions into a ``CodimVector``."""
-    return CodimVector.from_entries(entries)
-
-
 @dataclass(frozen=True)
 class ComplexKey:
     """A genus-0 invariant of P^N: degree d, insertions H^{c_1}..H^{c_k}.
@@ -204,6 +200,42 @@ def complex_dimension_gap(key: ComplexKey) -> int:
     """(N+1)d + N - 3 + k - sum(c_i): zero exactly on dimension-balanced keys."""
     ins = key.insertions
     return (key.N + 1) * key.d + key.N - 3 + ins.k - ins.total_codim
+
+
+def solve_left_factor(N: int, k: int, total_codim: int) -> tuple[int, int]:
+    """The one (d1, x), 0 <= x <= N, at which <L, H^x>_{d1} on P^N is balanced.
+
+    L has k insertions of total codimension ``total_codim``; d1 may be < 1.
+    """
+    q, x = divmod(N - 2 + k - total_codim, N + 1)
+    return -q, x
+
+
+def degeneration_terms(
+    N: int,
+    splits: Iterable[tuple[CodimVector, CodimVector, int]],
+    terms: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...],
+    admissible: Callable[[int, int], bool],
+) -> Iterator[tuple[int, int, int, CodimVector, CodimVector]]:
+    """The terms of a degeneration sum on P^N whose left factor can be nonzero.
+
+    The sum runs over splits (I, J, w), ``terms`` (sign, left_extra,
+    right_extra), degrees d1 and diagonal classes H^x x H^(N-x).  The left
+    factor <I + left_extra, H^x>_{d1} is balanced only at the solved (d1, x),
+    so each split and term yields at most once, when ``admissible(d1, x)``:
+    (sign, w, d1, I + left_extra + H^x, J + right_extra + H^(N-x)).
+    """
+    for I, J, w in splits:
+        k, total = I.k, I.total_codim
+        for sign, left_extra, right_extra in terms:
+            d1, x = solve_left_factor(N, k + len(left_extra), total + sum(left_extra))
+            if admissible(d1, x):
+                left, right = I.add(x), J.add(N - x)
+                for c in left_extra:
+                    left = left.add(c)
+                for c in right_extra:
+                    right = right.add(c)
+                yield sign, w, d1, left, right
 
 
 def real_dimension_gap(key: RealKey) -> int:

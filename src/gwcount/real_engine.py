@@ -11,7 +11,9 @@ Evaluation applies the first matching rule:
   1. d even, or some c_i even     -> 0 (conjugation-odd configurations cancel)
   2. some c_i > 2n-1              -> 0
   3. nonzero dimension gap        -> 0
-  4. some c_i = 1 and k >= 2      -> d * <rest>_d (divisor relation)
+  4. m entries c_i = 1 and k >= 2 -> d^m' * <rest>_d with m' = min(m, k-1)
+                                     (divisor relation, applied to m'
+                                     divisors at once; it needs k >= 2)
   5. k = 1                        -> 1 iff d = 1 and c_1 = 2n-1, else 0
   6. otherwise                    -> one step of the degree-lowering
                                      recursion (below)
@@ -28,8 +30,10 @@ weighted 2 per element routed into I:
         - d1 * <c_1 - 1, I, 2i>^C_{d1} * <c_2, J, j>_{d2}
 
 where <...>^C are complex invariants of P^{2n-1} evaluated by the shared
-complex engine.  Only step-6 results are memoized, keyed on (n, d,
-insertions).
+complex engine.  This sum and the one in ``theorem12_residual`` are
+evaluated only at the one (d1, 2i) per split and term that balances the
+complex factor (``keys.degeneration_terms``).  Only step-6 results are
+memoized, keyed on (n, d, insertions).
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .complex_engine import ComplexEvalContext, _evaluate as _evaluate_c
-from .keys import CodimVector, RealKey, enumerate_splits
+from .keys import CodimVector, RealKey, degeneration_terms, enumerate_splits
 
 __all__ = [
     "RealEvalContext",
@@ -83,9 +87,6 @@ class RealEvalContext:
         self.deep_evals = 0
         self.max_depth = 0
 
-    def evaluate(self, key: RealKey) -> int:
-        return eval_real(key, self)
-
     def stats(self) -> dict[str, int]:
         return {
             "calls": self.calls,
@@ -116,7 +117,8 @@ def _evaluate(n: int, d: int, cv: CodimVector, ctx: RealEvalContext, depth: int)
     if n * (d + 1) - 2 + k - cv.total_codim != 0:
         return 0
     if pairs[0][0] == 1 and k >= 2:
-        return d * _evaluate(n, d, cv.remove(1), ctx, depth + 1)
+        m = min(pairs[0][1], k - 1)
+        return d**m * _evaluate(n, d, cv.remove(1, m), ctx, depth + 1)
     if k == 1:
         return 1 if d == 1 and pairs == ((2 * n - 1, 1),) else 0
     memo_key = (n, d, pairs)
@@ -150,26 +152,24 @@ def recursion_step(
     nd = depth + 1
     cctx = ctx.complex_ctx
     total = d * _evaluate(n, d, rest.add(c1 + c2 - 1), ctx, nd)
-    split_bases = [
-        (I.add(c1 - 1).add(c2), I.add(c1 - 1), J, J.add(c2), w)
-        for I, J, w in enumerate_splits(rest, 2)
-    ]
-    for d1 in range(1, (d - 1) // 2 + 1):
+    terms = ((1, (c1 - 1, c2), ()), (-1, (c1 - 1,), (c2,)))
+    for sign, w, d1, left, right in _real_terms(N, d, rest, terms):
         d2 = d - 2 * d1
-        for left_pair, left_single, J, J2, w in split_bases:
-            for i in range(1, n):
-                j = N - 2 * i
-                t = _evaluate_c(N, d1, left_pair.add(2 * i), cctx, nd)
-                if t:
-                    t *= _evaluate(n, d2, J.add(j), ctx, nd)
-                    if t:
-                        total += w * d2 * t
-                t = _evaluate_c(N, d1, left_single.add(2 * i), cctx, nd)
-                if t:
-                    t *= _evaluate(n, d2, J2.add(j), ctx, nd)
-                    if t:
-                        total -= w * d1 * t
+        t = _evaluate_c(N, d1, left, cctx, nd)
+        if t:
+            t *= _evaluate(n, d2, right, ctx, nd)
+            total += sign * w * (d2 if sign > 0 else d1) * t
     return total
+
+
+def _real_terms(N: int, d: int, rest: CodimVector, terms):
+    """``degeneration_terms`` of a real sum: 2*d1 + d2 = d with d1, d2 >= 1.
+
+    Its diagonal classes are H^x x H^(N-x) with x = 2i, 0 < i < n; the solved
+    x never exceeds N = 2n-1, so even and positive is enough.
+    """
+    return degeneration_terms(N, enumerate_splits(rest, 2), terms,
+                              lambda d1, x: 0 < 2 * d1 < d and x > 0 and x % 2 == 0)
 
 
 def theorem12_residual(
@@ -208,16 +208,9 @@ def theorem12_residual(
     N = 2 * n - 1
     cctx = ctx.complex_ctx
     rhs = 0
-    for d1 in range(1, (d - 1) // 2 + 1):
-        d2 = d - 2 * d1
-        for I, J, w in enumerate_splits(rest, 2):
-            base = I.add(2 * c)
-            for i in range(1, n):
-                j = N - 2 * i
-                t = _evaluate_c(N, d1, base.add(c1).add(2 * i), cctx, 0)
-                if t:
-                    rhs += w * t * _evaluate(n, d2, J.add(c2).add(j), ctx, 0)
-                t = _evaluate_c(N, d1, base.add(c2).add(2 * i), cctx, 0)
-                if t:
-                    rhs -= w * t * _evaluate(n, d2, J.add(c1).add(j), ctx, 0)
+    terms = ((1, (2 * c, c1), (c2,)), (-1, (2 * c, c2), (c1,)))
+    for sign, w, d1, left, right in _real_terms(N, d, rest, terms):
+        t = _evaluate_c(N, d1, left, cctx, 0)
+        if t:
+            rhs += sign * w * t * _evaluate(n, d - 2 * d1, right, ctx, 0)
     return lhs - rhs

@@ -4,7 +4,8 @@ TABLE1 and TABLE2_* are the published golden tables (signed real counts).
 COMPLEX_P3_N / COMPLEX_P3_NTILDE hold the first six complex P^3 counts,
 frozen from the closed-form series after cross-checking the classical values
 (lines through 2 points, twisted cubics through 6 points, 105 quintics
-through 10 points, ...).
+through 10 points, ...).  KONTSEVICH_P2 is taken from the literature, not
+from this package.
 """
 
 from __future__ import annotations
@@ -93,3 +94,16 @@ TABLE2_P7 = {
 # and 2d-1 points) in P^3, for d <= 6.
 COMPLEX_P3_N = {1: 1, 2: 0, 3: 1, 4: 4, 5: 105, 6: 2576}
 COMPLEX_P3_NTILDE = {1: 1, 2: 1, 3: 5, 4: 58, 5: 1265, 6: 44416}
+
+# d -> Kontsevich's N_d: rational plane curves of degree d through 3d - 1
+# general points, i.e. <H^2, ..., H^2>_d on P^2 (Kontsevich-Manin 1994).
+KONTSEVICH_P2 = {
+    1: 1,
+    2: 1,
+    3: 12,
+    4: 620,
+    5: 87304,
+    6: 26312976,
+    7: 14616808192,
+    8: 13525751027392,
+}

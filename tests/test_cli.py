@@ -43,6 +43,16 @@ def test_real_query_phi_flag_is_metadata(capsys):
     assert out_tau == out_eta == "-1\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("complex", "--dim", "3", "--d", "1", "--codims", "3,3" + ",1" * 25_000),
+    ("real", "--n", "2", "--d", "1", "--codims", "3" + ",1" * 25_000),
+])
+def test_deep_divisor_chain(capsys, argv):
+    # One frame per divisor insertion would exceed the recursion limit.
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, "1\n", "")
+
+
 def test_json_query_output(capsys):
     code, out, _ = run(capsys, "real", "--n", "2", "--d", "3",
                        "--codims", "3,3,3", "--json")

@@ -15,7 +15,7 @@ from gwcount import (
 )
 from gwcount.complex_engine import wdvv_step
 
-from golden import COMPLEX_P3_N, COMPLEX_P3_NTILDE
+from golden import COMPLEX_P3_N, COMPLEX_P3_NTILDE, KONTSEVICH_P2
 
 
 def C(ctx, N, d, *cs):
@@ -124,6 +124,12 @@ def test_p3_counts_match_closed_series():
         assert nt[d] == COMPLEX_P3_NTILDE[d]
         assert C(ctx, 3, d, *([3] * (2 * d))) == n[d]
         assert C(ctx, 3, d, 2, 2, *([3] * (2 * d - 1))) == nt[d]
+
+
+def test_plane_curve_counts_match_kontsevich():
+    ctx = ComplexEvalContext()
+    for d, expected in KONTSEVICH_P2.items():
+        assert C(ctx, 2, d, *([2] * (3 * d - 1))) == expected, d
 
 
 def test_divisor_relation_on_random_keys():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gwcount import RealEvalContext, table1_rows, table2_rows
+from gwcount import RealEvalContext, real_series_p3, table1_rows, table2_rows
 from gwcount.tables import EngineDisagreement, TableRow, format_rows
 
 from golden import TABLE1, TABLE2_P5, TABLE2_P7
@@ -30,6 +30,16 @@ def test_table1_validation():
         table1_rows(0)
     with pytest.raises(ValueError):
         table1_rows(5, engine="quantum")
+
+
+def test_table1_general_engine_matches_closed_series_to_d61():
+    ctx = RealEvalContext()
+    rows = table1_rows(61, engine="general", ctx=ctx)
+    series = real_series_p3(61)
+    assert [(r.d, r.value) for r in rows] == [(d, series[d]) for d in range(1, 62, 2)]
+    # Only the solved (d1, f) of each degeneration term is visited; looping
+    # over every degree split and diagonal class took 446,494 calls here.
+    assert ctx.complex_ctx.stats()["calls"] < 50_000
 
 
 def test_engine_disagreement_payload():
