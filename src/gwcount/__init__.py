@@ -19,7 +19,6 @@ from .keys import (
     real_dimension_gap,
 )
 from .p3 import (
-    P3Series,
     complex_series_p3,
     congruence_mod4_report,
     parity_report,
@@ -46,7 +45,6 @@ __all__ = [
     "CodimVector",
     "ComplexEvalContext",
     "ComplexKey",
-    "P3Series",
     "RealEvalContext",
     "RealKey",
     "TableRow",

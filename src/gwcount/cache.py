@@ -5,18 +5,23 @@ Each record is one line::
     gw1|C|N=<int>|d=<int>|c=<c1,c2,...>|v=<decimal>
     gw1|R|n=<int>|d=<int>|c=<c1,c2,...>|v=<decimal>
 
-preceded by the header line ``#gw-cache v1``.  Records are sorted by
-(kind, dimension, degree, codimensions), so saving is deterministic and a
-load/save round trip is byte-identical.  The store only ever replays values
-into engine memos; it never changes what an engine would compute.
+preceded by the header line ``#gw-cache v1``.  In memory there is one dict
+per kind, keyed exactly like the engine memos by (dimension, degree, sorted
+(codim, multiplicity) pairs), so warming is a ``dict.update`` and ``absorb``
+counts the records an engine added.  Files are sorted by (kind, dimension,
+degree, codimensions), so a load/save round trip is byte-identical, and a
+save replaces the file atomically.  The store only ever replays values into
+engine memos; it never changes what an engine would compute.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import groupby
+from typing import Iterable
 
-from .complex_engine import ComplexEvalContext
-from .keys import CodimVector, ComplexKey, RealKey
+from .complex_engine import ComplexEvalContext, MemoKey
+from .keys import ComplexKey, RealKey
 from .real_engine import RealEvalContext
 
 __all__ = [
@@ -28,10 +33,7 @@ __all__ = [
 ]
 
 HEADER = "#gw-cache v1"
-
-# Internal record key: (kind, dimension, degree, expanded codim tuple) where
-# kind is "C" (complex, dimension = N) or "R" (real, dimension = n).
-RecordKey = tuple[str, int, int, tuple[int, ...]]
+DIMTAGS = {"C": "N", "R": "n"}
 
 
 class CacheError(Exception):
@@ -46,46 +48,60 @@ class CacheIntegrityError(CacheError):
     """An insert tried to change the value already stored for a key."""
 
 
-def _record_key(key: ComplexKey | RealKey) -> RecordKey:
+def _memo_key(key: ComplexKey | RealKey) -> tuple[str, MemoKey]:
     if isinstance(key, ComplexKey):
-        return ("C", key.N, key.d, key.insertions.expand())
+        return "C", (key.N, key.d, key.insertions.pairs)
     if isinstance(key, RealKey):
         # phi is metadata: both involutions share one record.
-        return ("R", key.n, key.d, key.insertions.expand())
+        return "R", (key.n, key.d, key.insertions.pairs)
     raise TypeError(f"expected ComplexKey or RealKey, got {type(key).__name__}")
+
+
+def _expand(pairs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    return sum(((c,) * m for c, m in pairs), ())
+
+
+def record_line(kind: str, dim: int, d: int, entries: tuple[int, ...], value: int) -> str:
+    """One record in file form."""
+    return f"gw1|{kind}|{DIMTAGS[kind]}={dim}|d={d}|c={','.join(map(str, entries))}|v={value}"
 
 
 class CacheStore:
     """In-memory record set with deterministic text serialization."""
 
     def __init__(self) -> None:
-        self.records: dict[RecordKey, int] = {}
+        self.records: dict[str, dict[MemoKey, int]] = {"C": {}, "R": {}}
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.records["C"]) + len(self.records["R"])
 
     def lookup(self, key: ComplexKey | RealKey) -> int | None:
-        return self.records.get(_record_key(key))
+        kind, memo_key = _memo_key(key)
+        return self.records[kind].get(memo_key)
 
     def insert(self, key: ComplexKey | RealKey, value: int) -> None:
-        self._insert_record(_record_key(key), value)
+        kind, memo_key = _memo_key(key)
+        self._merge(kind, ((memo_key, value),))
 
-    def _insert_record(self, rkey: RecordKey, value: int) -> None:
-        existing = self.records.get(rkey)
-        if existing is not None and existing != value:
-            kind, dim, d, entries = rkey
-            raise CacheIntegrityError(
-                f"conflicting values for {kind} dim={dim} d={d} "
-                f"c={','.join(map(str, entries))}: had {existing}, got {value}"
-            )
-        self.records[rkey] = value
+    def _merge(self, kind: str, items: Iterable[tuple[MemoKey, int]]) -> int:
+        """Add ``items`` to the records of ``kind``; returns how many were new."""
+        records = self.records[kind]
+        before = len(records)
+        for memo_key, value in items:
+            existing = records.setdefault(memo_key, value)
+            if existing != value:
+                dim, d, pairs = memo_key
+                raise CacheIntegrityError(
+                    f"conflicting values for {kind} dim={dim} d={d} "
+                    f"c={','.join(map(str, _expand(pairs)))}: had {existing}, got {value}"
+                )
+        return len(records) - before
 
     def stats(self) -> dict[str, int]:
-        complex_count = sum(1 for k in self.records if k[0] == "C")
         return {
-            "records": len(self.records),
-            "complex": complex_count,
-            "real": len(self.records) - complex_count,
+            "records": len(self),
+            "complex": len(self.records["C"]),
+            "real": len(self.records["R"]),
         }
 
     # -- engine memo interchange ------------------------------------------
@@ -93,37 +109,42 @@ class CacheStore:
     def warm(self, cctx: ComplexEvalContext | None = None,
              rctx: RealEvalContext | None = None) -> None:
         """Replay stored records into engine memos (idempotent)."""
-        for (kind, dim, d, entries), value in self.records.items():
-            pairs = CodimVector.from_entries(entries).pairs
-            if kind == "C" and cctx is not None:
-                cctx.memo[(dim, d, pairs)] = value
-            elif kind == "R" and rctx is not None:
-                rctx.memo[(dim, d, pairs)] = value
+        if cctx is not None:
+            cctx.memo.update(self.records["C"])
+        if rctx is not None:
+            rctx.memo.update(self.records["R"])
 
     def absorb(self, cctx: ComplexEvalContext | None = None,
-               rctx: RealEvalContext | None = None) -> None:
-        """Collect engine memo entries into the store (conflicts are errors)."""
-        if cctx is not None:
-            for (N, d, pairs), value in cctx.memo.items():
-                self._insert_record(("C", N, d, CodimVector(pairs).expand()), value)
-        if rctx is not None:
-            for (n, d, pairs), value in rctx.memo.items():
-                self._insert_record(("R", n, d, CodimVector(pairs).expand()), value)
+               rctx: RealEvalContext | None = None) -> int:
+        """Merge engine memos into the store; returns the number of new records."""
+        return sum(self._merge(kind, ctx.memo.items())
+                   for kind, ctx in (("C", cctx), ("R", rctx)) if ctx is not None)
 
     # -- serialization -----------------------------------------------------
 
+    def sorted_records(self) -> list[tuple[str, int, int, tuple[int, ...], int]]:
+        """(kind, dim, d, codims, value) of every record, in file order."""
+        return [(kind, *row) for kind in ("C", "R") for row in sorted(
+            (dim, d, _expand(pairs), value)
+            for (dim, d, pairs), value in self.records[kind].items())]
+
     def render(self) -> str:
         lines = [HEADER]
-        for (kind, dim, d, entries) in sorted(self.records):
-            value = self.records[(kind, dim, d, entries)]
-            dimtag = "N" if kind == "C" else "n"
-            centry = ",".join(map(str, entries))
-            lines.append(f"gw1|{kind}|{dimtag}={dim}|d={d}|c={centry}|v={value}")
+        lines += [record_line(*record) for record in self.sorted_records()]
         return "\n".join(lines) + "\n"
 
     def save(self, path: str | os.PathLike[str]) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.render())
+        """Write the store to ``path`` through a temp file in the same directory."""
+        text = self.render()
+        path = os.path.realpath(path)  # replace a symlink's target, not the link
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="ascii") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):  # the write or the rename failed
+                os.remove(tmp)
 
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> "CacheStore":
@@ -135,39 +156,40 @@ class CacheStore:
             )
         store = cls()
         for lineno, line in enumerate(lines[1:], start=2):
-            store._insert_record(*_parse_line(line, lineno))
+            kind, memo_key, value = _parse_line(line, lineno)
+            store._merge(kind, ((memo_key, value),))
         return store
 
 
-def _parse_line(line: str, lineno: int) -> tuple[RecordKey, int]:
+def _parse_line(line: str, lineno: int) -> tuple[str, MemoKey, int]:
     parts = line.split("|")
     if len(parts) != 6 or parts[0] != "gw1":
         raise CacheFormatError(f"line {lineno}: malformed record {line!r}")
     kind = parts[1]
-    if kind not in ("C", "R"):
+    if kind not in DIMTAGS:
         raise CacheFormatError(f"line {lineno}: unknown kind {kind!r}")
-    dimtag = "N" if kind == "C" else "n"
     try:
-        dim = _field(parts[2], dimtag)
-        d = _field(parts[3], "d")
-        centry = parts[4]
-        if not centry.startswith("c="):
-            raise ValueError(f"expected c=..., got {centry!r}")
-        body = centry[2:]
-        entries = tuple(int(x) for x in body.split(",")) if body else ()
-        if any(e < 0 for e in entries) or list(entries) != sorted(entries):
-            raise ValueError(f"codimensions must be sorted and >= 0: {body!r}")
-        ventry = parts[5]
-        if not ventry.startswith("v="):
-            raise ValueError(f"expected v=..., got {ventry!r}")
-        value = int(ventry[2:])
+        dim, d, body, value = map(_field, parts[2:], (DIMTAGS[kind], "d", "c", "v"))
+        return kind, (int(dim), int(d), _parse_pairs(body)), int(value)
     except ValueError as exc:
         raise CacheFormatError(f"line {lineno}: {exc}") from None
-    return (kind, dim, d, entries), value
 
 
-def _field(part: str, tag: str) -> int:
+def _parse_pairs(body: str) -> tuple[tuple[int, int], ...]:
+    """Run-length form of a sorted, non-negative codimension list."""
+    pairs: list[tuple[int, int]] = []
+    for text, run in groupby(body.split(",") if body else ()):
+        c, m = int(text), len(list(run))
+        if pairs and c == pairs[-1][0]:  # the same int spelled two ways
+            m += pairs.pop()[1]
+        elif c < (pairs[-1][0] if pairs else 0):
+            raise ValueError(f"codimensions must be sorted and >= 0: {body!r}")
+        pairs.append((c, m))
+    return tuple(pairs)
+
+
+def _field(part: str, tag: str) -> str:
     prefix = tag + "="
     if not part.startswith(prefix):
         raise ValueError(f"expected {prefix}..., got {part!r}")
-    return int(part[len(prefix):])
+    return part[len(prefix):]

@@ -7,23 +7,27 @@ Commands:
   gw table1  [--dmax D] [--engine E] [--format F]
   gw table2  --space {p5,p7} [--format F]
   gw check   --suite {parity,mod4,wdvv-identity,cross-dim,divisor,all}
-  gw cache   {stats,load,save} [--cache PATH]
+  gw cache   {stats,load,save,verify} [--cache PATH]
 
 Compute commands accept ``--cache PATH`` (or the GW_CACHE environment
-variable; the flag wins) to warm the engines from a store before computing
-and to persist new results afterwards.  Output is deterministic: identical
-invocations produce byte-identical output.  Exit codes: 0 success, 1 failed
-checks or engine disagreement, 2 usage errors.
+variable; the flag wins) to warm the engines from a store keyed like their
+memos; a query rewrites the file only if it added records or the file is new.
+``gw cache save`` rewrites the file in canonical form, and ``gw cache verify``
+recomputes every record cold, naming the first wrong one.  Output is
+deterministic: identical invocations produce byte-identical output.  Exit
+codes: 0 success, 1 failed checks, engine disagreement or a bad cache, 2
+usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 
-from .cache import CacheError, CacheStore
+from .cache import CacheError, CacheStore, record_line
 from .checks import SUITES, run_suites
 from .complex_engine import ComplexEvalContext, eval_complex
 from .keys import CodimVector, ComplexKey, RealKey
@@ -106,17 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--suite", choices=SUITES + ("all",), default="all")
 
     p_cache = sub.add_parser("cache", help="inspect or rewrite a cache file")
-    p_cache.add_argument("action", choices=("stats", "load", "save"))
+    p_cache.add_argument("action", choices=("stats", "load", "save", "verify"))
     add_cache_flag(p_cache)
 
     return parser
 
 
 def _cache_path(args: argparse.Namespace) -> str | None:
-    path = getattr(args, "cache", None)
-    if path:
-        return path
-    return os.environ.get("GW_CACHE") or None
+    return args.cache or os.environ.get("GW_CACHE") or None
 
 
 def _open_store(path: str | None) -> CacheStore:
@@ -125,55 +126,47 @@ def _open_store(path: str | None) -> CacheStore:
     return CacheStore()
 
 
-def _close_store(store: CacheStore, path: str | None,
-                 cctx: ComplexEvalContext, rctx: RealEvalContext | None) -> None:
-    if not path:
-        return
-    store.absorb(cctx, rctx)
-    store.save(path)
-
-
-def cmd_complex(args: argparse.Namespace) -> int:
+@contextlib.contextmanager
+def _engines(args: argparse.Namespace, real: bool = True):
+    """Engine contexts warmed from the cache; new results are saved on success."""
     path = _cache_path(args)
     store = _open_store(path)
     cctx = ComplexEvalContext()
-    store.warm(cctx=cctx)
-    key = ComplexKey(N=args.dim, d=args.d,
-                     insertions=CodimVector.from_entries(args.codims))
-    value = eval_complex(key, cctx)
-    _close_store(store, path, cctx, None)
+    rctx = RealEvalContext(cctx) if real else None
+    store.warm(cctx, rctx)
+    yield cctx, rctx
+    if path and (store.absorb(cctx, rctx) or not os.path.exists(path)):
+        store.save(path)
+
+
+def _print_value(args: argparse.Namespace, space: str, value: int) -> None:
     if args.json:
         print(json.dumps({
-            "space": f"p{args.dim}",
+            "space": space,
             "d": args.d,
             "codims": sorted(args.codims),
             "value": str(value),
         }))
     else:
         print(value)
+
+
+def cmd_complex(args: argparse.Namespace) -> int:
+    with _engines(args, real=False) as (cctx, _):
+        key = ComplexKey(N=args.dim, d=args.d,
+                         insertions=CodimVector.from_entries(args.codims))
+        value = eval_complex(key, cctx)
+    _print_value(args, f"p{args.dim}", value)
     return 0
 
 
 def cmd_real(args: argparse.Namespace) -> int:
-    path = _cache_path(args)
-    store = _open_store(path)
-    cctx = ComplexEvalContext()
-    rctx = RealEvalContext(cctx)
-    store.warm(cctx=cctx, rctx=rctx)
-    key = RealKey(n=args.n, d=args.d,
-                  insertions=CodimVector.from_entries(args.codims),
-                  phi=args.phi)
-    value = eval_real(key, rctx)
-    _close_store(store, path, cctx, rctx)
-    if args.json:
-        print(json.dumps({
-            "space": f"real-{args.n}",
-            "d": args.d,
-            "codims": sorted(args.codims),
-            "value": str(value),
-        }))
-    else:
-        print(value)
+    with _engines(args) as (_, rctx):
+        key = RealKey(n=args.n, d=args.d,
+                      insertions=CodimVector.from_entries(args.codims),
+                      phi=args.phi)
+        value = eval_real(key, rctx)
+    _print_value(args, f"real-{args.n}", value)
     return 0
 
 
@@ -182,30 +175,19 @@ def cmd_table1(args: argparse.Namespace) -> int:
         print(f"error: --dmax {args.dmax} exceeds --limit {args.limit}",
               file=sys.stderr)
         return 2
-    path = _cache_path(args)
-    store = _open_store(path)
-    cctx = ComplexEvalContext()
-    rctx = RealEvalContext(cctx)
-    store.warm(cctx=cctx, rctx=rctx)
-    try:
-        rows = table1_rows(args.dmax, engine=args.engine, ctx=rctx)
-    except EngineDisagreement as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        _close_store(store, path, cctx, rctx)
+    with _engines(args) as (_, rctx):
+        try:
+            rows = table1_rows(args.dmax, engine=args.engine, ctx=rctx)
+        except EngineDisagreement as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     sys.stdout.write(format_rows(rows, args.format))
     return 0
 
 
 def cmd_table2(args: argparse.Namespace) -> int:
-    path = _cache_path(args)
-    store = _open_store(path)
-    cctx = ComplexEvalContext()
-    rctx = RealEvalContext(cctx)
-    store.warm(cctx=cctx, rctx=rctx)
-    rows = table2_rows(args.space, ctx=rctx)
-    _close_store(store, path, cctx, rctx)
+    with _engines(args) as (_, rctx):
+        rows = table2_rows(args.space, ctx=rctx)
     sys.stdout.write(format_rows(rows, args.format))
     return 0
 
@@ -226,21 +208,38 @@ def cmd_cache(args: argparse.Namespace) -> int:
     if not path:
         print("error: cache path required (--cache or GW_CACHE)", file=sys.stderr)
         return 2
+    if args.action == "save":  # canonical rewrite; creates an empty store if absent
+        store = _open_store(path)
+        store.save(path)
+        print(f"saved: {len(store)} records")
+        return 0
+    store = CacheStore.load(path)
+    if args.action == "verify":
+        return _verify(store)
     if args.action == "stats":
-        store = CacheStore.load(path)
-        stats = store.stats()
-        print(f"records: {stats['records']}")
-        print(f"complex: {stats['complex']}")
-        print(f"real: {stats['real']}")
-        return 0
-    if args.action == "load":
-        store = CacheStore.load(path)
+        for name, count in store.stats().items():
+            print(f"{name}: {count}")
+    else:
         print(f"ok: {len(store)} records")
-        return 0
-    # save: canonical rewrite (creates an empty store if the file is absent)
-    store = _open_store(path)
-    store.save(path)
-    print(f"saved: {len(store)} records")
+    return 0
+
+
+def _verify(store: CacheStore) -> int:
+    """Recompute every record in one cold context pair, in file order."""
+    cctx = ComplexEvalContext()
+    rctx = RealEvalContext(cctx)
+    for kind, dim, d, entries, value in store.sorted_records():
+        cv = CodimVector.from_entries(entries)
+        try:
+            got = (eval_complex(ComplexKey(N=dim, d=d, insertions=cv), cctx) if kind == "C"
+                   else eval_real(RealKey(n=dim, d=d, insertions=cv), rctx))
+        except ValueError as exc:  # the record is not a valid key
+            got = exc
+        if got != value:
+            print(f"error: bad record {record_line(kind, dim, d, entries, value)}: "
+                  f"recomputed {got}", file=sys.stderr)
+            return 1
+    print(f"ok: {len(store)} records verified")
     return 0
 
 

@@ -58,6 +58,8 @@ if sys.getrecursionlimit() < 20000:
     sys.setrecursionlimit(20000)
 
 PivotRule = Callable[[CodimVector], tuple[int, int, int]]
+# Memo key of both engines: (dimension, degree, CodimVector.pairs).
+MemoKey = tuple[int, int, tuple[tuple[int, int], ...]]
 
 
 def canonical_pivot(cv: CodimVector) -> tuple[int, int, int]:
@@ -73,22 +75,13 @@ def canonical_pivot(cv: CodimVector) -> tuple[int, int, int]:
     return a1, c, e
 
 
-class ComplexEvalContext:
-    """Session-scoped evaluation state: memo table, statistics, pivot rule.
+class EvalContext:
+    """Memo table and counters, shared by the contexts of both engines."""
 
-    Values are pure functions of the key, so concurrent insert-if-absent of
-    identical values is harmless (dict writes are atomic under the GIL) and
-    no locking is used.  A custom ``pivot_rule`` may pick any admissible
-    pivot: the three designated slots must be present in the multiset and the
-    donor codimension a+1 must not exceed the receiver codimension e (that
-    ordering is what makes the recursion terminate).
-    """
+    __slots__ = ("memo", "calls", "hits", "deep_evals", "max_depth")
 
-    __slots__ = ("memo", "pivot_rule", "calls", "hits", "deep_evals", "max_depth")
-
-    def __init__(self, pivot_rule: PivotRule | None = None) -> None:
-        self.memo: dict[tuple[int, int, tuple[tuple[int, int], ...]], int] = {}
-        self.pivot_rule = pivot_rule or canonical_pivot
+    def __init__(self) -> None:
+        self.memo: dict[MemoKey, int] = {}
         self.calls = 0
         self.hits = 0
         self.deep_evals = 0
@@ -102,6 +95,24 @@ class ComplexEvalContext:
             "memo_size": len(self.memo),
             "max_depth": self.max_depth,
         }
+
+
+class ComplexEvalContext(EvalContext):
+    """Session-scoped evaluation state: memo table, statistics, pivot rule.
+
+    Values are pure functions of the key, so concurrent insert-if-absent of
+    identical values is harmless (dict writes are atomic under the GIL) and
+    no locking is used.  A custom ``pivot_rule`` may pick any admissible
+    pivot: the three designated slots must be present in the multiset and the
+    donor codimension a+1 must not exceed the receiver codimension e (that
+    ordering is what makes the recursion terminate).
+    """
+
+    __slots__ = ("pivot_rule",)
+
+    def __init__(self, pivot_rule: PivotRule | None = None) -> None:
+        super().__init__()
+        self.pivot_rule = pivot_rule or canonical_pivot
 
 
 def eval_complex(key: ComplexKey, ctx: ComplexEvalContext) -> int:

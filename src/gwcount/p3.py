@@ -28,7 +28,6 @@ of P^3 and P^5, evaluated through the general real engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .keys import CodimVector, RealKey, binomial
@@ -36,7 +35,6 @@ from .real_engine import RealEvalContext, eval_real
 from .reports import CheckReport
 
 __all__ = [
-    "P3Series",
     "complex_series_p3",
     "congruence_mod4_report",
     "parity_report",
@@ -86,22 +84,6 @@ def real_series_p3(dmax: int) -> list[int]:
             acc += coeff * nt[d1] * nr[d2]
         nr[d] = acc
     return nr
-
-
-@dataclass(frozen=True)
-class P3Series:
-    """All three P^3 families up to a fixed degree, computed in one pass."""
-
-    dmax: int
-    n_complex: tuple[int, ...]
-    ntilde_complex: tuple[int, ...]
-    n_real: tuple[int, ...]
-
-    @staticmethod
-    def build(dmax: int) -> "P3Series":
-        n, nt = complex_series_p3(dmax)
-        nr = real_series_p3(dmax)
-        return P3Series(dmax, tuple(n), tuple(nt), tuple(nr))
 
 
 def congruence_mod4_report(dmax: int = 31) -> CheckReport:

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .complex_engine import ComplexEvalContext, _evaluate as _evaluate_c
+from .complex_engine import ComplexEvalContext, EvalContext, _evaluate as _evaluate_c
 from .keys import CodimVector, RealKey, degeneration_terms, enumerate_splits
 
 __all__ = [
@@ -61,7 +61,7 @@ def canonical_designation(cv: CodimVector) -> tuple[int, int]:
     return c1, c2
 
 
-class RealEvalContext:
+class RealEvalContext(EvalContext):
     """Evaluation state for the real engine plus a shared complex context.
 
     Real evaluation constantly needs complex invariants of the same target,
@@ -71,30 +71,16 @@ class RealEvalContext:
     terminates because each recursive call lowers (d, k) lexicographically.
     """
 
-    __slots__ = ("memo", "complex_ctx", "designation_rule", "calls", "hits",
-                 "deep_evals", "max_depth")
+    __slots__ = ("complex_ctx", "designation_rule")
 
     def __init__(
         self,
         complex_ctx: ComplexEvalContext | None = None,
         designation_rule: DesignationRule | None = None,
     ) -> None:
-        self.memo: dict[tuple[int, int, tuple[tuple[int, int], ...]], int] = {}
+        super().__init__()
         self.complex_ctx = complex_ctx if complex_ctx is not None else ComplexEvalContext()
         self.designation_rule = designation_rule or canonical_designation
-        self.calls = 0
-        self.hits = 0
-        self.deep_evals = 0
-        self.max_depth = 0
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "calls": self.calls,
-            "memo_hits": self.hits,
-            "deep_evals": self.deep_evals,
-            "memo_size": len(self.memo),
-            "max_depth": self.max_depth,
-        }
 
 
 def eval_real(key: RealKey, ctx: RealEvalContext) -> int:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gwcount import (
     CacheFormatError,
@@ -128,7 +132,7 @@ def test_large_roundtrip(tmp_path):
     for N in (3, 5, 7, 9):
         for d in range(1, 26):
             for k in range(1, 101):
-                store._insert_record(("C", N, d, (2, 3, k + 3)), (-k) ** d + N)
+                store.insert(_ckey(N, d, 2, 3, k + 3), (-k) ** d + N)
                 count += 1
     assert count == 10000
     path = tmp_path / "big.txt"
@@ -144,8 +148,10 @@ def test_warm_and_absorb_regenerate_memos():
     value = eval_real(_rkey(2, 5, 3, 3, 3, 3, 3), rctx)
     assert value == 5
     store = CacheStore()
-    store.absorb(cctx, rctx)
-    assert len(store) == len(cctx.memo) + len(rctx.memo) > 0
+    assert store.absorb(cctx, rctx) == len(cctx.memo) + len(rctx.memo) > 0
+    assert len(store) == len(cctx.memo) + len(rctx.memo)
+    assert store.records == {"C": cctx.memo, "R": rctx.memo}
+    assert store.absorb(cctx, rctx) == 0
 
     cctx2 = ComplexEvalContext()
     rctx2 = RealEvalContext(cctx2)
@@ -181,7 +187,81 @@ def test_absorb_detects_engine_cache_conflicts():
     store = CacheStore()
     store.absorb(cctx)
     # corrupt one stored value, then absorbing the honest memo must fail
-    rkey = next(iter(store.records))
-    store.records[rkey] += 1
+    memo_key = next(iter(store.records["C"]))
+    store.records["C"][memo_key] += 1
     with pytest.raises(CacheIntegrityError):
         store.absorb(cctx)
+
+
+def test_load_keys_records_like_the_engine_memos(tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_text(HEADER + "\n"
+                    + "gw1|C|N=3|d=2|c=2,2,3,3,3|v=1\n"
+                    + "gw1|R|n=2|d=3|c=1,3,3,3|v=-3\n"
+                    + "gw1|R|n=2|d=1|c=|v=0\n")
+    loaded = CacheStore.load(path)
+    assert loaded.records == {
+        "C": {(3, 2, ((2, 2), (3, 3))): 1},
+        "R": {(2, 3, ((1, 1), (3, 3))): -3, (2, 1, ()): 0},
+    }
+
+
+def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch):
+    store = CacheStore()
+    store.insert(_ckey(3, 1, 3, 3), 1)
+    path = tmp_path / "cache.txt"
+    store.save(path)
+    before = path.read_bytes()
+    store.insert(_ckey(3, 2, 3, 3, 3, 3), 0)
+    # a record that cannot be encoded makes the write fail part-way
+    monkeypatch.setattr(CacheStore, "render", lambda self: HEADER + "\nv=\u221e\n")
+    with pytest.raises(UnicodeEncodeError):
+        store.save(path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["cache.txt"]
+
+
+def test_save_through_a_symlink_updates_its_target(tmp_path):
+    store = CacheStore()
+    store.insert(_ckey(3, 1, 3, 3), 1)
+    target = tmp_path / "cache.txt"
+    store.save(target)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    store.insert(_ckey(3, 2, 3, 3, 3, 3), 0)
+    store.save(link)
+    assert link.is_symlink()
+    assert target.read_text() == store.render()
+
+
+codim_lists = st.lists(st.integers(0, 6), max_size=6).map(sorted)
+memo_records = st.dictionaries(
+    st.tuples(st.sampled_from("CR"), st.integers(1, 9), st.integers(0, 30),
+              codim_lists.map(lambda c: CodimVector.from_entries(c).pairs)),
+    st.integers(-(10**40), 10**40),
+    max_size=30,
+)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(memo_records)
+@example({("C", 3, 2, ((3, 2),)): 1, ("C", 3, 2, ((3, 1), (4, 1))): 2,
+          ("C", 3, 2, ((3, 3),)): 3})
+def test_render_load_roundtrip_fuzz(tmp_path_factory, records):
+    store = CacheStore()
+    for (kind, dim, d, pairs), value in records.items():
+        store.records[kind][(dim, d, pairs)] = value
+    text = store.render()
+    path = tmp_path_factory.mktemp("fuzz") / "cache.txt"
+    path.write_text(text)
+    loaded = CacheStore.load(path)
+    assert loaded.records == store.records
+    assert loaded.render() == text
+    # file order is by the expanded codimension lists: 3,3 < 3,3,3 < 3,4
+    lines = text.splitlines()[1:]
+    assert lines == sorted(lines, key=_file_order)
+
+
+def _file_order(line):
+    _, kind, dim, d, codims, _ = line.split("|")
+    return kind, int(dim[2:]), int(d[2:]), tuple(int(c) for c in codims[2:].split(",") if c)

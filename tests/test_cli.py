@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
+from gwcount import CodimVector, ComplexEvalContext, RealEvalContext, RealKey, eval_real
 from gwcount.cache import HEADER, CacheStore
 from gwcount.cli import main
 
@@ -169,6 +171,63 @@ def test_cache_flag_persists_results(tmp_path, capsys):
     assert code == 0
     assert out == "5\n"
     assert path.read_text() == text
+
+
+def _real_argv(d, path):
+    return ["real", "--n", "2", "--d", str(d), "--codims", ",".join(["3"] * d),
+            "--cache", str(path)]
+
+
+def test_cache_hit_leaves_the_file_untouched(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "store.txt"
+    assert run(capsys, *_real_argv(5, path))[:2] == (0, "5\n")
+    before = path.read_bytes(), os.stat(path)
+    renders = []
+    original = CacheStore.render
+    monkeypatch.setattr(CacheStore, "render",
+                        lambda self: renders.append(1) or original(self))
+    assert run(capsys, *_real_argv(5, path))[:2] == (0, "5\n")
+    after = path.read_bytes(), os.stat(path)
+    assert after[0] == before[0]
+    assert (after[1].st_ino, after[1].st_mtime_ns) == (before[1].st_ino, before[1].st_mtime_ns)
+    assert renders == []
+
+
+def test_cache_miss_rewrites_the_file_canonically(tmp_path, capsys):
+    path = tmp_path / "store.txt"
+    run(capsys, *_real_argv(5, path))
+    assert run(capsys, *_real_argv(7, path))[:2] == (0, "-85\n")
+    cctx = ComplexEvalContext()
+    rctx = RealEvalContext(cctx)
+    for d in (5, 7):
+        eval_real(RealKey(n=2, d=d, insertions=CodimVector.of(*[3] * d)), rctx)
+    cold = CacheStore()
+    cold.absorb(cctx, rctx)
+    assert path.read_text() == cold.render()
+
+
+def test_cache_query_creates_a_missing_file(tmp_path, capsys):
+    path = tmp_path / "new.gwc"
+    code, out, _ = run(capsys, "real", "--n", "2", "--d", "1", "--codims", "3",
+                       "--cache", str(path))
+    assert (code, out) == (0, "1\n")
+    assert path.read_text() == HEADER + "\n"
+
+
+def test_cache_verify_finds_an_edited_value(tmp_path, capsys):
+    path = tmp_path / "store.txt"
+    run(capsys, *_real_argv(5, path))
+    code, out, err = run(capsys, "cache", "verify", "--cache", str(path))
+    assert (code, err) == (0, "")
+    assert out == f"ok: {len(CacheStore.load(path))} records verified\n"
+    record = "gw1|R|n=2|d=5|c=3,3,3,3,3|v="
+    text = path.read_text()
+    assert record + "5\n" in text
+    path.write_text(text.replace(record + "5\n", record + "999\n"))
+    code, out, err = run(capsys, "cache", "verify", "--cache", str(path))
+    assert (code, out) == (1, "")
+    assert record + "999" in err
+    assert err.count("\n") == 1
 
 
 def test_cache_env_var_is_fallback(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from gwcount import (
-    P3Series,
     complex_series_p3,
     congruence_mod4_report,
     parity_report,
@@ -37,11 +36,12 @@ def test_real_series_matches_golden_table():
 
 
 def test_p3_series_bundle():
-    series = P3Series.build(7)
-    assert series.dmax == 7
-    assert series.n_complex[3] == 1
-    assert series.ntilde_complex[3] == 5
-    assert series.n_real[7] == 85
+    n, nt = complex_series_p3(7)
+    nr = real_series_p3(7)
+    assert len(n) == len(nt) == len(nr) == 7 + 1
+    assert n[3] == 1
+    assert nt[3] == 5
+    assert nr[7] == 85
 
 
 def test_series_rejects_bad_dmax():
