@@ -173,9 +173,9 @@ def wdvv_step(
     S = cv.remove(a1).remove(c).remove(e)
     a = a1 - 1
     nd = depth + 1
-    total = d * _evaluate(N, d, S.add(a + c).add(e), ctx, nd)
-    total += _evaluate(N, d, S.add(a).add(c).add(e + 1), ctx, nd)
-    total -= d * _evaluate(N, d, S.add(a).add(c + e), ctx, nd)
+    total = d * _evaluate(N, d, S.add_all((a + c, e)), ctx, nd)
+    total += _evaluate(N, d, S.add_all((a, c, e + 1)), ctx, nd)
+    total -= d * _evaluate(N, d, S.add_all((a, c + e)), ctx, nd)
     terms = ((1, (a, c), (1, e)), (-1, (a, 1), (c, e)))
     for sign, w, d1, left, right in degeneration_terms(
             N, enumerate_splits(S, 1), terms, lambda d1, f: 0 < d1 < d and 0 < f < N):

@@ -1,17 +1,21 @@
 """Shared exact-arithmetic core for the curve-counting engines.
 
-Provides the canonical multiset of insertion codimensions (``CodimVector``),
-the two invariant key types, dimension bookkeeping, safe binomials, and the
-weighted splittings of an insertion multiset that drive every degeneration
-sum.  Everything here is pure and exact: values are Python ints, keys are
+Provides the canonical multiset of insertion codimensions (``CodimVector``,
+which stores its insertion count and total codimension), the two invariant
+key types, dimension bookkeeping, safe binomials, and the weighted splittings
+of an insertion multiset that drive every degeneration sum; each factor of a
+term is built by one multi-entry insertion (``CodimVector.add_all``).
+Everything here is pure and exact: values are Python ints, keys are
 immutable and hashable.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
@@ -27,6 +31,7 @@ __all__ = [
 ]
 
 INVOLUTIONS = ("tau", "eta")
+_new = tuple.__new__  # _new(CodimVector, (pairs, k, total_codim)) skips the sums
 
 
 def binomial(n: int, k: int) -> int:
@@ -40,17 +45,39 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True)
-class CodimVector:
+class CodimVector(tuple):
     """Multiset of insertion codimensions in canonical form.
 
     Stored as a sorted tuple of (codim, multiplicity) pairs with positive
     multiplicities, so any two insertion lists that agree up to permutation
-    compare and hash equal.  Instances are immutable; ``add`` and ``remove``
-    return new vectors.
+    compare and hash equal.  The insertion count ``k`` and ``total_codim``
+    are stored beside the pairs.  Instances are immutable; ``add``,
+    ``add_all`` and ``remove`` return new vectors and derive both from the
+    parent's without re-summing.
     """
 
-    pairs: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
+
+    def __new__(cls, pairs: tuple[tuple[int, int], ...] = ()) -> "CodimVector":
+        return _new(cls, (pairs, sum(m for _, m in pairs), sum(c * m for c, m in pairs)))
+
+    pairs = property(itemgetter(0))
+    k = property(itemgetter(1), doc="Total number of insertions.")
+    total_codim = property(itemgetter(2), doc="Sum of the codimensions.")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CodimVector) and self[0] == other[0]
+
+    __ne__ = object.__ne__  # tuple's own would compare k and total_codim too
+
+    def __hash__(self) -> int:
+        return hash(self[0])
+
+    def __getnewargs__(self) -> tuple:
+        return (self[0],)
+
+    def __repr__(self) -> str:
+        return f"CodimVector(pairs={self[0]!r})"
 
     @staticmethod
     def from_entries(entries: Iterable[int]) -> "CodimVector":
@@ -66,15 +93,6 @@ class CodimVector:
     @staticmethod
     def of(*entries: int) -> "CodimVector":
         return CodimVector.from_entries(entries)
-
-    @property
-    def k(self) -> int:
-        """Total number of insertions."""
-        return sum(m for _, m in self.pairs)
-
-    @property
-    def total_codim(self) -> int:
-        return sum(c * m for c, m in self.pairs)
 
     @property
     def min_codim(self) -> int:
@@ -104,39 +122,34 @@ class CodimVector:
     def add(self, c: int, times: int = 1) -> "CodimVector":
         if times <= 0:
             raise ValueError("times must be positive")
-        out: list[tuple[int, int]] = []
-        placed = False
-        for cc, m in self.pairs:
-            if cc == c:
-                out.append((cc, m + times))
-                placed = True
-            elif cc > c and not placed:
-                out.append((c, times))
-                out.append((cc, m))
-                placed = True
+        return self.add_all((c,) * times)
+
+    def add_all(self, entries: tuple[int, ...]) -> "CodimVector":
+        """This vector plus one copy of each of ``entries`` (repeats allowed)."""
+        pairs, k, total = self
+        out = list(pairs)
+        for c in entries:
+            i = bisect_left(out, (c,))
+            if i < len(out) and out[i][0] == c:
+                out[i] = (c, out[i][1] + 1)
             else:
-                out.append((cc, m))
-        if not placed:
-            out.append((c, times))
-        return CodimVector(tuple(out))
+                out.insert(i, (c, 1))
+        return _new(CodimVector, (tuple(out), k + len(entries), total + sum(entries)))
 
     def remove(self, c: int, times: int = 1) -> "CodimVector":
         if times <= 0:
             raise ValueError("times must be positive")
-        out: list[tuple[int, int]] = []
-        found = False
-        for cc, m in self.pairs:
-            if cc == c:
-                found = True
-                if m < times:
-                    raise ValueError(f"cannot remove {times} copies of {c}, only {m} present")
-                if m > times:
-                    out.append((cc, m - times))
-            else:
-                out.append((cc, m))
-        if not found:
+        pairs, k, total = self
+        out = list(pairs)
+        i = bisect_left(out, (c,))
+        if i == len(out) or out[i][0] != c:
             raise ValueError(f"codimension {c} not present")
-        return CodimVector(tuple(out))
+        kept = out.pop(i)[1] - times
+        if kept < 0:
+            raise ValueError(f"cannot remove {times} copies of {c}, only {kept + times} present")
+        if kept:
+            out.insert(i, (c, kept))
+        return _new(CodimVector, (tuple(out), k - times, total - c * times))
 
     def __contains__(self, c: int) -> bool:
         return self.multiplicity(c) > 0
@@ -230,12 +243,7 @@ def degeneration_terms(
         for sign, left_extra, right_extra in terms:
             d1, x = solve_left_factor(N, k + len(left_extra), total + sum(left_extra))
             if admissible(d1, x):
-                left, right = I.add(x), J.add(N - x)
-                for c in left_extra:
-                    left = left.add(c)
-                for c in right_extra:
-                    right = right.add(c)
-                yield sign, w, d1, left, right
+                yield sign, w, d1, I.add_all(left_extra + (x,)), J.add_all(right_extra + (N - x,))
 
 
 def real_dimension_gap(key: RealKey) -> int:
@@ -255,20 +263,23 @@ def enumerate_splits(
     yielded weight is the product over classes of C(m_c, i_c) * w^{i_c}, so
     the weights of all splits sum to (1 + w)^k.
     """
-    classes = cv.pairs
+    classes, k, total = cv.pairs, cv.k, cv.total_codim
     tables = []
     for c, m in classes:
         tables.append(
             [(i, binomial(m, i) * per_element_weight**i) for i in range(m + 1)]
         )
     for combo in product(*tables):
-        weight = 1
+        weight, ik, itotal = 1, 0, 0
         ipairs: list[tuple[int, int]] = []
         jpairs: list[tuple[int, int]] = []
         for (c, m), (i, wi) in zip(classes, combo):
             weight *= wi
             if i:
                 ipairs.append((c, i))
+                ik += i
+                itotal += c * i
             if i < m:
                 jpairs.append((c, m - i))
-        yield CodimVector(tuple(ipairs)), CodimVector(tuple(jpairs)), weight
+        yield (_new(CodimVector, (tuple(ipairs), ik, itotal)),
+               _new(CodimVector, (tuple(jpairs), k - ik, total - itotal)), weight)

@@ -189,8 +189,8 @@ def theorem12_residual(
         raise ValueError("real insertions must have codimension >= 1")
     c1, c2 = entries[0], entries[1]
     rest = CodimVector.from_entries(entries[2:])
-    lhs = _evaluate(n, d, rest.add(c1).add(c2 + 2 * c), ctx, 0)
-    lhs -= _evaluate(n, d, rest.add(c1 + 2 * c).add(c2), ctx, 0)
+    lhs = _evaluate(n, d, rest.add_all((c1, c2 + 2 * c)), ctx, 0)
+    lhs -= _evaluate(n, d, rest.add_all((c1 + 2 * c, c2)), ctx, 0)
     N = 2 * n - 1
     cctx = ctx.complex_ctx
     rhs = 0

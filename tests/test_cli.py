@@ -7,6 +7,7 @@ import pytest
 
 from gwcount import CodimVector, ComplexEvalContext, RealEvalContext, RealKey, eval_real
 from gwcount.cache import HEADER, CacheStore
+from gwcount import cli
 from gwcount.cli import main
 
 from golden import TABLE1
@@ -53,6 +54,21 @@ def test_deep_divisor_chain(capsys, argv):
     # One frame per divisor insertion would exceed the recursion limit.
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (0, "1\n", "")
+
+
+@pytest.mark.parametrize("engine, argv", [
+    ("eval_complex", ("complex", "--dim", "3", "--d", "1", "--codims", "3,3")),
+    ("eval_real", ("real", "--n", "2", "--d", "1", "--codims", "3")),
+])
+def test_recursion_error_is_a_clean_exit(capsys, monkeypatch, engine, argv):
+    def too_deep(key, ctx):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, engine, too_deep)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_json_query_output(capsys):

@@ -1,14 +1,21 @@
-"""Property tests: any admissible pivot or designation gives the canonical value.
+"""Property tests on random keys and random insertion sequences.
 
 The degeneration sums are evaluated only at the (d1, f) or (d1, i) solved
 from the left factor's dimension gap, and that solution depends on which
 slots the pivot or designation picked.  Random keys under random choices
-reach solved values that the hand-picked samples do not.
+reach solved values that the hand-picked samples do not.  The divisor axiom
+is checked through one explicit step, because evaluation itself peels
+divisors by that axiom.  ``CodimVector`` keeps its stored insertion count and
+total codimension in step with its pairs under every operation.
 """
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import copy
+import pickle
+
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gwcount import (
@@ -20,6 +27,8 @@ from gwcount import (
     eval_complex,
     eval_real,
 )
+from gwcount.complex_engine import wdvv_step
+from gwcount.real_engine import recursion_step
 
 from test_complex_engine import _random_pivot_rule
 from test_real_engine import _random_designation_rule
@@ -73,3 +82,81 @@ def test_random_designations_match_canonical(key, rng):
         designation_rule=_random_designation_rule(rng),
     )
     assert eval_real(key, ctx) == expected
+
+
+def _without_divisors(cv: CodimVector) -> CodimVector:
+    return cv.remove(1, cv.multiplicity(1)) if 1 in cv else cv
+
+
+@PROPERTY_SETTINGS
+@given(key=balanced_complex_keys())
+def test_divisor_axiom_through_one_wdvv_step(key):
+    # <S, H^1>_d = d <S>_d, with the divisor as the exchange partner of a step.
+    S = _without_divisors(key.insertions)
+    donor = S.min_codim
+    pivot = (donor, 1, S.remove(donor).max_codim)
+    ctx = ComplexEvalContext()
+    expected = key.d * eval_complex(ComplexKey(N=key.N, d=key.d, insertions=S), ctx)
+    assert wdvv_step(key.N, key.d, S.add(1), pivot, ctx) == expected
+
+
+@PROPERTY_SETTINGS
+@given(key=balanced_real_keys())
+def test_divisor_axiom_through_one_recursion_step(key):
+    # <S, 1>_d = d <S>_d, with the divisor designated second.
+    S = _without_divisors(key.insertions)
+    ctx = RealEvalContext()
+    expected = key.d * eval_real(RealKey(n=key.n, d=key.d, insertions=S), ctx)
+    assert recursion_step(key.n, key.d, S.add(1), (S.max_codim, 1), ctx) == expected
+
+
+codims = st.integers(0, 6)
+vector_ops = st.one_of(
+    st.tuples(st.just("add"), codims, st.integers(1, 3)),
+    st.tuples(st.just("remove"), codims, st.integers(1, 3)),
+    st.tuples(st.just("add_all"), st.lists(codims, max_size=4).map(tuple)),
+)
+
+
+def _check_vector(cv: CodimVector, entries: list[int]) -> None:
+    reference = CodimVector.from_entries(cv.expand())
+    assert reference == CodimVector.from_entries(entries)
+    assert cv.pairs == reference.pairs
+    assert (cv.k, cv.total_codim) == (len(entries), sum(entries))
+    assert (reference.k, reference.total_codim) == (len(entries), sum(entries))
+    assert cv == reference and not cv != reference and hash(cv) == hash(reference)
+    assert cv != (cv.pairs, cv.k, cv.total_codim)
+    assert repr(cv) == f"CodimVector(pairs={cv.pairs!r})"
+    for twin in (copy.copy(cv), pickle.loads(pickle.dumps(cv))):
+        assert (twin.pairs, twin.k, twin.total_codim) == (cv.pairs, cv.k, cv.total_codim)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(start=st.lists(codims, max_size=5), ops=st.lists(vector_ops, max_size=12))
+@example(start=[3, 5], ops=[("add_all", (4, 4, 3)), ("remove", 4, 2), ("add", 5, 2),
+                            ("remove", 7, 1), ("remove", 3, 2), ("add_all", ())])
+def test_codim_vector_keeps_k_and_total_in_step(start, ops):
+    entries = list(start)
+    cv = CodimVector.from_entries(entries)
+    _check_vector(cv, entries)
+    for op in ops:
+        if op[0] == "add":
+            _, c, times = op
+            cv = cv.add(c, times)
+            entries += [c] * times
+        elif op[0] == "remove":
+            _, c, times = op
+            if entries.count(c) < times:
+                with pytest.raises(ValueError):
+                    cv.remove(c, times)
+                continue
+            cv = cv.remove(c, times)
+            for _ in range(times):
+                entries.remove(c)
+        else:
+            cv = cv.add_all(op[1])
+            entries += op[1]
+        _check_vector(cv, entries)
+    for name in ("pairs", "k", "total_codim", "other"):
+        with pytest.raises(AttributeError):
+            setattr(cv, name, 0)
