@@ -148,8 +148,11 @@ class CacheStore:
 
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> "CacheStore":
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+        try:
+            with open(path, "r", encoding="ascii") as fh:
+                lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise CacheFormatError(f"non-ASCII byte at offset {exc.start}") from None
         if not lines or lines[0] != HEADER:
             raise CacheFormatError(
                 f"unsupported cache header: {lines[0]!r}" if lines else "empty cache file"

@@ -15,8 +15,8 @@ memos; a query rewrites the file only if it added records or the file is new.
 ``gw cache save`` rewrites the file in canonical form, and ``gw cache verify``
 recomputes every record cold, naming the first wrong one.  Output is
 deterministic: identical invocations produce byte-identical output.  Exit
-codes: 0 success, 1 failed checks, engine disagreement, a bad cache or a
-key too deep to evaluate, 2 usage errors.
+codes: 0 success, 1 failed checks, engine disagreement, a bad or unreadable
+cache or a key too deep to evaluate, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -256,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except CacheError as exc:
+    except (CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

@@ -12,8 +12,9 @@ the first matching rule:
   4. some c_i = 0 and d >= 1     -> 0 (fundamental-class axiom)
   5. m entries c_i = 1, d >= 1   -> d^m * <rest>_d (divisor axiom, applied
                                     to all m divisors at once)
-  6. k <= 2 and d >= 1           -> 1 iff d = 1 and insertions = {H^N, H^N}
-                                    (the line through two points), else 0
+  6. k <= 2 and d >= 1           -> 1: balance forces d = 1 and either
+                                    {H^N, H^N} (the line through two points)
+                                    or N = 1 and k = 0 (<>_1 of P^1)
   7. otherwise                   -> one solved step of the WDVV exchange
                                     relation (below), then recurse
 
@@ -140,7 +141,7 @@ def _evaluate(N: int, d: int, cv: CodimVector, ctx: ComplexEvalContext, depth: i
         m = pairs[0][1]
         return d**m * _evaluate(N, d, cv.remove(1, m), ctx, depth + 1)
     if k <= 2:
-        return 1 if d == 1 and pairs == ((N, 2),) else 0
+        return 1
     memo_key = (N, d, pairs)
     cached = ctx.memo.get(memo_key)
     if cached is not None:

@@ -8,8 +8,9 @@ series and from the general real engine via the sign bridge
 
 Table 2 lists real invariants of P^5 (insertions 5^a 3^b) and P^7
 (insertions 7^a 5^b 3^c) over all dimension-balanced exponent rows at small
-odd degree, computed by the general engine.  Rows enumerate exponents in
-descending lexicographic order.
+odd degree, computed by the general engine.  The rows are the vectors of
+``p3.real_codim_vectors``, in descending lexicographic order of the
+exponents of 2n-1, 2n-3, ..., 3.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 from .keys import CodimVector, RealKey
-from .p3 import real_series_p3
+from .p3 import real_codim_vectors, real_series_p3
 from .real_engine import RealEvalContext, eval_real
 
 __all__ = [
@@ -32,7 +33,8 @@ __all__ = [
     "TABLE2_DEGREES",
 ]
 
-TABLE2_DEGREES = {"p5": (1, 3, 5, 7, 9), "p7": (1, 3, 5)}
+# Space -> (n, odd degrees) of the target P^(2n-1).
+TABLE2_DEGREES = {"p5": (3, (1, 3, 5, 7, 9)), "p7": (4, (1, 3, 5))}
 
 
 @dataclass(frozen=True)
@@ -90,83 +92,40 @@ def table1_rows(
     return [TableRow(d, None, v) for d, v in zip(degrees, values)]
 
 
-def _p5_exponents(d: int) -> list[tuple[int, int]]:
-    # Dimension balance for n = 3: 4a + 2b = 3(d+1) - 2, descending in a.
-    target = 3 * (d + 1) - 2
-    rows = []
-    for a in range(target // 4, -1, -1):
-        rem = target - 4 * a
-        if rem % 2 == 0:
-            rows.append((a, rem // 2))
-    return rows
-
-
-def _p7_exponents(d: int) -> list[tuple[int, int, int]]:
-    # 6a + 4b + 2c = 4(d+1) - 2, descending lexicographic in (a, b).
-    target = 4 * (d + 1) - 2
-    rows = []
-    for a in range(target // 6, -1, -1):
-        rem_a = target - 6 * a
-        for b in range(rem_a // 4, -1, -1):
-            rem_b = rem_a - 4 * b
-            if rem_b % 2 == 0:
-                rows.append((a, b, rem_b // 2))
-    return rows
-
-
 def table2_rows(space: str, ctx: RealEvalContext | None = None) -> list[TableRow]:
     """All dimension-balanced rows of the P^5 or P^7 table, general engine."""
     if space not in TABLE2_DEGREES:
         raise ValueError(f"space must be 'p5' or 'p7', got {space!r}")
     if ctx is None:
         ctx = RealEvalContext()
+    n, degrees = TABLE2_DEGREES[space]
     rows: list[TableRow] = []
-    for d in TABLE2_DEGREES[space]:
-        if space == "p5":
-            for a, b in _p5_exponents(d):
-                cv = CodimVector(tuple(p for p in ((3, b), (5, a)) if p[1]))
-                value = eval_real(RealKey(n=3, d=d, insertions=cv), ctx)
-                rows.append(TableRow(d, f"5^{a} 3^{b}", value))
-        else:
-            for a, b, c in _p7_exponents(d):
-                cv = CodimVector(tuple(p for p in ((3, c), (5, b), (7, a)) if p[1]))
-                value = eval_real(RealKey(n=4, d=d, insertions=cv), ctx)
-                rows.append(TableRow(d, f"7^{a} 5^{b} 3^{c}", value))
+    for d in degrees:
+        for cv in real_codim_vectors(n, d):
+            value = eval_real(RealKey(n=n, d=d, insertions=cv), ctx)
+            signature = " ".join(f"{c}^{cv.multiplicity(c)}" for c in range(2 * n - 1, 1, -2))
+            rows.append(TableRow(d, signature, value))
     return rows
 
 
 def format_rows(rows: list[TableRow], fmt: str = "text") -> str:
     """Render rows as aligned text, CSV, or JSON with string-encoded values."""
     with_signature = any(r.signature is not None for r in rows)
+    columns = ["d", "signature", "value"] if with_signature else ["d", "value"]
+    cells = [[r.d, r.signature, str(r.value)] if with_signature else [r.d, str(r.value)]
+             for r in rows]
     if fmt == "text":
-        out = []
-        width = max((len(str(r.d)) for r in rows), default=1)
-        sigwidth = max((len(r.signature or "") for r in rows), default=0)
-        for r in rows:
-            if with_signature:
-                out.append(f"{r.d:>{width}}  {r.signature:<{sigwidth}}  {r.value}")
-            else:
-                out.append(f"{r.d:>{width}}  {r.value}")
-        return "\n".join(out) + "\n"
+        width = max((len(str(r.d)) for r in rows), default=0)
+        sig_width = max((len(r.signature or "") for r in rows), default=0)
+        lines = []
+        for d, *signature, value in cells:
+            padded = [f"{s:<{sig_width}}" for s in signature]
+            lines.append("  ".join([f"{d:>{width}}", *padded, value]))
+        return "\n".join(lines) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        if with_signature:
-            writer.writerow(["d", "signature", "value"])
-            for r in rows:
-                writer.writerow([r.d, r.signature, r.value])
-        else:
-            writer.writerow(["d", "value"])
-            for r in rows:
-                writer.writerow([r.d, r.value])
+        csv.writer(buf, lineterminator="\n").writerows([columns, *cells])
         return buf.getvalue()
     if fmt == "json":
-        if with_signature:
-            payload = [
-                {"d": r.d, "signature": r.signature, "value": str(r.value)}
-                for r in rows
-            ]
-        else:
-            payload = [{"d": r.d, "value": str(r.value)} for r in rows]
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps([dict(zip(columns, row)) for row in cells], indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

@@ -115,6 +115,13 @@ def test_load_rejects_malformed_lines(tmp_path):
             CacheStore.load(path)
 
 
+def test_load_rejects_non_ascii_bytes(tmp_path):
+    path = tmp_path / "bin.gwc"
+    path.write_bytes(HEADER.encode() + b"\n\xff\xfe\n")
+    with pytest.raises(CacheFormatError):
+        CacheStore.load(path)
+
+
 def test_load_rejects_conflicting_records(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text(

@@ -71,6 +71,11 @@ def test_recursion_error_is_a_clean_exit(capsys, monkeypatch, engine, argv):
     assert "Traceback" not in err
 
 
+def test_complex_query_on_p1(capsys):
+    code, out, err = run(capsys, "complex", "--dim", "1", "--d", "1", "--codims", "1,1,1")
+    assert (code, out, err) == (0, "1\n", "")
+
+
 def test_json_query_output(capsys):
     code, out, _ = run(capsys, "real", "--n", "2", "--d", "3",
                        "--codims", "3,3,3", "--json")
@@ -287,3 +292,21 @@ def test_cache_malformed_file_is_reported(tmp_path, capsys):
     code, _, err = run(capsys, "cache", "load", "--cache", str(path))
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("cache", "stats", "--cache", "{missing}"),
+    ("cache", "load", "--cache", "{missing}"),
+    ("cache", "verify", "--cache", "{missing}"),
+    ("real", "--n", "2", "--d", "1", "--codims", "3", "--cache", "{dir}"),
+    ("table1", "--dmax", "3", "--cache", "{dir}"),
+    ("real", "--n", "2", "--d", "1", "--codims", "3", "--cache", "{binary}"),
+])
+def test_unreadable_cache_is_a_clean_exit(tmp_path, capsys, argv):
+    # A non-ASCII file is a bad cache (exit 1), not a usage error (exit 2).
+    paths = {"missing": tmp_path / "missing.gwc", "dir": tmp_path,
+             "binary": tmp_path / "bin.gwc"}
+    paths["binary"].write_bytes(b"\x89PNG\r\n\x1a\n\x00\xff")
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

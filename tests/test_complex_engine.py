@@ -55,6 +55,13 @@ def test_degree_one_matches_schubert_oracle_p3():
     assert checked == 3  # (3,3), (2,2,3), (2,2,2,2)
 
 
+@pytest.mark.parametrize("k", range(5))
+def test_degree_one_matches_schubert_oracle_p1(k):
+    # H*H = q on P^1 gives <H,H,H>_1 = 1; the divisor axiom carries it to
+    # every k, down to the empty key <>_1.
+    assert C(ComplexEvalContext(), 1, 1, *[1] * k) == schubert_line_count(1, [1] * k) == 1
+
+
 def test_degree_one_matches_schubert_oracle_p5():
     ctx = ComplexEvalContext()
     checked = 0

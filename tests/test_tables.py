@@ -73,13 +73,18 @@ def test_table2_p7_rows_match_golden(engines):
     assert got == TABLE2_P7
 
 
+def _exponents(signature):
+    return tuple(int(part.split("^")[1]) for part in signature.split())
+
+
 def test_table2_row_order_descends_lexicographically(engines):
     _, rctx = engines
-    rows = table2_rows("p5", ctx=rctx)
-    d1_rows = [r.signature for r in rows if r.d == 1]
-    assert d1_rows == ["5^1 3^0", "5^0 3^2"]
-    d3_rows = [r.signature for r in rows if r.d == 3]
-    assert d3_rows == ["5^2 3^1", "5^1 3^3", "5^0 3^5"]
+    for space, golden in (("p5", TABLE2_P5), ("p7", TABLE2_P7)):
+        order = [(r.d, _exponents(r.signature)) for r in table2_rows(space, ctx=rctx)]
+        assert order == list(golden), space
+        for d in {d for d, _ in order}:
+            exponents = [e for rd, e in order if rd == d]
+            assert exponents == sorted(exponents, reverse=True), (space, d)
 
 
 def test_table2_rejects_unknown_space():
@@ -91,6 +96,17 @@ def test_format_text():
     rows = [TableRow(1, None, 1), TableRow(11, None, 136457)]
     text = format_rows(rows, "text")
     assert text == " 1  1\n11  136457\n"
+    signed = [
+        TableRow(1, "7^1 5^0 3^0", 1),
+        TableRow(11, "7^10 5^0 3^0", -23),
+        TableRow(3, "5^1 3^3", 1155),
+    ]
+    assert format_rows(signed, "text") == (
+        " 1  7^1 5^0 3^0   1\n"
+        "11  7^10 5^0 3^0  -23\n"
+        " 3  5^1 3^3       1155\n"
+    )
+    assert format_rows([], "text") == "\n"
 
 
 def test_format_csv():
@@ -98,6 +114,7 @@ def test_format_csv():
     assert format_rows(rows, "csv") == "d,value\n1,1\n3,1\n"
     rows2 = [TableRow(3, "5^2 3^1", -1)]
     assert format_rows(rows2, "csv") == "d,signature,value\n3,5^2 3^1,-1\n"
+    assert format_rows([], "csv") == "d,value\n"
 
 
 def test_format_json_values_are_strings():
@@ -107,6 +124,7 @@ def test_format_json_values_are_strings():
     rows2 = [TableRow(1, "7^1 5^0 3^0", 1)]
     payload2 = json.loads(format_rows(rows2, "json"))
     assert payload2 == [{"d": 1, "signature": "7^1 5^0 3^0", "value": "1"}]
+    assert format_rows([], "json") == "[]\n"
 
 
 def test_format_rejects_unknown():
