@@ -73,17 +73,22 @@ def test_table2_p7_rows_match_golden(engines):
     assert got == TABLE2_P7
 
 
-def _exponents(signature):
-    return tuple(int(part.split("^")[1]) for part in signature.split())
-
-
 def test_table2_row_order_descends_lexicographically(engines):
     _, rctx = engines
-    for space, golden in (("p5", TABLE2_P5), ("p7", TABLE2_P7)):
-        order = [(r.d, _exponents(r.signature)) for r in table2_rows(space, ctx=rctx)]
-        assert order == list(golden), space
-        for d in {d for d, _ in order}:
-            exponents = [e for rd, e in order if rd == d]
+    rows = table2_rows("p5", ctx=rctx)
+    d1_rows = [r.signature for r in rows if r.d == 1]
+    assert d1_rows == ["5^1 3^0", "5^0 3^2"]
+    d3_rows = [r.signature for r in rows if r.d == 3]
+    assert d3_rows == ["5^2 3^1", "5^1 3^3", "5^0 3^5"]
+    for space, n, golden in (("p5", 3, TABLE2_P5), ("p7", 4, TABLE2_P7)):
+        order = [(r.d, r.signature) for r in table2_rows(space, ctx=rctx)]
+        expected = [
+            (d, " ".join(f"{c}^{e}" for c, e in zip(range(2 * n - 1, 1, -2), exps)))
+            for d, exps in golden
+        ]
+        assert order == expected, space
+        for d in {d for d, _ in golden}:
+            exponents = [e for gd, e in golden if gd == d]
             assert exponents == sorted(exponents, reverse=True), (space, d)
 
 
