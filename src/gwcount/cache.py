@@ -12,16 +12,24 @@ counts the records an engine added.  Files are sorted by (kind, dimension,
 degree, codimensions), so a load/save round trip is byte-identical, and a
 save replaces the file atomically.  The store only ever replays values into
 engine memos; it never changes what an engine would compute.
+
+``stored_value`` answers one query from the file text alone.  Like warming,
+it trusts the stored value; it checks the whole file's syntax against the
+strict grammar of canonical lines, and that the key's line occurs once and
+belongs to a key the engine memoizes (``is_memo_key``).  Conflicts, sort
+order and unmemoized keys elsewhere are left to the full parse (``parse``),
+which accepts unmemoized keys; ``gw cache verify`` rejects them.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from itertools import groupby
 from typing import Iterable
 
 from .complex_engine import ComplexEvalContext, MemoKey
-from .keys import ComplexKey, RealKey
+from .keys import CodimVector, ComplexKey, RealKey
 from .real_engine import RealEvalContext
 
 __all__ = [
@@ -30,10 +38,18 @@ __all__ = [
     "CacheIntegrityError",
     "CacheStore",
     "HEADER",
+    "is_memo_key",
+    "read_text",
+    "stored_value",
 ]
 
 HEADER = "#gw-cache v1"
 DIMTAGS = {"C": "N", "R": "n"}
+_INT = "(?:[1-9][0-9]*|0)"  # no leading zeros; the common case is tried first
+# A file of canonically spelled records; sort order is not part of the grammar.
+_CANONICAL_FILE = re.compile(
+    rf"{re.escape(HEADER)}\n(?:gw1\|(?:C\|N|R\|n)={_INT}\|d={_INT}"
+    rf"\|c=(?:{_INT}(?:,{_INT})*)?\|v=(?:-?[1-9][0-9]*|0)\n)*")
 
 
 class CacheError(Exception):
@@ -61,9 +77,52 @@ def _expand(pairs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
     return sum(((c,) * m for c, m in pairs), ())
 
 
-def record_line(kind: str, dim: int, d: int, entries: tuple[int, ...], value: int) -> str:
+def record_line(kind: str, dim: int, d: int, entries: tuple[int, ...], value: int | str) -> str:
     """One record in file form."""
     return f"gw1|{kind}|{DIMTAGS[kind]}={dim}|d={d}|c={','.join(map(str, entries))}|v={value}"
+
+
+def is_memo_key(kind: str, dim: int, d: int, cv: CodimVector) -> bool:
+    """True exactly when the engine of ``kind`` reaches its memo for the key.
+
+    Every other key is answered by a structural rule first (a vanishing
+    class, the dimension gap, degree 0, the fundamental-class or divisor
+    rule, or low arity), so a stored value for it is never read.
+    """
+    pairs, k, total = cv
+    if kind == "C":  # k >= 3 (k >= 2 below) before the pairs are indexed
+        return (d >= 1 and k >= 3 and pairs[0][0] >= 2 and pairs[-1][0] <= dim
+                and (dim + 1) * d + dim - 3 + k == total)
+    return (d % 2 == 1 and k >= 2 and pairs[0][0] >= 3 and pairs[-1][0] <= 2 * dim - 1
+            and all(c % 2 for c, _ in pairs) and dim * (d + 1) - 2 + k == total)
+
+
+def read_text(path: str | os.PathLike[str]) -> str:
+    """The text of a cache file; non-ASCII bytes raise ``CacheFormatError``."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise CacheFormatError(f"non-ASCII byte at offset {exc.start}") from None
+
+
+def stored_value(text: str, key: ComplexKey | RealKey) -> int | None:
+    """The value of the key's one canonical line in ``text``, or None.
+
+    None means only a full parse can answer: the key is not memoized, the
+    text is not a file of canonical records, or the key's line is absent or
+    repeated.
+    """
+    kind, (dim, d, _) = _memo_key(key)
+    cv = key.insertions
+    if not is_memo_key(kind, dim, d, cv):
+        return None
+    prefix = "\n" + record_line(kind, dim, d, cv.expand(), "")
+    at = text.find(prefix)
+    if at < 0 or text.find(prefix, at + 1) >= 0 or not _CANONICAL_FILE.fullmatch(text):
+        return None
+    at += len(prefix)
+    return int(text[at:text.index("\n", at)])
 
 
 class CacheStore:
@@ -148,11 +207,12 @@ class CacheStore:
 
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> "CacheStore":
-        try:
-            with open(path, "r", encoding="ascii") as fh:
-                lines = fh.read().splitlines()
-        except UnicodeDecodeError as exc:
-            raise CacheFormatError(f"non-ASCII byte at offset {exc.start}") from None
+        return cls.parse(read_text(path))
+
+    @classmethod
+    def parse(cls, text: str) -> "CacheStore":
+        """The store written as ``text``; checks every line and every conflict."""
+        lines = text.splitlines()
         if not lines or lines[0] != HEADER:
             raise CacheFormatError(
                 f"unsupported cache header: {lines[0]!r}" if lines else "empty cache file"

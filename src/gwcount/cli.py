@@ -12,11 +12,14 @@ Commands:
 Compute commands accept ``--cache PATH`` (or the GW_CACHE environment
 variable; the flag wins) to warm the engines from a store keyed like their
 memos; a query rewrites the file only if it added records or the file is new.
-``gw cache save`` rewrites the file in canonical form, and ``gw cache verify``
-recomputes every record cold, naming the first wrong one.  Output is
-deterministic: identical invocations produce byte-identical output.  Exit
-codes: 0 success, 1 failed checks, engine disagreement, a bad or unreadable
-cache or a key too deep to evaluate, 2 usage errors.
+``gw complex`` and ``gw real`` answer a key from its one canonical line in a
+syntactically valid file, without building a store (``cache.stored_value``);
+any other case takes the full parse.  ``gw cache save`` rewrites the file in
+canonical form, and ``gw cache verify``, the only check of stored values,
+recomputes every record cold, naming the first wrong or unmemoized one.
+Output is deterministic: identical invocations produce byte-identical
+output.  Exit codes: 0 success, 1 failed checks, engine disagreement, a bad or
+unreadable cache or a key too deep to evaluate, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import json
 import os
 import sys
 
-from .cache import CacheError, CacheStore, record_line
+from .cache import CacheError, CacheStore, is_memo_key, read_text, record_line, stored_value
 from .checks import SUITES, run_suites
 from .complex_engine import ComplexEvalContext, eval_complex
 from .keys import CodimVector, ComplexKey, RealKey
@@ -127,10 +130,13 @@ def _open_store(path: str | None) -> CacheStore:
 
 
 @contextlib.contextmanager
-def _engines(args: argparse.Namespace, real: bool = True):
-    """Engine contexts warmed from the cache; new results are saved on success."""
+def _engines(args: argparse.Namespace, real: bool = True, text: str | None = None):
+    """Engine contexts warmed from the cache; new results are saved on success.
+
+    ``text``, when given, is the cache file's text as already read.
+    """
     path = _cache_path(args)
-    store = _open_store(path)
+    store = _open_store(path) if text is None else CacheStore.parse(text)
     cctx = ComplexEvalContext()
     rctx = RealEvalContext(cctx) if real else None
     store.warm(cctx, rctx)
@@ -151,23 +157,28 @@ def _print_value(args: argparse.Namespace, space: str, value: int) -> None:
         print(value)
 
 
-def cmd_complex(args: argparse.Namespace) -> int:
-    with _engines(args, real=False) as (cctx, _):
-        key = ComplexKey(N=args.dim, d=args.d,
-                         insertions=CodimVector.from_entries(args.codims))
-        value = eval_complex(key, cctx)
-    _print_value(args, f"p{args.dim}", value)
+def _query(args: argparse.Namespace, key: ComplexKey | RealKey, space: str) -> int:
+    """Print one invariant: from its cached line on a hit, else from the engines."""
+    path = _cache_path(args)
+    text = read_text(path) if path and os.path.exists(path) else None
+    value = None if text is None else stored_value(text, key)
+    if value is None:
+        real = isinstance(key, RealKey)
+        with _engines(args, real=real, text=text) as (cctx, rctx):
+            value = eval_real(key, rctx) if real else eval_complex(key, cctx)
+    _print_value(args, space, value)
     return 0
+
+
+def cmd_complex(args: argparse.Namespace) -> int:
+    key = ComplexKey(N=args.dim, d=args.d, insertions=CodimVector.from_entries(args.codims))
+    return _query(args, key, f"p{args.dim}")
 
 
 def cmd_real(args: argparse.Namespace) -> int:
-    with _engines(args) as (_, rctx):
-        key = RealKey(n=args.n, d=args.d,
-                      insertions=CodimVector.from_entries(args.codims),
-                      phi=args.phi)
-        value = eval_real(key, rctx)
-    _print_value(args, f"real-{args.n}", value)
-    return 0
+    key = RealKey(n=args.n, d=args.d, insertions=CodimVector.from_entries(args.codims),
+                  phi=args.phi)
+    return _query(args, key, f"real-{args.n}")
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -225,19 +236,25 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _verify(store: CacheStore) -> int:
-    """Recompute every record in one cold context pair, in file order."""
+    """Recompute every record in one cold context pair, in file order.
+
+    A record for a key the engines never memoize is bad whatever its value,
+    since neither the engines nor a query ever read it.  Every memoized key
+    is a valid key, so the engines accept every record they recompute.
+    """
     cctx = ComplexEvalContext()
     rctx = RealEvalContext(cctx)
     for kind, dim, d, entries, value in store.sorted_records():
         cv = CodimVector.from_entries(entries)
-        try:
+        if not is_memo_key(kind, dim, d, cv):
+            problem = "not a key the engines memoize"
+        else:
             got = (eval_complex(ComplexKey(N=dim, d=d, insertions=cv), cctx) if kind == "C"
                    else eval_real(RealKey(n=dim, d=d, insertions=cv), rctx))
-        except ValueError as exc:  # the record is not a valid key
-            got = exc
-        if got != value:
+            problem = f"recomputed {got}" if got != value else None
+        if problem:
             print(f"error: bad record {record_line(kind, dim, d, entries, value)}: "
-                  f"recomputed {got}", file=sys.stderr)
+                  f"{problem}", file=sys.stderr)
             return 1
     print(f"ok: {len(store)} records verified")
     return 0

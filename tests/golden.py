@@ -4,8 +4,8 @@ TABLE1 and TABLE2_* are the published golden tables (signed real counts).
 COMPLEX_P3_N / COMPLEX_P3_NTILDE hold the first six complex P^3 counts,
 frozen from the closed-form series after cross-checking the classical values
 (lines through 2 points, twisted cubics through 6 points, 105 quintics
-through 10 points, ...).  KONTSEVICH_P2 is taken from the literature, not
-from this package.
+through 10 points, ...).  KONTSEVICH_P2 and SCHUBERT_P3_LINES are taken
+from the literature, not from this package.
 """
 
 from __future__ import annotations
@@ -107,3 +107,8 @@ KONTSEVICH_P2 = {
     7: 14616808192,
     8: 13525751027392,
 }
+
+# d -> rational space curves of degree d in P^3 meeting 4d general lines,
+# i.e. <H^2, ..., H^2>_d on P^3: 2 lines, 92 conics and 80,160 twisted cubics
+# (Schubert, Kalkuel der abzaehlenden Geometrie, 1879).
+SCHUBERT_P3_LINES = {1: 2, 2: 92, 3: 80160}

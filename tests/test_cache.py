@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,7 @@ from gwcount import (
     eval_complex,
     eval_real,
 )
-from gwcount.cache import HEADER
+from gwcount.cache import HEADER, is_memo_key
 
 
 def _ckey(N, d, *cs):
@@ -272,3 +273,29 @@ def test_render_load_roundtrip_fuzz(tmp_path_factory, records):
 def _file_order(line):
     _, kind, dim, d, codims, _ = line.split("|")
     return kind, int(dim[2:]), int(d[2:]), tuple(int(c) for c in codims[2:].split(",") if c)
+
+
+def _multisets(codims, kmax):
+    for k in range(kmax + 1):
+        for entries in combinations_with_replacement(codims, k):
+            yield CodimVector.of(*entries)
+
+
+def test_is_memo_key_matches_what_a_cold_evaluation_memoizes():
+    # Codims run one past the target's top class, so vanishing keys are included.
+    memoized = {"C": 0, "R": 0}
+    for N in range(1, 6):
+        for d in range(4):
+            for cv in _multisets(range(N + 2), 6):
+                ctx = ComplexEvalContext()
+                eval_complex(ComplexKey(N=N, d=d, insertions=cv), ctx)
+                assert is_memo_key("C", N, d, cv) == ((N, d, cv.pairs) in ctx.memo), (N, d, cv)
+                memoized["C"] += (N, d, cv.pairs) in ctx.memo
+    for n in (2, 3):
+        for d in range(1, 6):
+            for cv in _multisets(range(1, 2 * n + 1), 6):
+                ctx = RealEvalContext()
+                eval_real(RealKey(n=n, d=d, insertions=cv), ctx)
+                assert is_memo_key("R", n, d, cv) == ((n, d, cv.pairs) in ctx.memo), (n, d, cv)
+                memoized["R"] += (n, d, cv.pairs) in ctx.memo
+    assert memoized == {"C": 55, "R": 9}  # of 13,584 complex and 5,670 real keys

@@ -310,3 +310,133 @@ def test_unreadable_cache_is_a_clean_exit(tmp_path, capsys, argv):
     code, out, err = run(capsys, *(a.format(**paths) for a in argv))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _refuse_full_parse(monkeypatch):
+    """Make a store parse or an engine context fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cache hit built a store or an engine context")
+
+    monkeypatch.setattr(CacheStore, "load", classmethod(refuse))
+    monkeypatch.setattr(CacheStore, "parse", classmethod(refuse))
+    monkeypatch.setattr(cli, "ComplexEvalContext", refuse)
+    monkeypatch.setattr(cli, "RealEvalContext", refuse)
+
+
+def _count_parses(monkeypatch):
+    parses = []
+    original = CacheStore.parse.__func__
+    monkeypatch.setattr(CacheStore, "parse",
+                        classmethod(lambda cls, text: parses.append(1) or original(cls, text)))
+    return parses
+
+
+def test_cache_hit_builds_no_store_and_leaves_the_file_untouched(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "store.txt"
+    assert run(capsys, *_real_argv(5, path))[:2] == (0, "5\n")
+    before = path.read_bytes(), os.stat(path)
+    _refuse_full_parse(monkeypatch)
+    assert run(capsys, *_real_argv(5, path)) == (0, "5\n", "")
+    after = path.read_bytes(), os.stat(path)
+    assert after[0] == before[0]
+    assert (after[1].st_ino, after[1].st_mtime_ns) == (before[1].st_ino, before[1].st_mtime_ns)
+
+
+@pytest.mark.parametrize("extra, expected", [
+    # A second line for the queried key goes to the full parse, which merges
+    # an equal value and rejects a different one.
+    ("gw1|R|n=2|d=5|c=3,3,3,3,3|v=5\n", (0, "5\n", "")),
+    ("gw1|R|n=2|d=5|c=3,3,3,3,3|v=6\n",
+     (1, "", "error: conflicting values for R dim=2 d=5 c=3,3,3,3,3: had 5, got 6\n")),
+    # A leading zero is outside the grammar, so the full parse sees the conflict.
+    ("gw1|R|n=2|d=5|c=03,3,3,3,3|v=6\n",
+     (1, "", "error: conflicting values for R dim=2 d=5 c=3,3,3,3,3: had 5, got 6\n")),
+])
+def test_repeated_cached_key_takes_the_full_parse(tmp_path, capsys, monkeypatch, extra, expected):
+    path = tmp_path / "store.txt"
+    run(capsys, *_real_argv(5, path))
+    path.write_text(path.read_text() + extra)
+    parses = _count_parses(monkeypatch)
+    assert run(capsys, *_real_argv(5, path)) == expected
+    assert parses == [1]
+
+
+def test_malformed_line_elsewhere_fails_a_cached_query(tmp_path, capsys):
+    path = tmp_path / "store.txt"
+    run(capsys, *_real_argv(5, path))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + ["gw1|R|n=2|d=3|c=3,3,3|v=q"]) + "\n")
+    code, out, err = run(capsys, *_real_argv(5, path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: line {len(lines) + 1}: ") and err.count("\n") == 1
+
+
+def test_non_canonical_spelling_is_read_by_the_full_parse(tmp_path, capsys, monkeypatch):
+    # The stored value is replayed as truth, so 7 (not the true 5) shows that
+    # the record was read.
+    path = tmp_path / "store.txt"
+    path.write_text(f"{HEADER}\ngw1|R|n=2|d=5|c=03,3,3,3,3|v=7\n")
+    before = path.read_bytes()
+    parses = _count_parses(monkeypatch)
+    assert run(capsys, *_real_argv(5, path)) == (0, "7\n", "")
+    assert parses == [1]
+    assert path.read_bytes() == before
+
+
+def test_unmemoized_record_is_not_answered(tmp_path, capsys):
+    # The engine answers <5,5>_1 on P^3 with 0 (codim above N) before its memo.
+    path = tmp_path / "store.txt"
+    path.write_text(f"{HEADER}\ngw1|C|N=3|d=1|c=5,5|v=7\n")
+    code, out, err = run(capsys, "complex", "--dim", "3", "--d", "1", "--codims", "5,5",
+                         "--cache", str(path))
+    assert (code, out, err) == (0, "0\n", "")
+
+
+def test_cache_hit_json_output_through_env_var(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "store.txt"
+    run(capsys, *_real_argv(5, path))
+    monkeypatch.setenv("GW_CACHE", str(path))
+    argv = ("real", "--n", "2", "--d", "5", "--codims", "3,3,3,3,3", "--json")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "stored_value", lambda *args: None)
+        full = run(capsys, *argv)
+    _refuse_full_parse(monkeypatch)
+    assert run(capsys, *argv) == full
+    assert json.loads(full[1]) == {"space": "real-2", "d": 5,
+                                   "codims": [3, 3, 3, 3, 3], "value": "5"}
+
+
+def test_every_stored_record_answers_alike_on_the_hit_and_full_paths(tmp_path, capsys,
+                                                                      monkeypatch):
+    path = tmp_path / "store.txt"
+    run(capsys, "table1", "--dmax", "9", "--cache", str(path))
+    run(capsys, "table2", "--space", "p5", "--cache", str(path))
+    records = CacheStore.load(path).sorted_records()
+    assert {kind for kind, *_ in records} == {"C", "R"}
+    parses = _count_parses(monkeypatch)
+    for kind, dim, d, entries, _ in records:
+        argv = (("complex", "--dim") if kind == "C" else ("real", "--n")) + (
+            str(dim), "--d", str(d), "--codims", ",".join(map(str, entries)),
+            "--cache", str(path))
+        hit = run(capsys, *argv)
+        assert hit[0] == 0 and parses == []
+        with monkeypatch.context() as m:
+            m.setattr(cli, "stored_value", lambda *args: None)
+            assert run(capsys, *argv) == hit
+        assert parses == [1]
+        parses.clear()
+
+
+@pytest.mark.parametrize("record", [
+    "gw1|C|N=3|d=1|c=5,5|v=0",  # codim above N
+    "gw1|C|N=3|d=1|c=3,3|v=1",  # two insertions: the line through two points
+    "gw1|R|n=2|d=4|c=2,2|v=0",  # even degree and codims
+    "gw1|R|n=2|d=3|c=1,3,3,3|v=-3",  # a divisor insertion
+])
+def test_cache_verify_rejects_keys_the_engines_never_memoize(tmp_path, capsys, record):
+    # Each value is the engine's own, so only the key makes the record bad.
+    path = tmp_path / "store.txt"
+    path.write_text(f"{HEADER}\n{record}\n")
+    code, out, err = run(capsys, "cache", "verify", "--cache", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: bad record {record}: not a key the engines memoize\n"

@@ -15,7 +15,7 @@ from gwcount import (
 )
 from gwcount.complex_engine import wdvv_step
 
-from golden import COMPLEX_P3_N, COMPLEX_P3_NTILDE, KONTSEVICH_P2
+from golden import COMPLEX_P3_N, COMPLEX_P3_NTILDE, KONTSEVICH_P2, SCHUBERT_P3_LINES
 
 
 def C(ctx, N, d, *cs):
@@ -137,6 +137,12 @@ def test_plane_curve_counts_match_kontsevich():
     ctx = ComplexEvalContext()
     for d, expected in KONTSEVICH_P2.items():
         assert C(ctx, 2, d, *([2] * (3 * d - 1))) == expected, d
+
+
+def test_space_curves_meeting_lines_match_schubert():
+    ctx = ComplexEvalContext()
+    for d, expected in SCHUBERT_P3_LINES.items():
+        assert C(ctx, 3, d, *([2] * (4 * d))) == expected, d
 
 
 def test_divisor_relation_on_random_keys():
