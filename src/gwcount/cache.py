@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import os
 import re
+from collections.abc import Iterable
 from itertools import groupby
-from typing import Iterable
 
 from .complex_engine import ComplexEvalContext, MemoKey
 from .keys import CodimVector, ComplexKey, RealKey

@@ -1,13 +1,11 @@
 """Command-line interface: the ``gw`` tool.
 
-Commands:
-
-  gw complex --dim N --d D --codims c1,c2,...   one complex invariant
-  gw real    --n  n --d D --codims c1,c2,...    one real invariant
-  gw table1  [--dmax D] [--engine E] [--format F]
-  gw table2  --space {p5,p7} [--format F]
-  gw check   --suite {parity,mod4,wdvv-identity,cross-dim,divisor,all}
-  gw cache   {stats,load,save,verify} [--cache PATH]
+``COMMANDS`` maps each command (complex, real, table1, table2, check, cache)
+to its help line, the function adding its arguments, and its handler.  A call
+builds only the invoked command's subparser; with no command or an unknown
+one, ``build_parser`` builds all six, and help and usage errors read the same
+either way.  ``checks`` is imported only by ``gw check``, and ``json``/``csv``
+only for the output formats that use them.
 
 Compute commands accept ``--cache PATH`` (or the GW_CACHE environment
 variable; the flag wins) to warm the engines from a store keyed like their
@@ -26,12 +24,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import sys
 
 from .cache import CacheError, CacheStore, is_memo_key, read_text, record_line, stored_value
-from .checks import SUITES, run_suites
 from .complex_engine import ComplexEvalContext, eval_complex
 from .keys import CodimVector, ComplexKey, RealKey
 from .real_engine import RealEvalContext, eval_real
@@ -63,60 +59,28 @@ def _at_least(lowest: int, name: str):
     return parse
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``gw`` parser, with only ``command``'s subparser if it names one.
+
+    A one-command parser names every command in its usage line, so its help
+    and usage errors print the same bytes as the full parser's.
+    """
     parser = argparse.ArgumentParser(
         prog="gw",
         description="Exact genus-0 curve counts of projective spaces.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_cache_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--cache",
-            default=None,
-            help="cache file path (default: $GW_CACHE if set)",
-        )
-
-    p_complex = sub.add_parser("complex", help="one complex invariant of P^N")
-    p_complex.add_argument("--dim", type=_at_least(1, "--dim"), required=True,
-                           help="projective dimension N")
-    p_complex.add_argument("--d", type=_at_least(0, "--d"), required=True)
-    p_complex.add_argument("--codims", type=_codims, required=True)
-    p_complex.add_argument("--json", action="store_true")
-    add_cache_flag(p_complex)
-
-    p_real = sub.add_parser("real", help="one real invariant of P^{2n-1}")
-    p_real.add_argument("--n", type=_at_least(1, "--n"), required=True,
-                        help="half-dimension n (target P^{2n-1})")
-    p_real.add_argument("--d", type=_at_least(1, "--d"), required=True)
-    p_real.add_argument("--codims", type=_codims, required=True)
-    p_real.add_argument("--phi", choices=("tau", "eta"), default="tau",
-                        help="involution tag (does not affect the value)")
-    p_real.add_argument("--json", action="store_true")
-    add_cache_flag(p_real)
-
-    p_t1 = sub.add_parser("table1", help="N^R_d of P^3 for odd d")
-    p_t1.add_argument("--dmax", type=_at_least(1, "--dmax"), default=31)
-    p_t1.add_argument("--limit", type=_at_least(1, "--limit"), default=31,
-                      help="refuse dmax beyond this bound")
-    p_t1.add_argument("--engine", choices=("closed", "general", "both"),
-                      default="both")
-    p_t1.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    add_cache_flag(p_t1)
-
-    p_t2 = sub.add_parser("table2", help="real invariants of P^5 or P^7")
-    p_t2.add_argument("--space", choices=("p5", "p7"), required=True)
-    p_t2.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    add_cache_flag(p_t2)
-
-    p_check = sub.add_parser("check", help="consistency suites")
-    p_check.add_argument("--suite", choices=SUITES + ("all",), default="all")
-
-    p_cache = sub.add_parser("cache", help="inspect or rewrite a cache file")
-    p_cache.add_argument("action", choices=("stats", "load", "save", "verify"))
-    add_cache_flag(p_cache)
-
+    if command not in COMMANDS:
+        command = None
+    metavar = "{" + ",".join(COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (summary, add_arguments, _) in COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=summary))
     return parser
+
+
+def _add_cache_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--cache", default=None, help="cache file path (default: $GW_CACHE if set)")
 
 
 def _cache_path(args: argparse.Namespace) -> str | None:
@@ -147,6 +111,7 @@ def _engines(args: argparse.Namespace, real: bool = True, text: str | None = Non
 
 def _print_value(args: argparse.Namespace, space: str, value: int) -> None:
     if args.json:
+        import json
         print(json.dumps({
             "space": space,
             "d": args.d,
@@ -170,15 +135,44 @@ def _query(args: argparse.Namespace, key: ComplexKey | RealKey, space: str) -> i
     return 0
 
 
+def _add_complex(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--dim", type=_at_least(1, "--dim"), required=True,
+                   help="projective dimension N")
+    p.add_argument("--d", type=_at_least(0, "--d"), required=True)
+    p.add_argument("--codims", type=_codims, required=True)
+    p.add_argument("--json", action="store_true")
+    _add_cache_flag(p)
+
+
 def cmd_complex(args: argparse.Namespace) -> int:
     key = ComplexKey(N=args.dim, d=args.d, insertions=CodimVector.from_entries(args.codims))
     return _query(args, key, f"p{args.dim}")
+
+
+def _add_real(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=_at_least(1, "--n"), required=True,
+                   help="half-dimension n (target P^{2n-1})")
+    p.add_argument("--d", type=_at_least(1, "--d"), required=True)
+    p.add_argument("--codims", type=_codims, required=True)
+    p.add_argument("--phi", choices=("tau", "eta"), default="tau",
+                   help="involution tag (does not affect the value)")
+    p.add_argument("--json", action="store_true")
+    _add_cache_flag(p)
 
 
 def cmd_real(args: argparse.Namespace) -> int:
     key = RealKey(n=args.n, d=args.d, insertions=CodimVector.from_entries(args.codims),
                   phi=args.phi)
     return _query(args, key, f"real-{args.n}")
+
+
+def _add_table1(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--dmax", type=_at_least(1, "--dmax"), default=31)
+    p.add_argument("--limit", type=_at_least(1, "--limit"), default=31,
+                   help="refuse dmax beyond this bound")
+    p.add_argument("--engine", choices=("closed", "general", "both"), default="both")
+    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    _add_cache_flag(p)
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
@@ -196,6 +190,12 @@ def cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_table2(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--space", choices=("p5", "p7"), required=True)
+    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    _add_cache_flag(p)
+
+
 def cmd_table2(args: argparse.Namespace) -> int:
     with _engines(args) as (_, rctx):
         rows = table2_rows(args.space, ctx=rctx)
@@ -203,7 +203,13 @@ def cmd_table2(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_check(p: argparse.ArgumentParser) -> None:
+    from .checks import SUITES
+    p.add_argument("--suite", choices=SUITES + ("all",), default="all")
+
+
 def cmd_check(args: argparse.Namespace) -> int:
+    from .checks import SUITES, run_suites
     names = SUITES if args.suite == "all" else (args.suite,)
     failed = 0
     for report in run_suites(names):
@@ -212,6 +218,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(report.summary())
         failed += report.failed_count
     return 0 if failed == 0 else 1
+
+
+def _add_cache(p: argparse.ArgumentParser) -> None:
+    p.add_argument("action", choices=("stats", "load", "save", "verify"))
+    _add_cache_flag(p)
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
@@ -260,19 +271,22 @@ def _verify(store: CacheStore) -> int:
     return 0
 
 
+# Command name -> (help, argument adder, handler), in help order.
+COMMANDS = {
+    "complex": ("one complex invariant of P^N", _add_complex, cmd_complex),
+    "real": ("one real invariant of P^{2n-1}", _add_real, cmd_real),
+    "table1": ("N^R_d of P^3 for odd d", _add_table1, cmd_table1),
+    "table2": ("real invariants of P^5 or P^7", _add_table2, cmd_table2),
+    "check": ("consistency suites", _add_check, cmd_check),
+    "cache": ("inspect or rewrite a cache file", _add_cache, cmd_cache),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "complex": cmd_complex,
-        "real": cmd_real,
-        "table1": cmd_table1,
-        "table2": cmd_table2,
-        "check": cmd_check,
-        "cache": cmd_cache,
-    }
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return COMMANDS[args.command][2](args)
     except (CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

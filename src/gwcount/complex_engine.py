@@ -42,7 +42,8 @@ keys whose evaluation required a full expansion.
 from __future__ import annotations
 
 import sys
-from typing import Callable
+from collections.abc import Callable
+from functools import wraps
 
 from .keys import CodimVector, ComplexKey, degeneration_terms, enumerate_splits
 
@@ -55,8 +56,7 @@ __all__ = [
 
 # The exchange relation nests one frame per unit of (degree, arity, spread);
 # deep tables need more than CPython's default 1000 frames.
-if sys.getrecursionlimit() < 20000:
-    sys.setrecursionlimit(20000)
+RECURSION_LIMIT = 20000
 
 PivotRule = Callable[[CodimVector], tuple[int, int, int]]
 # Memo key of both engines: (dimension, degree, CodimVector.pairs).
@@ -116,6 +116,22 @@ class ComplexEvalContext(EvalContext):
         self.pivot_rule = pivot_rule or canonical_pivot
 
 
+def deep_recursion(evaluate: Callable[..., int]) -> Callable[..., int]:
+    """Run ``evaluate`` with the recursion limit raised to RECURSION_LIMIT, then
+    restore the caller's limit, also on a raise; nested calls never lower it."""
+    @wraps(evaluate)
+    def run(*args, **kwargs) -> int:
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, RECURSION_LIMIT))
+        try:
+            return evaluate(*args, **kwargs)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    return run
+
+
+@deep_recursion
 def eval_complex(key: ComplexKey, ctx: ComplexEvalContext) -> int:
     """Exact value of a complex invariant key (keys validate on construction)."""
     return _evaluate(key.N, key.d, key.insertions, ctx, 0)
@@ -125,8 +141,6 @@ def _evaluate(N: int, d: int, cv: CodimVector, ctx: ComplexEvalContext, depth: i
     ctx.calls += 1
     if depth > ctx.max_depth:
         ctx.max_depth = depth
-        if depth > 100_000:
-            raise RuntimeError("complex recursion failed to terminate")
     pairs = cv.pairs
     if pairs and pairs[-1][0] > N:
         return 0

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from itertools import product
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "CodimVector",
@@ -161,29 +161,41 @@ class CodimVector(tuple):
         return ",".join(str(c) for c in self.expand())
 
 
-@dataclass(frozen=True)
-class ComplexKey:
+def frozen_record(typename: str, field_names: str) -> type:
+    """Base of an immutable record: a namedtuple equal only to instances of
+    its own class with equal fields, never to a plain tuple.
+
+    Subclasses declare ``__slots__ = ()`` to stay immutable.  ``_make`` and
+    ``_replace`` go through the subclass's constructor and its validation.
+    """
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    return type(typename, (namedtuple(typename, field_names),),
+                {"__slots__": (), "__eq__": __eq__, "__ne__": object.__ne__,
+                 "__hash__": tuple.__hash__, "_make": classmethod(lambda cls, it: cls(*it))})
+
+
+class ComplexKey(frozen_record("ComplexKey", "N d insertions")):
     """A genus-0 invariant of P^N: degree d, insertions H^{c_1}..H^{c_k}.
 
     Entries may exceed N (such keys are legal and evaluate to 0), and entries
     equal to 0 (fundamental class) or 1 (divisor) are legal as well.
     """
 
-    N: int
-    d: int
-    insertions: CodimVector
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError(f"complex target needs N >= 1, got N={self.N}")
-        if self.d < 0:
-            raise ValueError(f"degree must be >= 0, got d={self.d}")
-        if not isinstance(self.insertions, CodimVector):
+    def __new__(cls, N: int, d: int, insertions: CodimVector) -> "ComplexKey":
+        if N < 1:
+            raise ValueError(f"complex target needs N >= 1, got N={N}")
+        if d < 0:
+            raise ValueError(f"degree must be >= 0, got d={d}")
+        if not isinstance(insertions, CodimVector):
             raise ValueError("insertions must be a CodimVector")
+        return super().__new__(cls, N, d, insertions)
 
 
-@dataclass(frozen=True)
-class RealKey:
+class RealKey(frozen_record("RealKey", "n d insertions phi")):
     """A real genus-0 invariant of P^{2n-1}: odd-dimensional target only.
 
     The involution tag ``phi`` ("tau" or "eta") is carried as metadata: the
@@ -191,22 +203,20 @@ class RealKey:
     depend on it.  All insertion codimensions must be >= 1.
     """
 
-    n: int
-    d: int
-    insertions: CodimVector
-    phi: str = "tau"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"real target needs n >= 2, got n={self.n}")
-        if self.d < 1:
-            raise ValueError(f"degree must be >= 1, got d={self.d}")
-        if self.phi not in INVOLUTIONS:
-            raise ValueError(f"phi must be one of {INVOLUTIONS}, got {self.phi!r}")
-        if not isinstance(self.insertions, CodimVector):
+    def __new__(cls, n: int, d: int, insertions: CodimVector, phi: str = "tau") -> "RealKey":
+        if n < 2:
+            raise ValueError(f"real target needs n >= 2, got n={n}")
+        if d < 1:
+            raise ValueError(f"degree must be >= 1, got d={d}")
+        if phi not in INVOLUTIONS:
+            raise ValueError(f"phi must be one of {INVOLUTIONS}, got {phi!r}")
+        if not isinstance(insertions, CodimVector):
             raise ValueError("insertions must be a CodimVector")
-        if self.insertions and self.insertions.min_codim < 1:
+        if insertions and insertions.min_codim < 1:
             raise ValueError("real insertions must have codimension >= 1")
+        return super().__new__(cls, n, d, insertions, phi)
 
 
 def complex_dimension_gap(key: ComplexKey) -> int:

@@ -28,7 +28,7 @@ of P^3 and P^5, evaluated through the general real engine.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .keys import CodimVector, RealKey, binomial
 from .real_engine import RealEvalContext, eval_real

@@ -38,9 +38,10 @@ memoized, keyed on (n, d, insertions).
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
-from .complex_engine import ComplexEvalContext, EvalContext, _evaluate as _evaluate_c
+from .complex_engine import ComplexEvalContext, EvalContext, deep_recursion
+from .complex_engine import _evaluate as _evaluate_c
 from .keys import CodimVector, RealKey, degeneration_terms, enumerate_splits
 
 __all__ = [
@@ -83,6 +84,7 @@ class RealEvalContext(EvalContext):
         self.designation_rule = designation_rule or canonical_designation
 
 
+@deep_recursion
 def eval_real(key: RealKey, ctx: RealEvalContext) -> int:
     """Exact value of a real invariant key (keys validate on construction)."""
     return _evaluate(key.n, key.d, key.insertions, ctx, 0)
@@ -92,8 +94,6 @@ def _evaluate(n: int, d: int, cv: CodimVector, ctx: RealEvalContext, depth: int)
     ctx.calls += 1
     if depth > ctx.max_depth:
         ctx.max_depth = depth
-        if depth > 100_000:
-            raise RuntimeError("real recursion failed to terminate")
     pairs = cv.pairs
     if d % 2 == 0 or any(c % 2 == 0 for c, _ in pairs):
         return 0
@@ -158,6 +158,7 @@ def _real_terms(N: int, d: int, rest: CodimVector, terms):
                               lambda d1, x: 0 < 2 * d1 < d and x > 0 and x % 2 == 0)
 
 
+@deep_recursion
 def theorem12_residual(
     n: int,
     d: int,

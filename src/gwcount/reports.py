@@ -2,25 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .keys import frozen_record
 
 __all__ = ["CheckReport", "CheckResult"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    passed: bool
-    expected: str
-    got: str
+class CheckResult(frozen_record("CheckResult", "check_id passed expected got")):
+    __slots__ = ()
 
 
-@dataclass
 class CheckReport:
     """An ordered list of named checks with expected/got values."""
 
-    suite: str
-    results: list[CheckResult] = field(default_factory=list)
+    __slots__ = ("suite", "results")
+
+    def __init__(self, suite: str, results: list[CheckResult] | None = None) -> None:
+        self.suite = suite
+        self.results = [] if results is None else results
+
+    def __repr__(self) -> str:
+        return f"CheckReport(suite={self.suite!r}, results={self.results!r})"
+
+    def __eq__(self, other: object) -> bool:
+        same = type(other) is type(self)
+        return same and (self.suite, self.results) == (other.suite, other.results)
 
     def add(self, check_id: str, passed: bool, expected: object, got: object) -> None:
         self.results.append(CheckResult(check_id, bool(passed), str(expected), str(got)))

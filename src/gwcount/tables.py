@@ -15,12 +15,7 @@ exponents of 2n-1, 2n-3, ..., 3.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from dataclasses import dataclass
-
-from .keys import CodimVector, RealKey
+from .keys import CodimVector, RealKey, frozen_record
 from .p3 import real_codim_vectors, real_series_p3
 from .real_engine import RealEvalContext, eval_real
 
@@ -37,11 +32,10 @@ __all__ = [
 TABLE2_DEGREES = {"p5": (3, (1, 3, 5, 7, 9)), "p7": (4, (1, 3, 5))}
 
 
-@dataclass(frozen=True)
-class TableRow:
-    d: int
-    signature: str | None
-    value: int
+class TableRow(frozen_record("TableRow", "d signature value")):
+    """One table line: degree, insertion signature (table 2 only), value."""
+
+    __slots__ = ()
 
 
 class EngineDisagreement(Exception):
@@ -123,9 +117,12 @@ def format_rows(rows: list[TableRow], fmt: str = "text") -> str:
             lines.append("  ".join([f"{d:>{width}}", *padded, value]))
         return "\n".join(lines) + "\n"
     if fmt == "csv":
+        import csv
+        import io
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([columns, *cells])
         return buf.getvalue()
     if fmt == "json":
+        import json
         return json.dumps([dict(zip(columns, row)) for row in cells], indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

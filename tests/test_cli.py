@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
+import re
 
 import pytest
 
@@ -440,3 +442,64 @@ def test_cache_verify_rejects_keys_the_engines_never_memoize(tmp_path, capsys, r
     code, out, err = run(capsys, "cache", "verify", "--cache", str(path))
     assert (code, out) == (1, "")
     assert err == f"error: bad record {record}: not a key the engines memoize\n"
+
+
+COMMAND_NAMES = ["complex", "real", "table1", "table2", "check", "cache"]
+
+
+def _commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_command_table_lists_every_command_in_help_order():
+    assert list(cli.COMMANDS) == COMMAND_NAMES
+    assert list(_commands(cli.build_parser())) == COMMAND_NAMES
+    assert list(_commands(cli.build_parser("bogus"))) == COMMAND_NAMES
+
+
+@pytest.mark.parametrize("command", COMMAND_NAMES)
+def test_one_command_parser_prints_the_full_parsers_bytes(command):
+    full, one = cli.build_parser(), cli.build_parser(command)
+    assert list(_commands(one)) == [command]
+    assert one.format_usage() == full.format_usage()
+    assert one.format_usage() == (
+        "usage: gw [-h] {complex,real,table1,table2,check,cache} ...\n")
+    sub, full_sub = _commands(one)[command], _commands(full)[command]
+    assert sub.format_usage() == full_sub.format_usage()
+    assert sub.format_help() == full_sub.format_help()
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out == cli.build_parser().format_help()
+    listed = re.findall(r"^    (\S+) +(.+)$", out, re.M)
+    assert listed == [(name, help) for name, (help, _, _) in cli.COMMANDS.items()]
+
+
+def _full_parser_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["complex", "--dim", "3", "--d", "1"],
+    ["real", "--n", "2", "--d", "1", "--codims", "3", "--phi", "sigma"],
+    ["table1", "--format", "xml"],
+    ["table2"],
+    ["check", "--suite", "bogus"],
+    ["cache", "bogus"],
+    ["complex", "--dim", "3", "--d", "1", "--codims", "3,3", "extra"],
+    ["bogus"],
+    [],
+])
+def test_usage_errors_match_the_full_parser(capsys, argv):
+    expected = _full_parser_error(capsys, argv)
+    assert expected[0] == 2 and expected[1].startswith("usage: gw")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, capsys.readouterr().err) == expected

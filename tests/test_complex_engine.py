@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations_with_replacement
 
 import pytest
@@ -9,11 +10,16 @@ from gwcount import (
     CodimVector,
     ComplexEvalContext,
     ComplexKey,
+    RealEvalContext,
+    RealKey,
+    canonical_designation,
     canonical_pivot,
     complex_series_p3,
     eval_complex,
+    eval_real,
+    theorem12_residual,
 )
-from gwcount.complex_engine import wdvv_step
+from gwcount.complex_engine import RECURSION_LIMIT, wdvv_step
 
 from golden import COMPLEX_P3_N, COMPLEX_P3_NTILDE, KONTSEVICH_P2, SCHUBERT_P3_LINES
 
@@ -235,3 +241,42 @@ def test_memo_statistics_track_work():
     before = stats["memo_hits"]
     C(ctx, 3, 3, *([3] * 6))
     assert ctx.stats()["memo_hits"] > before
+
+
+def test_recursion_limit_is_raised_only_while_an_evaluation_runs():
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1500)
+    try:
+        seen = []
+
+        def pivot(cv):
+            # A nested evaluation must leave the raised limit in place.
+            eval_real(RealKey(n=2, d=3, insertions=CodimVector.of(3, 3, 3)), RealEvalContext())
+            seen.append(sys.getrecursionlimit())
+            return canonical_pivot(cv)
+
+        def designation(cv):
+            seen.append(sys.getrecursionlimit())
+            return canonical_designation(cv)
+
+        key = ComplexKey(N=3, d=3, insertions=CodimVector.of(2, 2, 3, 3, 3, 3, 3))
+        assert eval_complex(key, ComplexEvalContext(pivot)) == 5
+        assert sys.getrecursionlimit() == 1500
+        real = RealKey(n=2, d=3, insertions=CodimVector.of(3, 3, 3))
+        assert eval_real(real, RealEvalContext(designation_rule=designation)) == -1
+        assert sys.getrecursionlimit() == 1500
+        assert theorem12_residual(2, 3, 1, (3, 3), RealEvalContext()) == 0
+        assert sys.getrecursionlimit() == 1500
+        assert seen and set(seen) == {RECURSION_LIMIT}
+
+        def fail(cv):
+            raise LookupError("no pivot")
+
+        with pytest.raises(LookupError):
+            eval_complex(key, ComplexEvalContext(fail))
+        assert sys.getrecursionlimit() == 1500
+        with pytest.raises(LookupError):
+            eval_real(real, RealEvalContext(designation_rule=fail))
+        assert sys.getrecursionlimit() == 1500
+    finally:
+        sys.setrecursionlimit(saved)
