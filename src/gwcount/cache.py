@@ -16,9 +16,10 @@ engine memos; it never changes what an engine would compute.
 ``stored_value`` answers one query from the file text alone.  Like warming,
 it trusts the stored value; it checks the whole file's syntax against the
 strict grammar of canonical lines, and that the key's line occurs once and
-belongs to a key the engine memoizes (``is_memo_key``).  Conflicts, sort
-order and unmemoized keys elsewhere are left to the full parse (``parse``),
-which accepts unmemoized keys; ``gw cache verify`` rejects them.
+belongs to a key the engine memoizes (``is_memo_key``, which asks the
+engine's own rule function).  Conflicts, sort order and unmemoized keys
+elsewhere are left to the full parse (``parse``), which accepts unmemoized
+keys; ``gw cache verify`` rejects them.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import re
 from collections.abc import Iterable
 from itertools import groupby
 
-from .complex_engine import ComplexEvalContext, MemoKey
+from .complex_engine import ComplexEvalContext, MemoKey, complex_rules
 from .keys import CodimVector, ComplexKey, RealKey
-from .real_engine import RealEvalContext
+from .real_engine import RealEvalContext, real_rules
 
 __all__ = [
     "CacheError",
@@ -45,6 +46,8 @@ __all__ = [
 
 HEADER = "#gw-cache v1"
 DIMTAGS = {"C": "N", "R": "n"}
+# Kind -> key type (its first field is the dimension) and engine rule function.
+_ENGINES = {"C": (ComplexKey, complex_rules), "R": (RealKey, real_rules)}
 _INT = "(?:[1-9][0-9]*|0)"  # no leading zeros; the common case is tried first
 # A file of canonically spelled records; sort order is not part of the grammar.
 _CANONICAL_FILE = re.compile(
@@ -65,11 +68,9 @@ class CacheIntegrityError(CacheError):
 
 
 def _memo_key(key: ComplexKey | RealKey) -> tuple[str, MemoKey]:
-    if isinstance(key, ComplexKey):
-        return "C", (key.N, key.d, key.insertions.pairs)
-    if isinstance(key, RealKey):
-        # phi is metadata: both involutions share one record.
-        return "R", (key.n, key.d, key.insertions.pairs)
+    for kind, (key_type, _) in _ENGINES.items():
+        if isinstance(key, key_type):  # phi is metadata: both involutions share one record
+            return kind, (key[0], key.d, key.insertions.pairs)
     raise TypeError(f"expected ComplexKey or RealKey, got {type(key).__name__}")
 
 
@@ -83,18 +84,19 @@ def record_line(kind: str, dim: int, d: int, entries: tuple[int, ...], value: in
 
 
 def is_memo_key(kind: str, dim: int, d: int, cv: CodimVector) -> bool:
-    """True exactly when the engine of ``kind`` reaches its memo for the key.
+    """True exactly when the engine of ``kind`` memoizes the key itself.
 
-    Every other key is answered by a structural rule first (a vanishing
-    class, the dimension gap, degree 0, the fundamental-class or divisor
-    rule, or low arity), so a stored value for it is never read.
+    That is when the engine's rule function returns ``cv`` as its own core.
+    Any other key is answered by a structural rule or stored under a smaller
+    core, so a stored value for it is never read.  Records outside the key
+    domain (n = 1, say, or d < 0) are no key at all.
     """
-    pairs, k, total = cv
-    if kind == "C":  # k >= 3 (k >= 2 below) before the pairs are indexed
-        return (d >= 1 and k >= 3 and pairs[0][0] >= 2 and pairs[-1][0] <= dim
-                and (dim + 1) * d + dim - 3 + k == total)
-    return (d % 2 == 1 and k >= 2 and pairs[0][0] >= 3 and pairs[-1][0] <= 2 * dim - 1
-            and all(c % 2 for c, _ in pairs) and dim * (d + 1) - 2 + k == total)
+    key_type, rules = _ENGINES[kind]
+    try:
+        key_type(dim, d, cv)
+    except ValueError:
+        return False
+    return rules(dim, d, cv) is cv
 
 
 def read_text(path: str | os.PathLike[str]) -> str:

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import random
 
-from .complex_engine import ComplexEvalContext, eval_complex
-from .keys import CodimVector, ComplexKey, RealKey
+from .complex_engine import ComplexEvalContext
+from .keys import CodimVector, RealKey
 from .p3 import congruence_mod4_report, parity_report, real_series_p3
 from .real_engine import RealEvalContext, eval_real, theorem12_residual
 from .reports import CheckReport
@@ -119,22 +119,20 @@ def divisor_report(
     report = CheckReport("divisor relation")
     for t in range(trials):
         if t % 2 == 0:
-            N = rng.choice((3, 5))
+            dim = rng.choice((3, 5))
             d = rng.randint(1, 3)
-            entries = [rng.randint(2, N) for _ in range(rng.randint(1, 4))]
-            cv = CodimVector.from_entries(entries)
-            lhs = eval_complex(ComplexKey(N=N, d=d, insertions=cv.add(1)), cctx)
-            rhs = d * eval_complex(ComplexKey(N=N, d=d, insertions=cv), cctx)
-            report.check_equal(f"complex N={N} d={d} <{cv}>+1", rhs, lhs)
+            entries = [rng.randint(2, dim) for _ in range(rng.randint(1, 4))]
+            ctx, label = cctx, f"complex N={dim}"
         else:
-            n = rng.choice((2, 3))
+            dim = rng.choice((2, 3))
             d = rng.choice((1, 3, 5))
-            odd_choices = tuple(range(3, 2 * n, 2))
+            odd_choices = tuple(range(3, 2 * dim, 2))
             entries = [rng.choice(odd_choices) for _ in range(rng.randint(1, 4))]
-            cv = CodimVector.from_entries(entries)
-            lhs = eval_real(RealKey(n=n, d=d, insertions=cv.add(1)), rctx)
-            rhs = d * eval_real(RealKey(n=n, d=d, insertions=cv), rctx)
-            report.check_equal(f"real n={n} d={d} <{cv}>+1", rhs, lhs)
+            ctx, label = rctx, f"real n={dim}"
+        cv = CodimVector.from_entries(entries)
+        lhs = ctx.evaluate(dim, d, cv.add(1))
+        rhs = d * ctx.evaluate(dim, d, cv)
+        report.check_equal(f"{label} d={d} <{cv}>+1", rhs, lhs)
     return report
 
 

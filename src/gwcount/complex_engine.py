@@ -3,7 +3,8 @@
 The invariant <H^{c_1}, ..., H^{c_k}>_d counts rational curves of degree d
 meeting k generic linear subspaces of the given codimensions (when the
 dimension gap vanishes; otherwise it is 0 by convention).  Evaluation applies
-the first matching rule:
+the first matching rule; ``complex_rules`` states rules 1-6 and the driver
+(``EvalContext.evaluate``) applies the divisor peel as the factor d^m:
 
   1. some c_i > N                -> 0 (the class vanishes)
   2. nonzero dimension gap       -> 0
@@ -34,9 +35,9 @@ The sum is evaluated only at the one (d1, f) per split and term that
 balances the left factor (``keys.degeneration_terms``): every other (d1, f)
 gives 0 by rule 2, and f = 0 or f = N by rule 4.
 
-All arithmetic is exact; only the results of step 7 are memoized (the cheap
-structural rules are recomputed on the fly), so the memo holds exactly the
-keys whose evaluation required a full expansion.
+All arithmetic is exact; only the results of step 7 are memoized, keyed on
+the core (the cheap structural rules are recomputed on the fly), so the memo
+holds exactly the keys whose evaluation required a full expansion.
 """
 
 from __future__ import annotations
@@ -50,12 +51,13 @@ from .keys import CodimVector, ComplexKey, degeneration_terms, enumerate_splits
 __all__ = [
     "ComplexEvalContext",
     "canonical_pivot",
+    "complex_rules",
     "eval_complex",
     "wdvv_step",
 ]
 
-# The exchange relation nests one frame per unit of (degree, arity, spread);
-# deep tables need more than CPython's default 1000 frames.
+# Each level of the recursion nests three frames (driver, step method, step);
+# deep keys need more than CPython's default 1000 frames.
 RECURSION_LIMIT = 20000
 
 PivotRule = Callable[[CodimVector], tuple[int, int, int]]
@@ -76,8 +78,30 @@ def canonical_pivot(cv: CodimVector) -> tuple[int, int, int]:
     return a1, c, e
 
 
+def complex_rules(N: int, d: int, cv: CodimVector) -> int | CodimVector:
+    """Rules 1-6 for <cv>_d on P^N: its value, or its core (``EvalContext``)."""
+    pairs, k, total = cv
+    if pairs and pairs[-1][0] > N or (N + 1) * d + N - 3 + k - total:
+        return 0
+    if d == 0:
+        return 1 if k == 3 and total == N else 0
+    if pairs and pairs[0][0] == 0:
+        return 0
+    m = pairs[0][1] if pairs and pairs[0][0] == 1 else 0
+    if k - m <= 2:
+        return d**m
+    return cv.remove(1, m) if m else cv
+
+
 class EvalContext:
-    """Memo table and counters, shared by the contexts of both engines."""
+    """Memo table, counters and the evaluation driver of both engines.
+
+    A subclass supplies its recursion ``step`` and its pure ``rules``: the
+    value of <cv>_d, or its core, ``cv`` itself or less the m divisor entries
+    the divisor relation strips, so that <cv>_d = d^m * <core>_d.  Values
+    are pure functions of the key, so concurrent insert-if-absent of identical
+    values is harmless (dict writes are atomic under the GIL): no locking.
+    """
 
     __slots__ = ("memo", "calls", "hits", "deep_evals", "max_depth")
 
@@ -87,6 +111,23 @@ class EvalContext:
         self.hits = 0
         self.deep_evals = 0
         self.max_depth = 0
+
+    def evaluate(self, dim: int, d: int, cv: CodimVector, depth: int = 0) -> int:
+        """<cv>_d in one call: a divisor peel is the factor d^m, not a call."""
+        self.calls += 1
+        if depth > self.max_depth:
+            self.max_depth = depth
+        core = self.rules(dim, d, cv)
+        if isinstance(core, int):
+            return core
+        memo_key = (dim, d, core[0])  # a CodimVector is (pairs, k, total_codim)
+        value = self.memo.get(memo_key)
+        if value is None:
+            value = self.memo[memo_key] = self.step(dim, d, core, depth)
+            self.deep_evals += 1
+        else:
+            self.hits += 1
+        return value if core is cv else d ** (cv[1] - core[1]) * value
 
     def stats(self) -> dict[str, int]:
         return {
@@ -99,21 +140,23 @@ class EvalContext:
 
 
 class ComplexEvalContext(EvalContext):
-    """Session-scoped evaluation state: memo table, statistics, pivot rule.
+    """Session-scoped evaluation state of the complex engine and its pivot rule.
 
-    Values are pure functions of the key, so concurrent insert-if-absent of
-    identical values is harmless (dict writes are atomic under the GIL) and
-    no locking is used.  A custom ``pivot_rule`` may pick any admissible
-    pivot: the three designated slots must be present in the multiset and the
-    donor codimension a+1 must not exceed the receiver codimension e (that
-    ordering is what makes the recursion terminate).
+    A custom ``pivot_rule`` may pick any admissible pivot: the three
+    designated slots must be present in the multiset and the donor
+    codimension a+1 must not exceed the receiver codimension e (that ordering
+    is what makes the recursion terminate).
     """
 
     __slots__ = ("pivot_rule",)
+    rules = staticmethod(complex_rules)
 
     def __init__(self, pivot_rule: PivotRule | None = None) -> None:
         super().__init__()
         self.pivot_rule = pivot_rule or canonical_pivot
+
+    def step(self, N: int, d: int, cv: CodimVector, depth: int) -> int:
+        return wdvv_step(N, d, cv, self.pivot_rule(cv), self, depth)
 
 
 def deep_recursion(evaluate: Callable[..., int]) -> Callable[..., int]:
@@ -134,37 +177,7 @@ def deep_recursion(evaluate: Callable[..., int]) -> Callable[..., int]:
 @deep_recursion
 def eval_complex(key: ComplexKey, ctx: ComplexEvalContext) -> int:
     """Exact value of a complex invariant key (keys validate on construction)."""
-    return _evaluate(key.N, key.d, key.insertions, ctx, 0)
-
-
-def _evaluate(N: int, d: int, cv: CodimVector, ctx: ComplexEvalContext, depth: int) -> int:
-    ctx.calls += 1
-    if depth > ctx.max_depth:
-        ctx.max_depth = depth
-    pairs = cv.pairs
-    if pairs and pairs[-1][0] > N:
-        return 0
-    k = cv.k
-    if (N + 1) * d + N - 3 + k - cv.total_codim != 0:
-        return 0
-    if d == 0:
-        return 1 if k == 3 and cv.total_codim == N else 0
-    if pairs and pairs[0][0] == 0:
-        return 0
-    if pairs and pairs[0][0] == 1:
-        m = pairs[0][1]
-        return d**m * _evaluate(N, d, cv.remove(1, m), ctx, depth + 1)
-    if k <= 2:
-        return 1
-    memo_key = (N, d, pairs)
-    cached = ctx.memo.get(memo_key)
-    if cached is not None:
-        ctx.hits += 1
-        return cached
-    value = wdvv_step(N, d, cv, ctx.pivot_rule(cv), ctx, depth)
-    ctx.memo[memo_key] = value
-    ctx.deep_evals += 1
-    return value
+    return ctx.evaluate(key.N, key.d, key.insertions)
 
 
 def wdvv_step(
@@ -188,14 +201,14 @@ def wdvv_step(
     S = cv.remove(a1).remove(c).remove(e)
     a = a1 - 1
     nd = depth + 1
-    total = d * _evaluate(N, d, S.add_all((a + c, e)), ctx, nd)
-    total += _evaluate(N, d, S.add_all((a, c, e + 1)), ctx, nd)
-    total -= d * _evaluate(N, d, S.add_all((a, c + e)), ctx, nd)
+    total = d * ctx.evaluate(N, d, S.add_all((a + c, e)), nd)
+    total += ctx.evaluate(N, d, S.add_all((a, c, e + 1)), nd)
+    total -= d * ctx.evaluate(N, d, S.add_all((a, c + e)), nd)
     terms = ((1, (a, c), (1, e)), (-1, (a, 1), (c, e)))
     for sign, w, d1, left, right in degeneration_terms(
             N, enumerate_splits(S, 1), terms, lambda d1, f: 0 < d1 < d and 0 < f < N):
-        t = _evaluate(N, d1, left, ctx, nd)
+        t = ctx.evaluate(N, d1, left, nd)
         if t:
-            t *= _evaluate(N, d - d1, right, ctx, nd)
+            t *= ctx.evaluate(N, d - d1, right, nd)
             total += sign * w * t
     return total

@@ -6,7 +6,9 @@ c_i = 2n-1), normalized so that the line through a point and its conjugate
 counts as +1.  The value is identical for both standard anti-holomorphic
 involutions on P^{2n-1}, so the ``phi`` tag on keys never enters evaluation.
 
-Evaluation applies the first matching rule:
+Evaluation applies the first matching rule; ``real_rules`` states rules 1-5
+and the driver (``EvalContext.evaluate``) applies the divisor peel as the
+factor d^m':
 
   1. d even, or some c_i even     -> 0 (conjugation-odd configurations cancel)
   2. some c_i > 2n-1              -> 0
@@ -33,7 +35,7 @@ where <...>^C are complex invariants of P^{2n-1} evaluated by the shared
 complex engine.  This sum and the one in ``theorem12_residual`` are
 evaluated only at the one (d1, 2i) per split and term that balances the
 complex factor (``keys.degeneration_terms``).  Only step-6 results are
-memoized, keyed on (n, d, insertions).
+memoized, keyed on (n, d, core insertions).
 """
 
 from __future__ import annotations
@@ -41,13 +43,13 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .complex_engine import ComplexEvalContext, EvalContext, deep_recursion
-from .complex_engine import _evaluate as _evaluate_c
 from .keys import CodimVector, RealKey, degeneration_terms, enumerate_splits
 
 __all__ = [
     "RealEvalContext",
     "canonical_designation",
     "eval_real",
+    "real_rules",
     "recursion_step",
     "theorem12_residual",
 ]
@@ -62,6 +64,19 @@ def canonical_designation(cv: CodimVector) -> tuple[int, int]:
     return c1, c2
 
 
+def real_rules(n: int, d: int, cv: CodimVector) -> int | CodimVector:
+    """Rules 1-5 for <cv>_d on P^{2n-1}: its value, or its core (``EvalContext``)."""
+    pairs, k, total = cv
+    top = 2 * n - 1
+    if (d % 2 == 0 or any(c % 2 == 0 for c, _ in pairs) or pairs and pairs[-1][0] > top
+            or n * (d + 1) - 2 + k - total):
+        return 0
+    m = min(pairs[0][1], k - 1) if pairs[0][0] == 1 else 0
+    if k - m == 1:  # rule 5, on the core: its one entry is the largest of cv
+        return 1 if d == 1 and pairs[-1][0] == top else 0
+    return cv.remove(1, m) if m else cv
+
+
 class RealEvalContext(EvalContext):
     """Evaluation state for the real engine plus a shared complex context.
 
@@ -73,6 +88,7 @@ class RealEvalContext(EvalContext):
     """
 
     __slots__ = ("complex_ctx", "designation_rule")
+    rules = staticmethod(real_rules)
 
     def __init__(
         self,
@@ -83,39 +99,14 @@ class RealEvalContext(EvalContext):
         self.complex_ctx = complex_ctx if complex_ctx is not None else ComplexEvalContext()
         self.designation_rule = designation_rule or canonical_designation
 
+    def step(self, n: int, d: int, cv: CodimVector, depth: int) -> int:
+        return recursion_step(n, d, cv, self.designation_rule(cv), self, depth)
+
 
 @deep_recursion
 def eval_real(key: RealKey, ctx: RealEvalContext) -> int:
     """Exact value of a real invariant key (keys validate on construction)."""
-    return _evaluate(key.n, key.d, key.insertions, ctx, 0)
-
-
-def _evaluate(n: int, d: int, cv: CodimVector, ctx: RealEvalContext, depth: int) -> int:
-    ctx.calls += 1
-    if depth > ctx.max_depth:
-        ctx.max_depth = depth
-    pairs = cv.pairs
-    if d % 2 == 0 or any(c % 2 == 0 for c, _ in pairs):
-        return 0
-    if pairs and pairs[-1][0] > 2 * n - 1:
-        return 0
-    k = cv.k
-    if n * (d + 1) - 2 + k - cv.total_codim != 0:
-        return 0
-    if pairs[0][0] == 1 and k >= 2:
-        m = min(pairs[0][1], k - 1)
-        return d**m * _evaluate(n, d, cv.remove(1, m), ctx, depth + 1)
-    if k == 1:
-        return 1 if d == 1 and pairs == ((2 * n - 1, 1),) else 0
-    memo_key = (n, d, pairs)
-    cached = ctx.memo.get(memo_key)
-    if cached is not None:
-        ctx.hits += 1
-        return cached
-    value = recursion_step(n, d, cv, ctx.designation_rule(cv), ctx, depth)
-    ctx.memo[memo_key] = value
-    ctx.deep_evals += 1
-    return value
+    return ctx.evaluate(key.n, key.d, key.insertions)
 
 
 def recursion_step(
@@ -136,14 +127,13 @@ def recursion_step(
     rest = cv.remove(c1).remove(c2)
     N = 2 * n - 1
     nd = depth + 1
-    cctx = ctx.complex_ctx
-    total = d * _evaluate(n, d, rest.add(c1 + c2 - 1), ctx, nd)
+    total = d * ctx.evaluate(n, d, rest.add(c1 + c2 - 1), nd)
     terms = ((1, (c1 - 1, c2), ()), (-1, (c1 - 1,), (c2,)))
     for sign, w, d1, left, right in _real_terms(N, d, rest, terms):
         d2 = d - 2 * d1
-        t = _evaluate_c(N, d1, left, cctx, nd)
+        t = ctx.complex_ctx.evaluate(N, d1, left, nd)
         if t:
-            t *= _evaluate(n, d2, right, ctx, nd)
+            t *= ctx.evaluate(n, d2, right, nd)
             total += sign * w * (d2 if sign > 0 else d1) * t
     return total
 
@@ -181,23 +171,19 @@ def theorem12_residual(
 
     Returns LHS - RHS, computed exactly.
     """
-    if n < 2 or d < 1 or c < 1:
-        raise ValueError("need n >= 2, d >= 1, c >= 1")
-    entries = tuple(c_list)
-    if len(entries) < 2:
-        raise ValueError("need at least two insertions to transfer between")
-    if any(e < 1 for e in entries):
-        raise ValueError("real insertions must have codimension >= 1")
-    c1, c2 = entries[0], entries[1]
-    rest = CodimVector.from_entries(entries[2:])
-    lhs = _evaluate(n, d, rest.add_all((c1, c2 + 2 * c)), ctx, 0)
-    lhs -= _evaluate(n, d, rest.add_all((c1 + 2 * c, c2)), ctx, 0)
+    # The key validates n, d and the entries (ints, each >= 1).
+    cv = RealKey(n=n, d=d, insertions=CodimVector.from_entries(c_list)).insertions
+    if c < 1 or cv.k < 2:
+        raise ValueError("need c >= 1 and at least two insertions to transfer between")
+    c1, c2 = c_list[:2]
+    rest = cv.remove(c1).remove(c2)
+    lhs = ctx.evaluate(n, d, rest.add_all((c1, c2 + 2 * c)))
+    lhs -= ctx.evaluate(n, d, rest.add_all((c1 + 2 * c, c2)))
     N = 2 * n - 1
-    cctx = ctx.complex_ctx
     rhs = 0
     terms = ((1, (2 * c, c1), (c2,)), (-1, (2 * c, c2), (c1,)))
     for sign, w, d1, left, right in _real_terms(N, d, rest, terms):
-        t = _evaluate_c(N, d1, left, cctx, 0)
+        t = ctx.complex_ctx.evaluate(N, d1, left)
         if t:
-            rhs += sign * w * t * _evaluate(n, d - 2 * d1, right, ctx, 0)
+            rhs += sign * w * t * ctx.evaluate(n, d - 2 * d1, right)
     return lhs - rhs

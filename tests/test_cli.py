@@ -444,6 +444,24 @@ def test_cache_verify_rejects_keys_the_engines_never_memoize(tmp_path, capsys, r
     assert err == f"error: bad record {record}: not a key the engines memoize\n"
 
 
+@pytest.mark.parametrize("record", [
+    "gw1|R|n=1|d=1|c=|v=5",  # n <= 1, balanced with no insertions
+    "gw1|R|n=1|d=1|c=1,1|v=1",
+    "gw1|R|n=-1|d=-3|c=|v=5",
+    "gw1|R|n=0|d=1|c=1|v=1",
+    "gw1|R|n=2|d=-1|c=3|v=1",  # negative degree
+    "gw1|C|N=0|d=3|c=|v=1",  # N <= 0
+    "gw1|C|N=-1|d=1|c=2,2,2|v=1",
+    "gw1|C|N=3|d=-1|c=0,0,0,0|v=0",  # negative degree
+])
+def test_cache_verify_rejects_records_outside_the_key_domain(tmp_path, capsys, record):
+    path = tmp_path / "store.txt"
+    path.write_text(f"{HEADER}\n{record}\n")
+    code, out, err = run(capsys, "cache", "verify", "--cache", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: bad record {record}: not a key the engines memoize\n"
+
+
 COMMAND_NAMES = ["complex", "real", "table1", "table2", "check", "cache"]
 
 

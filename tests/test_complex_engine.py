@@ -243,6 +243,30 @@ def test_memo_statistics_track_work():
     assert ctx.stats()["memo_hits"] > before
 
 
+@pytest.mark.parametrize("engine, dim, d, divisors, core", [
+    ("C", 3, 1, 2, (2, 2, 2, 2)),
+    ("C", 3, 2, 2, (2, 2, 3, 3, 3)),
+    ("C", 3, 1, 1, (3, 3)),  # the core is answered by rule 6, at depth 0
+    ("R", 2, 3, 1, (3, 3, 3)),
+    ("R", 3, 5, 2, (5, 5, 5, 3, 3)),
+    ("R", 2, 1, 1, (3,)),  # the core is answered by rule 5, at depth 0
+])
+def test_divisor_peel_costs_no_call(engine, dim, d, divisors, core):
+    def evaluate(*cs):
+        if engine == "C":
+            ctx = ComplexEvalContext()
+            value = eval_complex(ComplexKey(N=dim, d=d, insertions=CodimVector.of(*cs)), ctx)
+        else:
+            ctx = RealEvalContext()
+            value = eval_real(RealKey(n=dim, d=d, insertions=CodimVector.of(*cs)), ctx)
+        return value, ctx.stats()
+
+    value, stats = evaluate(*core)
+    peeled, peeled_stats = evaluate(*(1,) * divisors, *core)
+    assert value != 0 and peeled == d**divisors * value
+    assert peeled_stats == stats  # calls and max_depth included
+
+
 def test_recursion_limit_is_raised_only_while_an_evaluation_runs():
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(1500)

@@ -204,6 +204,12 @@ def test_theorem12_residual_validation():
         theorem12_residual(2, 3, 1, (3, 0), ctx)
 
 
+@pytest.mark.parametrize("c_list", [(3.0, 3), (3, 3.5), (True, 3), (3, 3, 3.0)])
+def test_theorem12_residual_rejects_codimensions_that_are_not_ints(c_list):
+    with pytest.raises(ValueError):
+        theorem12_residual(2, 3, 1, c_list, RealEvalContext())
+
+
 def test_shared_complex_context_is_used():
     cctx = ComplexEvalContext()
     ctx = RealEvalContext(cctx)
