@@ -17,9 +17,13 @@ engine memos; it never changes what an engine would compute.
 it trusts the stored value; it checks the whole file's syntax against the
 strict grammar of canonical lines, and that the key's line occurs once and
 belongs to a key the engine memoizes (``is_memo_key``, which asks the
-engine's own rule function).  Conflicts, sort order and unmemoized keys
-elsewhere are left to the full parse (``parse``), which accepts unmemoized
-keys; ``gw cache verify`` rejects them.
+engine's own rule function).  Anything else is left to the full parse:
+``load`` reads the file again and ``parse`` matches each line against the
+record grammar ``_RECORD``, which also accepts leading zeros in every number
+and a ``-`` on the dimension, degree and value; any other spelling (a ``+``,
+a space, an underscore) is a malformed record.  The full parse checks sort
+order and conflicts and accepts unmemoized keys; ``gw cache verify`` rejects
+them.
 """
 
 from __future__ import annotations
@@ -53,6 +57,10 @@ _INT = "(?:[1-9][0-9]*|0)"  # no leading zeros; the common case is tried first
 _CANONICAL_FILE = re.compile(
     rf"{re.escape(HEADER)}\n(?:gw1\|(?:C\|N|R\|n)={_INT}\|d={_INT}"
     rf"\|c=(?:{_INT}(?:,{_INT})*)?\|v=(?:-?[1-9][0-9]*|0)\n)*")
+# One record as the full parse reads it.  The signs let ``gw cache verify``
+# see and name records outside the key domain.
+_RECORD = re.compile(
+    r"gw1\|(C\|N|R\|n)=(-?[0-9]+)\|d=(-?[0-9]+)\|c=((?:[0-9]+(?:,[0-9]+)*)?)\|v=(-?[0-9]+)")
 
 
 class CacheError(Exception):
@@ -227,34 +235,16 @@ class CacheStore:
 
 
 def _parse_line(line: str, lineno: int) -> tuple[str, MemoKey, int]:
-    parts = line.split("|")
-    if len(parts) != 6 or parts[0] != "gw1":
+    """One record in any spelling ``_RECORD`` accepts, as (kind, memo key, value)."""
+    match = _RECORD.fullmatch(line)
+    if match is None:
         raise CacheFormatError(f"line {lineno}: malformed record {line!r}")
-    kind = parts[1]
-    if kind not in DIMTAGS:
-        raise CacheFormatError(f"line {lineno}: unknown kind {kind!r}")
+    tag, dim, d, body, value = match.groups()
     try:
-        dim, d, body, value = map(_field, parts[2:], (DIMTAGS[kind], "d", "c", "v"))
-        return kind, (int(dim), int(d), _parse_pairs(body)), int(value)
-    except ValueError as exc:
+        entries = [int(c) for c in body.split(",")] if body else []
+        if entries != sorted(entries):
+            raise ValueError(f"codimensions must be sorted: {body!r}")
+        pairs = tuple((c, len(list(run))) for c, run in groupby(entries))
+        return tag[0], (int(dim), int(d), pairs), int(value)
+    except ValueError as exc:  # also an int too long to convert
         raise CacheFormatError(f"line {lineno}: {exc}") from None
-
-
-def _parse_pairs(body: str) -> tuple[tuple[int, int], ...]:
-    """Run-length form of a sorted, non-negative codimension list."""
-    pairs: list[tuple[int, int]] = []
-    for text, run in groupby(body.split(",") if body else ()):
-        c, m = int(text), len(list(run))
-        if pairs and c == pairs[-1][0]:  # the same int spelled two ways
-            m += pairs.pop()[1]
-        elif c < (pairs[-1][0] if pairs else 0):
-            raise ValueError(f"codimensions must be sorted and >= 0: {body!r}")
-        pairs.append((c, m))
-    return tuple(pairs)
-
-
-def _field(part: str, tag: str) -> str:
-    prefix = tag + "="
-    if not part.startswith(prefix):
-        raise ValueError(f"expected {prefix}..., got {part!r}")
-    return part[len(prefix):]

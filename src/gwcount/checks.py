@@ -17,6 +17,7 @@ exits nonzero when anything fails.  The suites:
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 
 from .complex_engine import ComplexEvalContext
 from .keys import CodimVector, RealKey
@@ -136,25 +137,26 @@ def divisor_report(
     return report
 
 
-SUITES = ("parity", "mod4", "wdvv-identity", "cross-dim", "divisor")
+def _parity_reports() -> list[CheckReport]:
+    ctx = RealEvalContext()
+    return [parity_report(n, (1, 3, 5, 7), ctx) for n in (2, 3)]
 
 
-def run_suites(names: tuple[str, ...] | list[str]) -> list[CheckReport]:
-    """Run the named suites (or all of them) and return their reports."""
+# Suite name -> function returning its reports, in ``gw check`` order.
+SUITES = {
+    "parity": _parity_reports,
+    "mod4": lambda: [congruence_mod4_report(31)],
+    "wdvv-identity": lambda: [wdvv_identity_report()],
+    "cross-dim": lambda: [cross_dim_report()],
+    "divisor": lambda: [divisor_report()],
+}
+
+
+def run_suites(names: Iterable[str]) -> list[CheckReport]:
+    """Run the named suites in order and return their reports."""
     reports: list[CheckReport] = []
     for name in names:
-        if name == "parity":
-            ctx = RealEvalContext()
-            reports.append(parity_report(2, (1, 3, 5, 7), ctx))
-            reports.append(parity_report(3, (1, 3, 5, 7), ctx))
-        elif name == "mod4":
-            reports.append(congruence_mod4_report(31))
-        elif name == "wdvv-identity":
-            reports.append(wdvv_identity_report())
-        elif name == "cross-dim":
-            reports.append(cross_dim_report())
-        elif name == "divisor":
-            reports.append(divisor_report())
-        else:
+        if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
+        reports += SUITES[name]()
     return reports

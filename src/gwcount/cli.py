@@ -12,12 +12,15 @@ variable; the flag wins) to warm the engines from a store keyed like their
 memos; a query rewrites the file only if it added records or the file is new.
 ``gw complex`` and ``gw real`` answer a key from its one canonical line in a
 syntactically valid file, without building a store (``cache.stored_value``);
-any other case takes the full parse.  ``gw cache save`` rewrites the file in
-canonical form, and ``gw cache verify``, the only check of stored values,
-recomputes every record cold, naming the first wrong or unmemoized one.
-Output is deterministic: identical invocations produce byte-identical
-output.  Exit codes: 0 success, 1 failed checks, engine disagreement, a bad or
-unreadable cache or a key too deep to evaluate, 2 usage errors.
+on a miss they load the file again through ``CacheStore.load``, the one way
+every store here is read, whose full parse also accepts leading zeros and a
+``-`` on the dimension, degree and value (``cache._RECORD``).  ``gw cache
+save`` rewrites the file in canonical form, and ``gw cache verify``, the only
+check of stored values, recomputes every record cold, naming the first wrong
+or unmemoized one.  Output is deterministic: identical invocations produce
+byte-identical output.  Exit codes: 0 success, 1 failed checks, engine
+disagreement, a bad or unreadable cache or a key too deep to evaluate, 2 usage
+errors.
 """
 
 from __future__ import annotations
@@ -94,15 +97,12 @@ def _open_store(path: str | None) -> CacheStore:
 
 
 @contextlib.contextmanager
-def _engines(args: argparse.Namespace, real: bool = True, text: str | None = None):
-    """Engine contexts warmed from the cache; new results are saved on success.
-
-    ``text``, when given, is the cache file's text as already read.
-    """
+def _engines(args: argparse.Namespace):
+    """Engine contexts warmed from the cache; new results are saved on success."""
     path = _cache_path(args)
-    store = _open_store(path) if text is None else CacheStore.parse(text)
+    store = _open_store(path)
     cctx = ComplexEvalContext()
-    rctx = RealEvalContext(cctx) if real else None
+    rctx = RealEvalContext(cctx)
     store.warm(cctx, rctx)
     yield cctx, rctx
     if path and (store.absorb(cctx, rctx) or not os.path.exists(path)):
@@ -125,12 +125,10 @@ def _print_value(args: argparse.Namespace, space: str, value: int) -> None:
 def _query(args: argparse.Namespace, key: ComplexKey | RealKey, space: str) -> int:
     """Print one invariant: from its cached line on a hit, else from the engines."""
     path = _cache_path(args)
-    text = read_text(path) if path and os.path.exists(path) else None
-    value = None if text is None else stored_value(text, key)
-    if value is None:
-        real = isinstance(key, RealKey)
-        with _engines(args, real=real, text=text) as (cctx, rctx):
-            value = eval_real(key, rctx) if real else eval_complex(key, cctx)
+    value = stored_value(read_text(path), key) if path and os.path.exists(path) else None
+    if value is None:  # a miss reads the file again, through CacheStore.load
+        with _engines(args) as (cctx, rctx):
+            value = eval_real(key, rctx) if isinstance(key, RealKey) else eval_complex(key, cctx)
     _print_value(args, space, value)
     return 0
 
@@ -205,14 +203,13 @@ def cmd_table2(args: argparse.Namespace) -> int:
 
 def _add_check(p: argparse.ArgumentParser) -> None:
     from .checks import SUITES
-    p.add_argument("--suite", choices=SUITES + ("all",), default="all")
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     from .checks import SUITES, run_suites
-    names = SUITES if args.suite == "all" else (args.suite,)
     failed = 0
-    for report in run_suites(names):
+    for report in run_suites(SUITES if args.suite == "all" else (args.suite,)):
         for line in report.lines():
             print(line)
         print(report.summary())

@@ -52,20 +52,16 @@ def complex_series_p3(dmax: int) -> tuple[list[int], list[int]]:
     n[1] = 1
     nt[1] = 1
     for d in range(2, dmax + 1):
-        acc = 0
-        for d1 in range(1, d):
+        acc = acc_t = 0
+        for d1 in range(1, d):  # both sums run over the same pairs nt[d1] * n[d2]
             d2 = d - d1
-            coeff = d2 * d2 * binomial(2 * d - 3, 2 * d1 - 2)
-            coeff -= d1 * d2 * binomial(2 * d - 3, 2 * d1 - 1)
-            acc += coeff * nt[d1] * n[d2]
+            term = nt[d1] * n[d2]
+            acc += d2 * (d2 * binomial(2 * d - 3, 2 * d1 - 2)
+                         - d1 * binomial(2 * d - 3, 2 * d1 - 1)) * term
+            acc_t += d2 * d2 * (d1 * binomial(2 * d - 2, 2 * d1 - 1)
+                                - d2 * binomial(2 * d - 2, 2 * d1 - 2)) * term
         n[d] = acc
-        acc = d * n[d]
-        for d1 in range(1, d):
-            d2 = d - d1
-            coeff = d1 * d2 * d2 * binomial(2 * d - 2, 2 * d1 - 1)
-            coeff -= d2 * d2 * d2 * binomial(2 * d - 2, 2 * d1 - 2)
-            acc += coeff * nt[d1] * n[d2]
-        nt[d] = acc
+        nt[d] = d * acc + acc_t
     return n, nt
 
 

@@ -173,6 +173,8 @@ def theorem12_residual(
     """
     # The key validates n, d and the entries (ints, each >= 1).
     cv = RealKey(n=n, d=d, insertions=CodimVector.from_entries(c_list)).insertions
+    if not isinstance(c, int) or isinstance(c, bool):
+        raise ValueError(f"transfer amount c must be an int, got {c!r}")
     if c < 1 or cv.k < 2:
         raise ValueError("need c >= 1 and at least two insertions to transfer between")
     c1, c2 = c_list[:2]

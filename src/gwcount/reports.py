@@ -11,21 +11,13 @@ class CheckResult(frozen_record("CheckResult", "check_id passed expected got")):
     __slots__ = ()
 
 
-class CheckReport:
+class CheckReport(frozen_record("CheckReport", "suite results")):
     """An ordered list of named checks with expected/got values."""
 
-    __slots__ = ("suite", "results")
+    __slots__ = ()
 
-    def __init__(self, suite: str, results: list[CheckResult] | None = None) -> None:
-        self.suite = suite
-        self.results = [] if results is None else results
-
-    def __repr__(self) -> str:
-        return f"CheckReport(suite={self.suite!r}, results={self.results!r})"
-
-    def __eq__(self, other: object) -> bool:
-        same = type(other) is type(self)
-        return same and (self.suite, self.results) == (other.suite, other.results)
+    def __new__(cls, suite: str, results: list[CheckResult] | None = None) -> "CheckReport":
+        return super().__new__(cls, suite, [] if results is None else results)
 
     def add(self, check_id: str, passed: bool, expected: object, got: object) -> None:
         self.results.append(CheckResult(check_id, bool(passed), str(expected), str(got)))

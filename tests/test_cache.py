@@ -116,6 +116,21 @@ def test_load_rejects_malformed_lines(tmp_path):
             CacheStore.load(path)
 
 
+@pytest.mark.parametrize("line", [
+    "gw1|C|N=3|d=1|c=3_0|v=1",
+    "gw1|C|N=3|d=1|c=3,3|v= +7",
+    "gw1|C|N=3|d=1|c=3,3|v=+7",
+    "gw1|C|N=3|d= 5|c=3,3|v=1",
+])
+def test_parse_reads_only_the_record_grammar(line):
+    # int() alone would read these as c=30, v=7, v=7 and d=5.
+    with pytest.raises(CacheFormatError, match=r"^line 2: malformed record "):
+        CacheStore.parse(f"{HEADER}\n{line}\n")
+    # Leading zeros are part of the grammar: 03 and 3 are one codimension.
+    store = CacheStore.parse(f"{HEADER}\ngw1|C|N=03|d=01|c=03,3|v=-07\n")
+    assert store.records["C"] == {(3, 1, ((3, 2),)): -7}
+
+
 def test_load_rejects_non_ascii_bytes(tmp_path):
     path = tmp_path / "bin.gwc"
     path.write_bytes(HEADER.encode() + b"\n\xff\xfe\n")

@@ -177,6 +177,15 @@ def test_check_all_suites(capsys):
     assert out.count("0 failed") >= 6
 
 
+def test_suite_registry_names_every_suite_once():
+    from gwcount.checks import SUITES, run_suites
+    assert list(SUITES) == ["parity", "mod4", "wdvv-identity", "cross-dim", "divisor"]
+    assert [r.suite for r in run_suites(["mod4", "parity"])] == [
+        "mod4 congruences, d <= 31", "parity, n=2", "parity, n=3"]
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        run_suites(["bogus"])
+
+
 def test_cache_flag_persists_results(tmp_path, capsys):
     path = tmp_path / "store.txt"
     code, out, _ = run(capsys, "real", "--n", "2", "--d", "5",

@@ -210,6 +210,12 @@ def test_theorem12_residual_rejects_codimensions_that_are_not_ints(c_list):
         theorem12_residual(2, 3, 1, c_list, RealEvalContext())
 
 
+@pytest.mark.parametrize("c", [1.5, 2.0, True])
+def test_theorem12_residual_rejects_a_transfer_amount_that_is_not_an_int(c):
+    with pytest.raises(ValueError, match="transfer amount c must be an int"):
+        theorem12_residual(2, 3, c, (3, 3), RealEvalContext())
+
+
 def test_shared_complex_context_is_used():
     cctx = ComplexEvalContext()
     ctx = RealEvalContext(cctx)
