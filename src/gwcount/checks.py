@@ -19,10 +19,11 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable
 
-from .complex_engine import ComplexEvalContext
+from .complex_engine import ComplexEvalContext, canonical_pivot, wdvv_step
 from .keys import CodimVector, RealKey
 from .p3 import congruence_mod4_report, parity_report, real_series_p3
-from .real_engine import RealEvalContext, eval_real, theorem12_residual
+from .real_engine import (RealEvalContext, canonical_designation, eval_real, recursion_step,
+                          theorem12_residual)
 from .reports import CheckReport
 
 __all__ = [
@@ -110,7 +111,8 @@ def divisor_report(
 
     Appending a divisor insertion leaves the dimension gap unchanged, so the
     relation <ins + {1}>_d = d * <ins>_d holds whether or not the key is
-    dimension-balanced.
+    dimension-balanced.  Where the key has a pivot's or designation's slots,
+    the left side is one explicit step, not ``EvalContext.evaluate``'s peel.
     """
     rng = random.Random(seed)
     if cctx is None:
@@ -124,14 +126,17 @@ def divisor_report(
             d = rng.randint(1, 3)
             entries = [rng.randint(2, dim) for _ in range(rng.randint(1, 4))]
             ctx, label = cctx, f"complex N={dim}"
+            step, slots, rule = wdvv_step, 3, canonical_pivot
         else:
             dim = rng.choice((2, 3))
             d = rng.choice((1, 3, 5))
             odd_choices = tuple(range(3, 2 * dim, 2))
             entries = [rng.choice(odd_choices) for _ in range(rng.randint(1, 4))]
             ctx, label = rctx, f"real n={dim}"
+            step, slots, rule = recursion_step, 2, canonical_designation
         cv = CodimVector.from_entries(entries)
-        lhs = ctx.evaluate(dim, d, cv.add(1))
+        plus = cv.add(1)
+        lhs = step(dim, d, plus, rule(cv), ctx) if cv.k >= slots else ctx.evaluate(dim, d, plus)
         rhs = d * ctx.evaluate(dim, d, cv)
         report.check_equal(f"{label} d={d} <{cv}>+1", rhs, lhs)
     return report

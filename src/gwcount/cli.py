@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import re
 import sys
 
 from .cache import CacheError, CacheStore, is_memo_key, read_text, record_line, stored_value
@@ -38,12 +39,14 @@ from .tables import EngineDisagreement, format_rows, table1_rows, table2_rows
 
 __all__ = ["main"]
 
+_ASCII_INT = re.compile(r"-?[0-9]+")  # int() alone also takes "_", "+", " " and non-ASCII digits
+
 
 def _codims(text: str) -> list[int]:
-    try:
-        entries = [int(part) for part in text.split(",")] if text else []
-    except ValueError:
+    parts = text.split(",") if text else []
+    if not all(map(_ASCII_INT.fullmatch, parts)):
         raise argparse.ArgumentTypeError(f"malformed codimension list {text!r}")
+    entries = [int(part) for part in parts]
     if any(c < 0 for c in entries):
         raise argparse.ArgumentTypeError("codimensions must be >= 0")
     return entries
@@ -51,10 +54,9 @@ def _codims(text: str) -> list[int]:
 
 def _at_least(lowest: int, name: str):
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
+        if not _ASCII_INT.fullmatch(text):
             raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}")
+        value = int(text)
         if value < lowest:
             raise argparse.ArgumentTypeError(f"{name} must be >= {lowest}, got {value}")
         return value

@@ -28,12 +28,15 @@ receiver slot H^e (canonically a maximal one) and an exchange partner H^c
       + <H^a, H^c, H^{e+1}, S>_d
       - d * <H^a, H^{c+e}, S>_d
       + sum over d1+d2 = d (d1, d2 >= 1), splits I+J = S, 0 <= f <= N of
-          <H^a, H^c, I, H^f>_{d1} * <H^{N-f}, J, H^1, H^e>_{d2}
-        - <H^a, H^1, I, H^f>_{d1} * <H^{N-f}, J, H^c, H^e>_{d2}
+          d2 * <H^a, H^c, I, H^f>_{d1} * <H^{N-f}, J, H^e>_{d2}
+        - d1 * <H^a, I, H^f>_{d1} * <H^{N-f}, J, H^c, H^e>_{d2}
 
-The sum is evaluated only at the one (d1, f) per split and term that
-balances the left factor (``keys.degeneration_terms``): every other (d1, f)
-gives 0 by rule 2, and f = 0 or f = N by rule 4.
+Each product of the relation carries one H^1 of its own; the divisor axiom
+peels it as the weight d2 or d1, as in Kontsevich and Manin's form of the
+recursion.  The sum is evaluated only at the one (d1, f) per split and term
+that balances the left factor (``keys.degeneration_terms(N, d, splits, 1,
+terms)``): every other (d1, f) gives 0 by rule 2, and f = 0 or f = N by
+rule 4.
 
 All arithmetic is exact; only the results of step 7 are memoized, keyed on
 the core (the cheap structural rules are recomputed on the fly), so the memo
@@ -46,7 +49,7 @@ import sys
 from collections.abc import Callable
 from functools import wraps
 
-from .keys import CodimVector, ComplexKey, degeneration_terms, enumerate_splits
+from .keys import CodimVector, ComplexKey, _new, degeneration_terms, enumerate_splits
 
 __all__ = [
     "ComplexEvalContext",
@@ -90,7 +93,7 @@ def complex_rules(N: int, d: int, cv: CodimVector) -> int | CodimVector:
     m = pairs[0][1] if pairs and pairs[0][0] == 1 else 0
     if k - m <= 2:
         return d**m
-    return cv.remove(1, m) if m else cv
+    return _new(CodimVector, (pairs[1:], k - m, total - m)) if m else cv
 
 
 class EvalContext:
@@ -204,11 +207,10 @@ def wdvv_step(
     total = d * ctx.evaluate(N, d, S.add_all((a + c, e)), nd)
     total += ctx.evaluate(N, d, S.add_all((a, c, e + 1)), nd)
     total -= d * ctx.evaluate(N, d, S.add_all((a, c + e)), nd)
-    terms = ((1, (a, c), (1, e)), (-1, (a, 1), (c, e)))
-    for sign, w, d1, left, right in degeneration_terms(
-            N, enumerate_splits(S, 1), terms, lambda d1, f: 0 < d1 < d and 0 < f < N):
+    terms = ((1, (a, c), (e,)), (-1, (a,), (c, e)))
+    for w, d1, d2, left, right in degeneration_terms(N, d, enumerate_splits(S, 1), 1, terms):
         t = ctx.evaluate(N, d1, left, nd)
         if t:
-            t *= ctx.evaluate(N, d - d1, right, nd)
-            total += sign * w * t
+            t *= ctx.evaluate(N, d2, right, nd)
+            total += (d2 if w > 0 else d1) * w * t
     return total

@@ -2,9 +2,10 @@
 
 Provides the canonical multiset of insertion codimensions (``CodimVector``,
 which stores its insertion count and total codimension), the two invariant
-key types, dimension bookkeeping, safe binomials, and the weighted splittings
-of an insertion multiset that drive every degeneration sum; each factor of a
-term is built by one multi-entry insertion (``CodimVector.add_all``).
+key types, dimension bookkeeping, safe binomials, the weighted splittings of
+an insertion multiset and the one solved degeneration sum over them,
+``degeneration_terms(N, d, splits, weight, terms)``, whose factors are each
+built by one multi-entry insertion (``CodimVector.add_all``).
 Everything here is pure and exact: values are Python ints, keys are
 immutable and hashable.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from itertools import product
 from operator import itemgetter
 
@@ -27,7 +28,6 @@ __all__ = [
     "degeneration_terms",
     "enumerate_splits",
     "real_dimension_gap",
-    "solve_left_factor",
 ]
 
 INVOLUTIONS = ("tau", "eta")
@@ -225,35 +225,31 @@ def complex_dimension_gap(key: ComplexKey) -> int:
     return (key.N + 1) * key.d + key.N - 3 + ins.k - ins.total_codim
 
 
-def solve_left_factor(N: int, k: int, total_codim: int) -> tuple[int, int]:
-    """The one (d1, x), 0 <= x <= N, at which <L, H^x>_{d1} on P^N is balanced.
-
-    L has k insertions of total codimension ``total_codim``; d1 may be < 1.
-    """
-    q, x = divmod(N - 2 + k - total_codim, N + 1)
-    return -q, x
-
-
 def degeneration_terms(
     N: int,
+    d: int,
     splits: Iterable[tuple[CodimVector, CodimVector, int]],
+    weight: int,
     terms: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...],
-    admissible: Callable[[int, int], bool],
 ) -> Iterator[tuple[int, int, int, CodimVector, CodimVector]]:
     """The terms of a degeneration sum on P^N whose left factor can be nonzero.
 
     The sum runs over splits (I, J, w), ``terms`` (sign, left_extra,
-    right_extra), degrees d1 and diagonal classes H^x x H^(N-x).  The left
-    factor <I + left_extra, H^x>_{d1} is balanced only at the solved (d1, x),
-    so each split and term yields at most once, when ``admissible(d1, x)``:
-    (sign, w, d1, I + left_extra + H^x, J + right_extra + H^(N-x)).
+    right_extra), degrees weight*d1 + d2 = d with d1, d2 >= 1 and diagonal
+    classes H^x x H^(N-x) with 0 < x < N a multiple of ``weight`` (1 for a
+    complex sum, 2 for a real one).  With L = I + left_extra, the left factor
+    <L, H^x>_{d1} is balanced only at (-d1, x) = divmod(N - 2 + k(L) - sum(L),
+    N + 1), so each split and term yields at most once:
+    (sign * w, d1, d2, I + left_extra + H^x, J + right_extra + H^(N-x)).
     """
+    solved = [(sign, N - 2 + len(left) - sum(left), left, right) for sign, left, right in terms]
     for I, J, w in splits:
-        k, total = I.k, I.total_codim
-        for sign, left_extra, right_extra in terms:
-            d1, x = solve_left_factor(N, k + len(left_extra), total + sum(left_extra))
-            if admissible(d1, x):
-                yield sign, w, d1, I.add_all(left_extra + (x,)), J.add_all(right_extra + (N - x,))
+        gap = I[1] - I[2]
+        for sign, shift, left_extra, right_extra in solved:
+            q, x = divmod(shift + gap, N + 1)
+            if 0 < -weight * q < d and 0 < x < N and x % weight == 0:
+                yield (sign * w, -q, d + weight * q,
+                       I.add_all(left_extra + (x,)), J.add_all(right_extra + (N - x,)))
 
 
 def real_dimension_gap(key: RealKey) -> int:
@@ -273,23 +269,22 @@ def enumerate_splits(
     yielded weight is the product over classes of C(m_c, i_c) * w^{i_c}, so
     the weights of all splits sum to (1 + w)^k.
     """
-    classes, k, total = cv.pairs, cv.k, cv.total_codim
-    tables = []
-    for c, m in classes:
-        tables.append(
-            [(i, binomial(m, i) * per_element_weight**i) for i in range(m + 1)]
-        )
-    for combo in product(*tables):
+    k, total = cv.k, cv.total_codim
+    # One choice per count i of a class (c, m): (I pair, J pair, i, c*i, weight).
+    choices = [[((c, i) if i else None, (c, m - i) if i < m else None, i, c * i,
+                 binomial(m, i) * per_element_weight**i) for i in range(m + 1)]
+               for c, m in cv.pairs]
+    for combo in product(*choices):
         weight, ik, itotal = 1, 0, 0
         ipairs: list[tuple[int, int]] = []
         jpairs: list[tuple[int, int]] = []
-        for (c, m), (i, wi) in zip(classes, combo):
+        for ipair, jpair, i, ci, wi in combo:
             weight *= wi
-            if i:
-                ipairs.append((c, i))
+            if ipair:
+                ipairs.append(ipair)
                 ik += i
-                itotal += c * i
-            if i < m:
-                jpairs.append((c, m - i))
+                itotal += ci
+            if jpair:
+                jpairs.append(jpair)
         yield (_new(CodimVector, (tuple(ipairs), ik, itotal)),
                _new(CodimVector, (tuple(jpairs), k - ik, total - itotal)), weight)

@@ -34,8 +34,9 @@ weighted 2 per element routed into I:
 where <...>^C are complex invariants of P^{2n-1} evaluated by the shared
 complex engine.  This sum and the one in ``theorem12_residual`` are
 evaluated only at the one (d1, 2i) per split and term that balances the
-complex factor (``keys.degeneration_terms``).  Only step-6 results are
-memoized, keyed on (n, d, core insertions).
+complex factor (``keys.degeneration_terms(N, d, splits, 2, terms)``, with
+splits weighted 2 per element in I).  Only step-6 results are memoized,
+keyed on (n, d, core insertions).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .complex_engine import ComplexEvalContext, EvalContext, deep_recursion
-from .keys import CodimVector, RealKey, degeneration_terms, enumerate_splits
+from .keys import CodimVector, RealKey, _new, degeneration_terms, enumerate_splits
 
 __all__ = [
     "RealEvalContext",
@@ -74,7 +75,7 @@ def real_rules(n: int, d: int, cv: CodimVector) -> int | CodimVector:
     m = min(pairs[0][1], k - 1) if pairs[0][0] == 1 else 0
     if k - m == 1:  # rule 5, on the core: its one entry is the largest of cv
         return 1 if d == 1 and pairs[-1][0] == top else 0
-    return cv.remove(1, m) if m else cv
+    return _new(CodimVector, (pairs[1:], k - m, total - m)) if m else cv
 
 
 class RealEvalContext(EvalContext):
@@ -129,23 +130,12 @@ def recursion_step(
     nd = depth + 1
     total = d * ctx.evaluate(n, d, rest.add(c1 + c2 - 1), nd)
     terms = ((1, (c1 - 1, c2), ()), (-1, (c1 - 1,), (c2,)))
-    for sign, w, d1, left, right in _real_terms(N, d, rest, terms):
-        d2 = d - 2 * d1
+    for w, d1, d2, left, right in degeneration_terms(N, d, enumerate_splits(rest, 2), 2, terms):
         t = ctx.complex_ctx.evaluate(N, d1, left, nd)
         if t:
             t *= ctx.evaluate(n, d2, right, nd)
-            total += sign * w * (d2 if sign > 0 else d1) * t
+            total += (d2 if w > 0 else d1) * w * t
     return total
-
-
-def _real_terms(N: int, d: int, rest: CodimVector, terms):
-    """``degeneration_terms`` of a real sum: 2*d1 + d2 = d with d1, d2 >= 1.
-
-    Its diagonal classes are H^x x H^(N-x) with x = 2i, 0 < i < n; the solved
-    x never exceeds N = 2n-1, so even and positive is enough.
-    """
-    return degeneration_terms(N, enumerate_splits(rest, 2), terms,
-                              lambda d1, x: 0 < 2 * d1 < d and x > 0 and x % 2 == 0)
 
 
 @deep_recursion
@@ -184,8 +174,8 @@ def theorem12_residual(
     N = 2 * n - 1
     rhs = 0
     terms = ((1, (2 * c, c1), (c2,)), (-1, (2 * c, c2), (c1,)))
-    for sign, w, d1, left, right in _real_terms(N, d, rest, terms):
+    for w, d1, d2, left, right in degeneration_terms(N, d, enumerate_splits(rest, 2), 2, terms):
         t = ctx.complex_ctx.evaluate(N, d1, left)
         if t:
-            rhs += sign * w * t * ctx.evaluate(n, d - 2 * d1, right)
+            rhs += w * t * ctx.evaluate(n, d2, right)
     return lhs - rhs

@@ -106,6 +106,24 @@ def test_malformed_codims_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["complex", "--dim", "3", "--d", "1", "--codims", "3_0,3"],
+    ["real", "--n", "2", "--d", "٣", "--codims", "3,3,3"],  # Arabic-Indic 3
+    ["complex", "--dim", "0_3", "--d", "1", "--codims", "3,3"],
+    ["real", "--n", "2", "--d", "3", "--codims", "３,3,3"],  # fullwidth 3
+    ["real", "--n", "2", "--d", "+3", "--codims", "3,3,3"],
+    ["complex", "--dim", "3", "--d", " 1", "--codims", "3,3"],
+    ["table1", "--dmax", "1_0"],
+])
+def test_integers_are_ascii_digits_only(capsys, argv):
+    # int() alone would read each of these as a number.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert len([line for line in captured.err.splitlines() if "error" in line]) == 1
+
+
 def test_out_of_domain_n_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["real", "--n", "0", "--d", "3", "--codims", "3,3,3"])

@@ -6,7 +6,9 @@ slots the pivot or designation picked.  Random keys under random choices
 reach solved values that the hand-picked samples do not.  The divisor axiom
 is checked through one explicit step, because evaluation itself peels
 divisors by that axiom.  ``CodimVector`` keeps its stored insertion count and
-total codimension in step with its pairs under every operation.
+total codimension in step with its pairs under every operation.  The solved
+degeneration sum yields exactly the balanced terms that a plain loop over
+every degree and diagonal class finds.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from gwcount import (
     eval_real,
 )
 from gwcount.complex_engine import wdvv_step
+from gwcount.keys import complex_dimension_gap, degeneration_terms, enumerate_splits
 from gwcount.real_engine import recursion_step
 
 from test_complex_engine import _random_pivot_rule
@@ -160,3 +163,38 @@ def test_codim_vector_keeps_k_and_total_in_step(start, ops):
     for name in ("pairs", "k", "total_codim", "other"):
         with pytest.raises(AttributeError):
             setattr(cv, name, 0)
+
+
+@st.composite
+def degeneration_sums(draw):
+    """(N, d, S, weight, terms) of a complex (weight 1) or real (weight 2) sum."""
+    N = draw(st.integers(2, 7))
+    weight = draw(st.sampled_from((1, 2) if N % 2 else (1,)))
+    d = draw(st.integers(1, 9))
+    S = CodimVector.from_entries(draw(st.lists(st.integers(1, N), max_size=5)))
+    extras = st.lists(st.integers(0, N), max_size=2).map(tuple)
+    terms = ((1, draw(extras), draw(extras)), (-1, draw(extras), draw(extras)))
+    return N, d, S, weight, terms
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=degeneration_sums())
+@example(case=(3, 5, CodimVector.of(3, 1), 1, ((1, (2, 3), (3,)), (-1, (2,), (3, 3)))))
+@example(case=(5, 7, CodimVector.of(5, 3, 3), 2, ((1, (4, 5), ()), (-1, (4,), (5,)))))
+def test_degeneration_terms_match_a_plain_loop(case):
+    N, d, S, weight, terms = case
+    expected = []
+    for I, J, w in enumerate_splits(S, weight):
+        for sign, left_extra, right_extra in terms:
+            for d1 in range(1, d):
+                for x in range(1, N):
+                    if weight * d1 >= d or x % weight:
+                        continue
+                    left = I.add_all(left_extra + (x,))
+                    if complex_dimension_gap(ComplexKey(N=N, d=d1, insertions=left)) == 0:
+                        right = J.add_all(right_extra + (N - x,))
+                        expected.append((sign * w, d1, d - weight * d1, left, right))
+    got = list(degeneration_terms(N, d, enumerate_splits(S, weight), weight, terms))
+    # Tuples of the vectors, so that the stored k and total codimension match too.
+    assert [(*t[:3], tuple(t[3]), tuple(t[4])) for t in got] == \
+        [(*t[:3], tuple(t[3]), tuple(t[4])) for t in expected]

@@ -16,6 +16,7 @@ from gwcount import (
 )
 from gwcount.p3 import real_codim_vectors
 from gwcount.real_engine import recursion_step
+from gwcount.tables import table2_rows
 
 from golden import TABLE1, TABLE2_P5, TABLE2_P7
 
@@ -222,3 +223,29 @@ def test_shared_complex_context_is_used():
     R(ctx, 2, 5, 3, 3, 3, 3, 3)
     assert ctx.complex_ctx is cctx
     assert len(cctx.memo) > 0
+
+
+def _counters(ctx):
+    return tuple(ctx.stats()[name] for name in ("calls", "memo_hits", "deep_evals", "memo_size"))
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_engine_counters_on_the_p7_sweep(order):
+    # Every balanced P^7 key of odd degree <= 9 in one context pair.  Each
+    # memo key is expanded once, by the same calls, so the totals do not
+    # depend on the order of the keys.
+    keys = [RealKey(n=4, d=d, insertions=cv) for d in (1, 3, 5, 7, 9)
+            for cv in real_codim_vectors(4, d)]
+    assert len(keys) == 94
+    ctx = RealEvalContext()
+    for key in keys[::order]:
+        eval_real(key, ctx)
+    assert _counters(ctx.complex_ctx) == (25_757, 24_240, 483, 483)
+    assert _counters(ctx) == (2_374, 2_140, 93, 93)
+
+
+def test_engine_counters_of_table2_p5():
+    ctx = RealEvalContext()
+    table2_rows("p5", ctx)
+    assert _counters(ctx.complex_ctx) == (1_716, 1_454, 66, 66)
+    assert _counters(ctx) == (296, 231, 23, 23)
