@@ -3,15 +3,15 @@
 Each suite returns a CheckReport; the CLI prints one line per check and
 exits nonzero when anything fails.  The suites:
 
-  parity         every dimension-balanced real invariant of P^3/P^5 at small
-                 odd degree is odd and nonzero
+  parity         every dimension-balanced real invariant of P^3, P^5, P^7 and
+                 P^9 at small odd degree is odd and nonzero
   mod4           mod-4 congruences of the three P^3 families up to d = 31
   wdvv-identity  the codimension-transfer identity has zero residual on a
                  fixed grid of sample tuples
   cross-dim      equalities between invariants of different targets that
                  share a count (degree-1 collapses, P^5/P^7 coincidences)
-  divisor        divisor relation <..., 1>_d = d * <...>_d on seeded random
-                 keys, both engines
+  divisor        divisor relation <..., 1>_d = d * <...>_d on seeded balanced
+                 keys of both engines, the left side one explicit step each
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from collections.abc import Iterable
 
 from .complex_engine import ComplexEvalContext, canonical_pivot, wdvv_step
 from .keys import CodimVector, RealKey
-from .p3 import congruence_mod4_report, parity_report, real_series_p3
+from .p3 import (complex_codim_vectors, congruence_mod4_report, parity_report,
+                 real_codim_vectors, real_series_p3)
 from .real_engine import (RealEvalContext, canonical_designation, eval_real, recursion_step,
                           theorem12_residual)
 from .reports import CheckReport
@@ -44,13 +45,8 @@ _SAMPLE_LISTS = {
 
 def theorem12_samples() -> list[tuple[int, int, int, tuple[int, ...]]]:
     """Fixed grid of (n, d, c, c_list) tuples; 60 in total."""
-    out = []
-    for n in (2, 3):
-        for d in (1, 3, 5):
-            for c in (1, 2):
-                for c_list in _SAMPLE_LISTS[n]:
-                    out.append((n, d, c, c_list))
-    return out
+    return [(n, d, c, c_list) for n in (2, 3) for d in (1, 3, 5) for c in (1, 2)
+            for c_list in _SAMPLE_LISTS[n]]
 
 
 def wdvv_identity_report(ctx: RealEvalContext | None = None) -> CheckReport:
@@ -107,44 +103,38 @@ def divisor_report(
     cctx: ComplexEvalContext | None = None,
     rctx: RealEvalContext | None = None,
 ) -> CheckReport:
-    """Divisor relation on seeded random keys of both engines.
+    """Divisor relation <cv, 1>_d = d * <cv>_d on seeded balanced keys, both engines.
 
-    Appending a divisor insertion leaves the dimension gap unchanged, so the
-    relation <ins + {1}>_d = d * <ins>_d holds whether or not the key is
-    dimension-balanced.  Where the key has a pivot's or designation's slots,
-    the left side is one explicit step, not ``EvalContext.evaluate``'s peel.
+    Each trial draws (dim, d), then a balanced key with at least a pivot's 3
+    (complex) or a designated pair's 2 (real) slots; the real (2, 1) has only
+    <3> and is not drawn.  The left side is one explicit step on the canonical
+    slots of cv, so the divisor enters the step's own terms, not a driver peel.
     """
     rng = random.Random(seed)
     if cctx is None:
         cctx = ComplexEvalContext()
     if rctx is None:
         rctx = RealEvalContext(cctx)
+    engines = (
+        (cctx, "complex N", [(N, d) for N in (3, 5) for d in (1, 2, 3)], complex_codim_vectors,
+         wdvv_step, canonical_pivot, 3),
+        (rctx, "real n", [(2, 3), (2, 5), (3, 1), (3, 3), (3, 5)], real_codim_vectors,
+         recursion_step, canonical_designation, 2),
+    )
     report = CheckReport("divisor relation")
     for t in range(trials):
-        if t % 2 == 0:
-            dim = rng.choice((3, 5))
-            d = rng.randint(1, 3)
-            entries = [rng.randint(2, dim) for _ in range(rng.randint(1, 4))]
-            ctx, label = cctx, f"complex N={dim}"
-            step, slots, rule = wdvv_step, 3, canonical_pivot
-        else:
-            dim = rng.choice((2, 3))
-            d = rng.choice((1, 3, 5))
-            odd_choices = tuple(range(3, 2 * dim, 2))
-            entries = [rng.choice(odd_choices) for _ in range(rng.randint(1, 4))]
-            ctx, label = rctx, f"real n={dim}"
-            step, slots, rule = recursion_step, 2, canonical_designation
-        cv = CodimVector.from_entries(entries)
-        plus = cv.add(1)
-        lhs = step(dim, d, plus, rule(cv), ctx) if cv.k >= slots else ctx.evaluate(dim, d, plus)
-        rhs = d * ctx.evaluate(dim, d, cv)
-        report.check_equal(f"{label} d={d} <{cv}>+1", rhs, lhs)
+        ctx, label, targets, vectors, step, rule, slots = engines[t % 2]
+        dim, d = rng.choice(targets)
+        cv = rng.choice([cv for cv in vectors(dim, d) if cv.k >= slots])
+        lhs = step(dim, d, cv.add(1), rule(cv), ctx)
+        report.check_equal(f"{label}={dim} d={d} <{cv}>+1", d * ctx.evaluate(dim, d, cv), lhs)
     return report
 
 
 def _parity_reports() -> list[CheckReport]:
     ctx = RealEvalContext()
-    return [parity_report(n, (1, 3, 5, 7), ctx) for n in (2, 3)]
+    degrees = {2: (1, 3, 5, 7), 3: (1, 3, 5, 7), 4: (1, 3, 5, 7, 9), 5: (1, 3, 5)}
+    return [parity_report(n, ds, ctx) for n, ds in degrees.items()]
 
 
 # Suite name -> function returning its reports, in ``gw check`` order.

@@ -74,11 +74,10 @@ def canonical_pivot(cv: CodimVector) -> tuple[int, int, int]:
     Returns (a+1, c, e) where a+1 is the minimal codimension, e the maximal
     one, and c the largest codimension among the remaining insertions.
     """
-    a1 = cv.min_codim
-    rest = cv.remove(a1)
-    e = rest.max_codim
-    c = rest.remove(e).max_codim
-    return a1, c, e
+    if cv.k < 3:
+        raise ValueError(f"a pivot needs 3 insertions, got {cv.k}")
+    e = cv.expand()
+    return e[0], e[-2], e[-1]
 
 
 def complex_rules(N: int, d: int, cv: CodimVector) -> int | CodimVector:

@@ -21,9 +21,11 @@ seeded by N^R_1 = 1.  These closed forms are the independent oracle against
 which the general recursion engines are checked, and they extend cheaply to
 d = 31 and beyond.
 
-The module also hosts two structural reports: the mod-4 congruences of all
-three families, and the odd-and-nonzero parity property of real invariants
-of P^3 and P^5, evaluated through the general real engine.
+The module also hosts the one enumerator of dimension-balanced keys of both
+engines (``real_codim_vectors``, ``complex_codim_vectors``) and two
+structural reports: the mod-4 congruences of all three families, and the
+odd-and-nonzero parity property of real invariants of P^(2n-1), evaluated
+through the general real engine.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .real_engine import RealEvalContext, eval_real
 from .reports import CheckReport
 
 __all__ = [
+    "complex_codim_vectors",
     "complex_series_p3",
     "congruence_mod4_report",
     "parity_report",
@@ -110,22 +113,28 @@ def congruence_mod4_report(dmax: int = 31) -> CheckReport:
     return report
 
 
-def _base_vectors(n: int, target: int) -> Iterator[list[int]]:
-    """Multisets of odd entries in [3, 2n-1] with sum of (entry - 1) = target."""
+def _base_vectors(top: int, step: int, target: int) -> Iterator[list[int]]:
+    """Multisets of entries top, top - step, ... >= 2 with sum of (entry - 1) = target."""
 
     def rec(value: int, remaining: int, acc: list[int]) -> Iterator[list[int]]:
         if remaining == 0:
             yield list(acc)
             return
-        if value < 3:
+        if value < 2:
             return
         weight = value - 1
         for count in range(remaining // weight, -1, -1):
             acc.extend([value] * count)
-            yield from rec(value - 2, remaining - count * weight, acc)
+            yield from rec(value - step, remaining - count * weight, acc)
             del acc[len(acc) - count:]
 
-    yield from rec(2 * n - 1, target, [])
+    yield from rec(top, target, [])
+
+
+def complex_codim_vectors(N: int, d: int) -> Iterator[CodimVector]:
+    """All dimension-balanced codimension vectors for (N, d) with entries in [2, N]."""
+    for base in _base_vectors(N, 1, (N + 1) * d + N - 3):
+        yield CodimVector.from_entries(base)
 
 
 def real_codim_vectors(n: int, d: int, max_ones: int = 0) -> Iterator[CodimVector]:
@@ -136,8 +145,7 @@ def real_codim_vectors(n: int, d: int, max_ones: int = 0) -> Iterator[CodimVecto
     preserves the dimension balance, so the full family is infinite and the
     divisor relation reduces every padded vector to its base).
     """
-    target = n * (d + 1) - 2
-    for base in _base_vectors(n, target):
+    for base in _base_vectors(2 * n - 1, 2, n * (d + 1) - 2):
         cv = CodimVector.from_entries(base)
         yield cv
         for ones in range(1, max_ones + 1):

@@ -8,14 +8,14 @@ involutions on P^{2n-1}, so the ``phi`` tag on keys never enters evaluation.
 
 Evaluation applies the first matching rule; ``real_rules`` states rules 1-5
 and the driver (``EvalContext.evaluate``) applies the divisor peel as the
-factor d^m':
+factor d^m:
 
   1. d even, or some c_i even     -> 0 (conjugation-odd configurations cancel)
   2. some c_i > 2n-1              -> 0
   3. nonzero dimension gap        -> 0
-  4. m entries c_i = 1 and k >= 2 -> d^m' * <rest>_d with m' = min(m, k-1)
-                                     (divisor relation, applied to m'
-                                     divisors at once; it needs k >= 2)
+  4. m entries c_i = 1            -> d^m * <rest>_d (divisor relation,
+                                     applied to all m divisors at once;
+                                     balance leaves rest an entry above 1)
   5. k = 1                        -> 1 iff d = 1 and c_1 = 2n-1, else 0
   6. otherwise                    -> one step of the degree-lowering
                                      recursion (below)
@@ -60,9 +60,10 @@ DesignationRule = Callable[[CodimVector], tuple[int, int]]
 
 def canonical_designation(cv: CodimVector) -> tuple[int, int]:
     """Default designated pair: the largest entry, then the largest remaining."""
-    c1 = cv.max_codim
-    c2 = cv.remove(c1).max_codim
-    return c1, c2
+    if cv.k < 2:
+        raise ValueError(f"a designated pair needs 2 insertions, got {cv.k}")
+    e = cv.expand()
+    return e[-1], e[-2]
 
 
 def real_rules(n: int, d: int, cv: CodimVector) -> int | CodimVector:
@@ -72,7 +73,7 @@ def real_rules(n: int, d: int, cv: CodimVector) -> int | CodimVector:
     if (d % 2 == 0 or any(c % 2 == 0 for c, _ in pairs) or pairs and pairs[-1][0] > top
             or n * (d + 1) - 2 + k - total):
         return 0
-    m = min(pairs[0][1], k - 1) if pairs[0][0] == 1 else 0
+    m = pairs[0][1] if pairs[0][0] == 1 else 0
     if k - m == 1:  # rule 5, on the core: its one entry is the largest of cv
         return 1 if d == 1 and pairs[-1][0] == top else 0
     return _new(CodimVector, (pairs[1:], k - m, total - m)) if m else cv

@@ -106,6 +106,14 @@ def test_malformed_codims_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_negative_codimension_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["complex", "--dim", "3", "--d", "1", "--codims", "2,-2"])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "argument --codims: codimensions must be >= 0" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["complex", "--dim", "3", "--d", "1", "--codims", "3_0,3"],
     ["real", "--n", "2", "--d", "٣", "--codims", "3,3,3"],  # Arabic-Indic 3
@@ -164,6 +172,21 @@ def test_table1_respects_limit(capsys):
     assert code == 0
 
 
+def test_table1_engine_disagreement_is_one_error_line(capsys, monkeypatch):
+    from gwcount import tables
+    real_series_p3 = tables.real_series_p3
+
+    def off_by_one_at_3(dmax):
+        series = real_series_p3(dmax)
+        series[3] += 1
+        return series
+
+    monkeypatch.setattr(tables, "real_series_p3", off_by_one_at_3)
+    code, out, err = run(capsys, "table1", "--dmax", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: table1 engines disagree: d=3: closed 2 vs general 1\n"
+
+
 def test_table2_json_row_counts(capsys):
     code, out, _ = run(capsys, "table2", "--space", "p5", "--format", "json")
     assert code == 0
@@ -199,7 +222,7 @@ def test_suite_registry_names_every_suite_once():
     from gwcount.checks import SUITES, run_suites
     assert list(SUITES) == ["parity", "mod4", "wdvv-identity", "cross-dim", "divisor"]
     assert [r.suite for r in run_suites(["mod4", "parity"])] == [
-        "mod4 congruences, d <= 31", "parity, n=2", "parity, n=3"]
+        "mod4 congruences, d <= 31", "parity, n=2", "parity, n=3", "parity, n=4", "parity, n=5"]
     with pytest.raises(ValueError, match="unknown suite 'bogus'"):
         run_suites(["bogus"])
 

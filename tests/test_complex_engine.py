@@ -217,6 +217,9 @@ def test_canonical_pivot_selection():
     assert canonical_pivot(CodimVector.of(2, 3, 5)) == (2, 3, 5)
     assert canonical_pivot(CodimVector.of(3, 3, 3)) == (3, 3, 3)
     assert canonical_pivot(CodimVector.of(2, 2, 4, 5)) == (2, 4, 5)
+    for short in (CodimVector(), CodimVector.of(3), CodimVector.of(2, 3)):
+        with pytest.raises(ValueError, match="a pivot needs 3 insertions"):
+            canonical_pivot(short)
 
 
 def test_table_shaped_p3_values_nonnegative():

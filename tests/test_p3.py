@@ -8,7 +8,7 @@ from gwcount import (
     parity_report,
     real_series_p3,
 )
-from gwcount.p3 import real_codim_vectors
+from gwcount.p3 import complex_codim_vectors, real_codim_vectors
 
 from golden import COMPLEX_P3_N, COMPLEX_P3_NTILDE, TABLE1
 
@@ -72,6 +72,31 @@ def test_real_codim_vector_enumeration():
     # n=3, d=3: 2a + 4b = 10 over entries {3, 5}
     vecs = {cv.expand() for cv in real_codim_vectors(3, 3)}
     assert vecs == {(3, 5, 5), (3, 3, 3, 5), (3, 3, 3, 3, 3)}
+
+
+def _balanced_by_brute_force(top, step, target):
+    # Every exponent vector over the entries top, top - step, ... >= 2.
+    entries = list(range(top, 1, -step))
+    out = [()]
+    for c in entries:
+        out = [e + (m,) for e in out for m in range(target // (c - 1) + 1)]
+    return sorted((e for e in out if sum(m * (c - 1) for c, m in zip(entries, e)) == target),
+                  reverse=True), entries
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_complex_codim_vectors_are_all_balanced_keys_in_descending_order(N, d):
+    want, entries = _balanced_by_brute_force(N, 1, (N + 1) * d + N - 3)
+    got = [tuple(cv.multiplicity(c) for c in entries) for cv in complex_codim_vectors(N, d)]
+    assert got == want
+
+
+@pytest.mark.parametrize("n, d", [(2, 5), (3, 5), (4, 3), (5, 3)])
+def test_real_codim_vectors_are_all_balanced_keys_in_descending_order(n, d):
+    want, entries = _balanced_by_brute_force(2 * n - 1, 2, n * (d + 1) - 2)
+    got = [tuple(cv.multiplicity(c) for c in entries) for cv in real_codim_vectors(n, d)]
+    assert got == want
 
 
 def test_parity_report_p3():

@@ -141,6 +141,9 @@ def test_canonical_designation_selection():
     assert canonical_designation(CodimVector.of(3, 5, 5)) == (5, 5)
     assert canonical_designation(CodimVector.of(3, 3)) == (3, 3)
     assert canonical_designation(CodimVector.of(7, 5, 3)) == (7, 5)
+    for short in (CodimVector(), CodimVector.of(3)):
+        with pytest.raises(ValueError, match="a designated pair needs 2 insertions"):
+            canonical_designation(short)
 
 
 def test_recursion_step_agrees_with_divisor_route():
