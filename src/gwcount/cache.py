@@ -8,10 +8,11 @@ Each record is one line::
 preceded by the header line ``#gw-cache v1``.  In memory there is one dict
 per kind, keyed exactly like the engine memos by (dimension, degree, sorted
 (codim, multiplicity) pairs), so warming is a ``dict.update`` and ``absorb``
-counts the records an engine added.  Files are sorted by (kind, dimension,
-degree, codimensions), so a load/save round trip is byte-identical, and a
-save replaces the file atomically.  The store only ever replays values into
-engine memos; it never changes what an engine would compute.
+counts the records the engines added; both take the complex and the real
+context.  Files are sorted by (kind, dimension, degree, codimensions), so a
+load/save round trip is byte-identical, and a save replaces the file
+atomically.  The store only ever replays values into engine memos; it never
+changes what an engine would compute.
 
 ``stored_value`` answers one query from the file text alone.  Like warming,
 it trusts the stored value; it checks the whole file's syntax against the
@@ -34,7 +35,7 @@ from collections.abc import Iterable
 from itertools import groupby
 
 from .complex_engine import ComplexEvalContext, MemoKey, complex_rules
-from .keys import CodimVector, ComplexKey, RealKey
+from .keys import CodimVector, ComplexKey, RealKey, expand_pairs
 from .real_engine import RealEvalContext, real_rules
 
 __all__ = [
@@ -80,10 +81,6 @@ def _memo_key(key: ComplexKey | RealKey) -> tuple[str, MemoKey]:
         if isinstance(key, key_type):  # phi is metadata: both involutions share one record
             return kind, (key[0], key.d, key.insertions.pairs)
     raise TypeError(f"expected ComplexKey or RealKey, got {type(key).__name__}")
-
-
-def _expand(pairs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    return sum(((c,) * m for c, m in pairs), ())
 
 
 def record_line(kind: str, dim: int, d: int, entries: tuple[int, ...], value: int | str) -> str:
@@ -162,7 +159,7 @@ class CacheStore:
                 dim, d, pairs = memo_key
                 raise CacheIntegrityError(
                     f"conflicting values for {kind} dim={dim} d={d} "
-                    f"c={','.join(map(str, _expand(pairs)))}: had {existing}, got {value}"
+                    f"c={','.join(map(str, expand_pairs(pairs)))}: had {existing}, got {value}"
                 )
         return len(records) - before
 
@@ -175,26 +172,21 @@ class CacheStore:
 
     # -- engine memo interchange ------------------------------------------
 
-    def warm(self, cctx: ComplexEvalContext | None = None,
-             rctx: RealEvalContext | None = None) -> None:
+    def warm(self, cctx: ComplexEvalContext, rctx: RealEvalContext) -> None:
         """Replay stored records into engine memos (idempotent)."""
-        if cctx is not None:
-            cctx.memo.update(self.records["C"])
-        if rctx is not None:
-            rctx.memo.update(self.records["R"])
+        cctx.memo.update(self.records["C"])
+        rctx.memo.update(self.records["R"])
 
-    def absorb(self, cctx: ComplexEvalContext | None = None,
-               rctx: RealEvalContext | None = None) -> int:
+    def absorb(self, cctx: ComplexEvalContext, rctx: RealEvalContext) -> int:
         """Merge engine memos into the store; returns the number of new records."""
-        return sum(self._merge(kind, ctx.memo.items())
-                   for kind, ctx in (("C", cctx), ("R", rctx)) if ctx is not None)
+        return self._merge("C", cctx.memo.items()) + self._merge("R", rctx.memo.items())
 
     # -- serialization -----------------------------------------------------
 
     def sorted_records(self) -> list[tuple[str, int, int, tuple[int, ...], int]]:
         """(kind, dim, d, codims, value) of every record, in file order."""
         return [(kind, *row) for kind in ("C", "R") for row in sorted(
-            (dim, d, _expand(pairs), value)
+            (dim, d, expand_pairs(pairs), value)
             for (dim, d, pairs), value in self.records[kind].items())]
 
     def render(self) -> str:

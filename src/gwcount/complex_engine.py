@@ -40,7 +40,9 @@ rule 4.
 
 All arithmetic is exact; only the results of step 7 are memoized, keyed on
 the core (the cheap structural rules are recomputed on the fly), so the memo
-holds exactly the keys whose evaluation required a full expansion.
+holds exactly the keys whose evaluation required a full expansion.  The
+driver also holds the nesting depth of its own steps; ``max_depth`` is the
+deepest it reached, and steps of another engine's context do not count.
 """
 
 from __future__ import annotations
@@ -100,32 +102,35 @@ class EvalContext:
 
     A subclass supplies its recursion ``step`` and its pure ``rules``: the
     value of <cv>_d, or its core, ``cv`` itself or less the m divisor entries
-    the divisor relation strips, so that <cv>_d = d^m * <core>_d.  Values
-    are pure functions of the key, so concurrent insert-if-absent of identical
-    values is harmless (dict writes are atomic under the GIL): no locking.
+    the divisor relation strips, so that <cv>_d = d^m * <core>_d.  The memo
+    and the depth are not locked, and ``deep_recursion`` sets the
+    process-wide recursion limit, so evaluations run in one thread at a time.
     """
 
-    __slots__ = ("memo", "calls", "hits", "deep_evals", "max_depth")
+    __slots__ = ("memo", "calls", "hits", "deep_evals", "depth", "max_depth")
 
     def __init__(self) -> None:
         self.memo: dict[MemoKey, int] = {}
         self.calls = 0
         self.hits = 0
         self.deep_evals = 0
-        self.max_depth = 0
+        self.depth = self.max_depth = 0
 
-    def evaluate(self, dim: int, d: int, cv: CodimVector, depth: int = 0) -> int:
+    def evaluate(self, dim: int, d: int, cv: CodimVector) -> int:
         """<cv>_d in one call: a divisor peel is the factor d^m, not a call."""
         self.calls += 1
-        if depth > self.max_depth:
-            self.max_depth = depth
         core = self.rules(dim, d, cv)
         if isinstance(core, int):
             return core
         memo_key = (dim, d, core[0])  # a CodimVector is (pairs, k, total_codim)
         value = self.memo.get(memo_key)
         if value is None:
-            value = self.memo[memo_key] = self.step(dim, d, core, depth)
+            self.depth += 1
+            self.max_depth = max(self.max_depth, self.depth)
+            try:
+                value = self.memo[memo_key] = self.step(dim, d, core)
+            finally:
+                self.depth -= 1
             self.deep_evals += 1
         else:
             self.hits += 1
@@ -157,8 +162,8 @@ class ComplexEvalContext(EvalContext):
         super().__init__()
         self.pivot_rule = pivot_rule or canonical_pivot
 
-    def step(self, N: int, d: int, cv: CodimVector, depth: int) -> int:
-        return wdvv_step(N, d, cv, self.pivot_rule(cv), self, depth)
+    def step(self, N: int, d: int, cv: CodimVector) -> int:
+        return wdvv_step(N, d, cv, self.pivot_rule(cv), self)
 
 
 def deep_recursion(evaluate: Callable[..., int]) -> Callable[..., int]:
@@ -188,7 +193,6 @@ def wdvv_step(
     cv: CodimVector,
     pivot: tuple[int, int, int],
     ctx: ComplexEvalContext,
-    depth: int = 0,
 ) -> int:
     """One solved step of the exchange relation with an explicit pivot.
 
@@ -202,14 +206,13 @@ def wdvv_step(
         raise ValueError(f"inadmissible pivot: donor {a1} exceeds receiver {e}")
     S = cv.remove(a1).remove(c).remove(e)
     a = a1 - 1
-    nd = depth + 1
-    total = d * ctx.evaluate(N, d, S.add_all((a + c, e)), nd)
-    total += ctx.evaluate(N, d, S.add_all((a, c, e + 1)), nd)
-    total -= d * ctx.evaluate(N, d, S.add_all((a, c + e)), nd)
+    total = d * ctx.evaluate(N, d, S.add_all((a + c, e)))
+    total += ctx.evaluate(N, d, S.add_all((a, c, e + 1)))
+    total -= d * ctx.evaluate(N, d, S.add_all((a, c + e)))
     terms = ((1, (a, c), (e,)), (-1, (a,), (c, e)))
     for w, d1, d2, left, right in degeneration_terms(N, d, enumerate_splits(S, 1), 1, terms):
-        t = ctx.evaluate(N, d1, left, nd)
+        t = ctx.evaluate(N, d1, left)
         if t:
-            t *= ctx.evaluate(N, d2, right, nd)
+            t *= ctx.evaluate(N, d2, right)
             total += (d2 if w > 0 else d1) * w * t
     return total

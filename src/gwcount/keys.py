@@ -27,6 +27,7 @@ __all__ = [
     "complex_dimension_gap",
     "degeneration_terms",
     "enumerate_splits",
+    "expand_pairs",
     "real_dimension_gap",
 ]
 
@@ -43,6 +44,14 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def expand_pairs(pairs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """The entries of sorted (codim, multiplicity) pairs, each repeated."""
+    out: list[int] = []
+    for c, m in pairs:
+        out.extend([c] * m)
+    return tuple(out)
 
 
 class CodimVector(tuple):
@@ -114,10 +123,7 @@ class CodimVector(tuple):
 
     def expand(self) -> tuple[int, ...]:
         """All entries in ascending order, with repetition."""
-        out: list[int] = []
-        for c, m in self.pairs:
-            out.extend([c] * m)
-        return tuple(out)
+        return expand_pairs(self[0])
 
     def add(self, c: int, times: int = 1) -> "CodimVector":
         if times <= 0:

@@ -23,9 +23,9 @@ d = 31 and beyond.
 
 The module also hosts the one enumerator of dimension-balanced keys of both
 engines (``real_codim_vectors``, ``complex_codim_vectors``) and two
-structural reports: the mod-4 congruences of all three families, and the
-odd-and-nonzero parity property of real invariants of P^(2n-1), evaluated
-through the general real engine.
+structural reports: the mod-4 congruences of all three families up to
+d = MOD4_DMAX, and the odd-and-nonzero parity property of real invariants
+of P^(2n-1), evaluated through the general real engine.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ __all__ = [
     "real_codim_vectors",
     "real_series_p3",
 ]
+
+MOD4_DMAX = 31
 
 
 def complex_series_p3(dmax: int) -> tuple[list[int], list[int]]:
@@ -85,17 +87,17 @@ def real_series_p3(dmax: int) -> list[int]:
     return nr
 
 
-def congruence_mod4_report(dmax: int = 31) -> CheckReport:
-    """Mod-4 congruences of the three P^3 families up to degree dmax.
+def congruence_mod4_report() -> CheckReport:
+    """Mod-4 congruences of the three P^3 families up to degree MOD4_DMAX.
 
     N^R_d and N_d are congruent to 1 at odd d and to 0 at even d; Ntilde_d is
     congruent to 1 at odd d, with the even values 1 (d = 2), 2 (d = 4) and 0
     (even d >= 6).
     """
-    report = CheckReport(f"mod4 congruences, d <= {dmax}")
-    n, nt = complex_series_p3(dmax)
-    nr = real_series_p3(dmax)
-    for d in range(1, dmax + 1):
+    report = CheckReport(f"mod4 congruences, d <= {MOD4_DMAX}")
+    n, nt = complex_series_p3(MOD4_DMAX)
+    nr = real_series_p3(MOD4_DMAX)
+    for d in range(1, MOD4_DMAX + 1):
         want = 1 if d % 2 else 0
         report.check_equal(f"N^C_{d} mod 4", want, n[d] % 4)
         if d % 2:
@@ -156,14 +158,13 @@ def parity_report(
     n: int,
     d_list: tuple[int, ...] | list[int],
     ctx: RealEvalContext | None = None,
-    max_ones: int = 2,
 ) -> CheckReport:
     """Check that every dimension-balanced real invariant is odd (hence nonzero).
 
     Exhaustive over the base vectors (entries >= 3) for each odd degree in
-    ``d_list``, plus divisor-padded variants with up to ``max_ones`` entries
-    equal to 1; padding by further 1s only multiplies values by the odd
-    degree d, which preserves oddness.
+    ``d_list``, plus divisor-padded variants with one and two entries equal
+    to 1; padding by further 1s only multiplies values by the odd degree d,
+    which preserves oddness.
     """
     if ctx is None:
         ctx = RealEvalContext()
@@ -171,7 +172,7 @@ def parity_report(
     for d in d_list:
         if d % 2 == 0:
             raise ValueError("parity checks apply to odd degrees only")
-        for cv in real_codim_vectors(n, d, max_ones=max_ones):
+        for cv in real_codim_vectors(n, d, max_ones=2):
             value = eval_real(RealKey(n=n, d=d, insertions=cv), ctx)
             report.add(
                 f"n={n} d={d} <{cv}>",

@@ -101,8 +101,8 @@ class RealEvalContext(EvalContext):
         self.complex_ctx = complex_ctx if complex_ctx is not None else ComplexEvalContext()
         self.designation_rule = designation_rule or canonical_designation
 
-    def step(self, n: int, d: int, cv: CodimVector, depth: int) -> int:
-        return recursion_step(n, d, cv, self.designation_rule(cv), self, depth)
+    def step(self, n: int, d: int, cv: CodimVector) -> int:
+        return recursion_step(n, d, cv, self.designation_rule(cv), self)
 
 
 @deep_recursion
@@ -117,7 +117,6 @@ def recursion_step(
     cv: CodimVector,
     designation: tuple[int, int],
     ctx: RealEvalContext,
-    depth: int = 0,
 ) -> int:
     """One unfolding of the real recursion with an explicit designated pair.
 
@@ -128,13 +127,12 @@ def recursion_step(
     c1, c2 = designation
     rest = cv.remove(c1).remove(c2)
     N = 2 * n - 1
-    nd = depth + 1
-    total = d * ctx.evaluate(n, d, rest.add(c1 + c2 - 1), nd)
+    total = d * ctx.evaluate(n, d, rest.add(c1 + c2 - 1))
     terms = ((1, (c1 - 1, c2), ()), (-1, (c1 - 1,), (c2,)))
     for w, d1, d2, left, right in degeneration_terms(N, d, enumerate_splits(rest, 2), 2, terms):
-        t = ctx.complex_ctx.evaluate(N, d1, left, nd)
+        t = ctx.complex_ctx.evaluate(N, d1, left)
         if t:
-            t *= ctx.evaluate(n, d2, right, nd)
+            t *= ctx.evaluate(n, d2, right)
             total += (d2 if w > 0 else d1) * w * t
     return total
 

@@ -95,7 +95,7 @@ def test_criterion_3_complex_oracle_agreement(engines, capsys):
 
 def test_criterion_4_mod4_congruences(capsys):
     def body():
-        report = congruence_mod4_report(31)
+        report = congruence_mod4_report()
         assert report.ok, report.failures()[:3]
         assert report.passed_count == 108
     _report(4, "mod-4 congruences of all three families to d=31", body, capsys)

@@ -208,12 +208,12 @@ def test_absorb_detects_engine_cache_conflicts():
     cctx = ComplexEvalContext()
     eval_complex(_ckey(3, 3, 3, 3, 3, 3, 3, 3), cctx)
     store = CacheStore()
-    store.absorb(cctx)
+    store.absorb(cctx, RealEvalContext(cctx))
     # corrupt one stored value, then absorbing the honest memo must fail
     memo_key = next(iter(store.records["C"]))
     store.records["C"][memo_key] += 1
     with pytest.raises(CacheIntegrityError):
-        store.absorb(cctx)
+        store.absorb(cctx, RealEvalContext(cctx))
 
 
 def test_load_keys_records_like_the_engine_memos(tmp_path):

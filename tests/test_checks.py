@@ -13,9 +13,9 @@ class _OffPeel:
 
     __slots__ = ()
 
-    def evaluate(self, dim, d, cv, depth=0):
+    def evaluate(self, dim, d, cv):
         m = cv.multiplicity(1)
-        value = super().evaluate(dim, d, cv.remove(1, m) if m else cv, depth)
+        value = super().evaluate(dim, d, cv.remove(1, m) if m else cv)
         return (d + (d == 3)) ** m * value
 
 
@@ -35,8 +35,7 @@ def test_divisor_suite_compares_nonzero_values():
 
 
 def test_divisor_suite_fails_under_a_wrong_peel():
-    cctx = _OffComplex()
-    report = divisor_report(cctx=cctx, rctx=_OffReal(cctx))
+    report = divisor_report(rctx=_OffReal(_OffComplex()))
     assert report.failed_count > 0
     fails = [line for line in report.lines() if line.startswith("FAIL")]
     assert len(fails) == report.failed_count

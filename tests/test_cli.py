@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -216,6 +217,14 @@ def test_check_all_suites(capsys):
     code, out, _ = run(capsys, "check")
     assert code == 0
     assert out.count("0 failed") >= 6
+
+
+def test_check_stdout_is_pinned(capsys):
+    # Every suite's keys and check names; the divisor suite's seeded draws too.
+    code, out, _ = run(capsys, "check")
+    assert code == 0 and len(out.splitlines()) == 779
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3abb746d8d177a34a5162af5cbc27666d6405d0cf3f08243f9cb17ac7df5ec6e")
 
 
 def test_suite_registry_names_every_suite_once():

@@ -270,6 +270,33 @@ def test_divisor_peel_costs_no_call(engine, dim, d, divisors, core):
     assert peeled_stats == stats  # calls and max_depth included
 
 
+@pytest.mark.parametrize("N, d, twos, depth", [(3, 10, 40, 20), (5, 4, 26, 18)])
+def test_max_depth_of_deep_keys(N, d, twos, depth):
+    ctx = ComplexEvalContext()
+    eval_complex(ComplexKey(N=N, d=d, insertions=CodimVector.of(*[2] * twos)), ctx)
+    assert ctx.max_depth == depth
+
+
+def test_a_raising_pivot_rule_leaves_the_depth_at_zero():
+    key = ComplexKey(N=3, d=3, insertions=CodimVector.of(*[2] * 12))
+    fresh = ComplexEvalContext()
+    eval_complex(key, fresh)
+    raised = []
+
+    def pivot(cv):
+        if not raised:
+            raised.append(cv)
+            raise LookupError("no pivot")
+        return canonical_pivot(cv)
+
+    ctx = ComplexEvalContext(pivot)
+    with pytest.raises(LookupError):
+        eval_complex(key, ctx)
+    assert ctx.depth == 0 and not ctx.memo
+    assert eval_complex(key, ctx) == eval_complex(key, fresh)
+    assert ctx.max_depth == fresh.max_depth > 1
+
+
 def test_recursion_limit_is_raised_only_while_an_evaluation_runs():
     saved = sys.getrecursionlimit()
     sys.setrecursionlimit(1500)

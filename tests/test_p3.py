@@ -52,7 +52,7 @@ def test_series_rejects_bad_dmax():
 
 
 def test_congruence_mod4_report():
-    report = congruence_mod4_report(31)
+    report = congruence_mod4_report()
     assert report.ok, report.failures()[:5]
     # three families per degree, plus the vanishing checks at even degree
     assert len(report.results) == 3 * 31 + 15

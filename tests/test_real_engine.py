@@ -236,7 +236,8 @@ def _counters(ctx):
 def test_engine_counters_on_the_p7_sweep(order):
     # Every balanced P^7 key of odd degree <= 9 in one context pair.  Each
     # memo key is expanded once, by the same calls, so the totals do not
-    # depend on the order of the keys.
+    # depend on the order of the keys.  How deep each engine's own steps
+    # nest does: in reverse order the deep keys come first.
     keys = [RealKey(n=4, d=d, insertions=cv) for d in (1, 3, 5, 7, 9)
             for cv in real_codim_vectors(4, d)]
     assert len(keys) == 94
@@ -245,6 +246,7 @@ def test_engine_counters_on_the_p7_sweep(order):
         eval_real(key, ctx)
     assert _counters(ctx.complex_ctx) == (25_757, 24_240, 483, 483)
     assert _counters(ctx) == (2_374, 2_140, 93, 93)
+    assert (ctx.complex_ctx.max_depth, ctx.max_depth) == {1: (6, 1), -1: (7, 14)}[order]
 
 
 def test_engine_counters_of_table2_p5():
@@ -252,3 +254,4 @@ def test_engine_counters_of_table2_p5():
     table2_rows("p5", ctx)
     assert _counters(ctx.complex_ctx) == (1_716, 1_454, 66, 66)
     assert _counters(ctx) == (296, 231, 23, 23)
+    assert (ctx.complex_ctx.max_depth, ctx.max_depth) == (3, 1)
