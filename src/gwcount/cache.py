@@ -6,13 +6,13 @@ Each record is one line::
     gw1|R|n=<int>|d=<int>|c=<c1,c2,...>|v=<decimal>
 
 preceded by the header line ``#gw-cache v1``.  In memory there is one dict
-per kind, keyed exactly like the engine memos by (dimension, degree, sorted
-(codim, multiplicity) pairs), so warming is a ``dict.update`` and ``absorb``
+per kind, keyed exactly like the engine memos by (dimension, degree, packed
+code of the codimensions), so warming is a ``dict.update`` and ``absorb``
 counts the records the engines added; both take the complex and the real
-context.  Files are sorted by (kind, dimension, degree, codimensions), so a
-load/save round trip is byte-identical, and a save replaces the file
-atomically.  The store only ever replays values into engine memos; it never
-changes what an engine would compute.
+context.  Files are sorted by (kind, dimension, degree, codimensions), decoded
+from the codes, so a load/save round trip is byte-identical, and a save
+replaces the file atomically.  The store only ever replays values into engine
+memos; it never changes what an engine would compute.
 
 ``stored_value`` answers one query from the file text alone.  Like warming,
 it trusts the stored value; it checks the whole file's syntax against the
@@ -22,9 +22,9 @@ engine's own rule function).  Anything else is left to the full parse:
 ``load`` reads the file again and ``parse`` matches each line against the
 record grammar ``_RECORD``, which also accepts leading zeros in every number
 and a ``-`` on the dimension, degree and value; any other spelling (a ``+``,
-a space, an underscore) is a malformed record.  The full parse checks sort
-order and conflicts and accepts unmemoized keys; ``gw cache verify`` rejects
-them.
+a space, an underscore) is a malformed record, as are codimensions no vector
+holds.  The full parse checks sort order and conflicts and accepts
+unmemoized keys; ``gw cache verify`` rejects them.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from __future__ import annotations
 import os
 import re
 from collections.abc import Iterable
-from itertools import groupby
 
 from .complex_engine import ComplexEvalContext, MemoKey, complex_rules
-from .keys import CodimVector, ComplexKey, RealKey, expand_pairs
+from .keys import B, MAX_CODIM, MAX_INSERTIONS, CodimVector, ComplexKey, RealKey, expand_code
 from .real_engine import RealEvalContext, real_rules
 
 __all__ = [
@@ -79,7 +78,7 @@ class CacheIntegrityError(CacheError):
 def _memo_key(key: ComplexKey | RealKey) -> tuple[str, MemoKey]:
     for kind, (key_type, _) in _ENGINES.items():
         if isinstance(key, key_type):  # phi is metadata: both involutions share one record
-            return kind, (key[0], key.d, key.insertions.pairs)
+            return kind, (key[0], key.d, key.insertions[0])
     raise TypeError(f"expected ComplexKey or RealKey, got {type(key).__name__}")
 
 
@@ -156,10 +155,10 @@ class CacheStore:
         for memo_key, value in items:
             existing = records.setdefault(memo_key, value)
             if existing != value:
-                dim, d, pairs = memo_key
+                dim, d, code = memo_key
                 raise CacheIntegrityError(
                     f"conflicting values for {kind} dim={dim} d={d} "
-                    f"c={','.join(map(str, expand_pairs(pairs)))}: had {existing}, got {value}"
+                    f"c={','.join(map(str, expand_code(code)))}: had {existing}, got {value}"
                 )
         return len(records) - before
 
@@ -186,8 +185,8 @@ class CacheStore:
     def sorted_records(self) -> list[tuple[str, int, int, tuple[int, ...], int]]:
         """(kind, dim, d, codims, value) of every record, in file order."""
         return [(kind, *row) for kind in ("C", "R") for row in sorted(
-            (dim, d, expand_pairs(pairs), value)
-            for (dim, d, pairs), value in self.records[kind].items())]
+            (dim, d, expand_code(code), value)
+            for (dim, d, code), value in self.records[kind].items())]
 
     def render(self) -> str:
         lines = [HEADER]
@@ -234,9 +233,10 @@ def _parse_line(line: str, lineno: int) -> tuple[str, MemoKey, int]:
     tag, dim, d, body, value = match.groups()
     try:
         entries = [int(c) for c in body.split(",")] if body else []
-        if entries != sorted(entries):
-            raise ValueError(f"codimensions must be sorted: {body!r}")
-        pairs = tuple((c, len(list(run))) for c, run in groupby(entries))
-        return tag[0], (int(dim), int(d), pairs), int(value)
+        if (entries != sorted(entries) or len(entries) > MAX_INSERTIONS
+                or entries and entries[-1] > MAX_CODIM):
+            raise ValueError(f"codimensions must be sorted, at most {MAX_INSERTIONS} of "
+                             f"them, each at most {MAX_CODIM}: {body!r}")
+        return tag[0], (int(dim), int(d), sum([1 << B * c for c in entries])), int(value)
     except ValueError as exc:  # also an int too long to convert
         raise CacheFormatError(f"line {lineno}: {exc}") from None

@@ -33,7 +33,7 @@ import sys
 
 from .cache import CacheError, CacheStore, is_memo_key, read_text, record_line, stored_value
 from .complex_engine import ComplexEvalContext, eval_complex
-from .keys import CodimVector, ComplexKey, RealKey
+from .keys import MAX_CODIM, CodimVector, ComplexKey, RealKey
 from .real_engine import RealEvalContext, eval_real
 from .tables import EngineDisagreement, format_rows, table1_rows, table2_rows
 
@@ -135,6 +135,12 @@ def _query(args: argparse.Namespace, key: ComplexKey | RealKey, space: str) -> i
     return 0
 
 
+def _insertions(codims: list[int], top: int) -> CodimVector:
+    """``codims`` with entries above ``top`` as top + 1 (0 either way, small code);
+    MAX_CODIM lowers an entry only if the key will reject ``top``."""
+    return CodimVector.from_entries(min(c, top + 1, MAX_CODIM) for c in codims)
+
+
 def _add_complex(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dim", type=_at_least(1, "--dim"), required=True,
                    help="projective dimension N")
@@ -145,7 +151,7 @@ def _add_complex(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_complex(args: argparse.Namespace) -> int:
-    key = ComplexKey(N=args.dim, d=args.d, insertions=CodimVector.from_entries(args.codims))
+    key = ComplexKey(N=args.dim, d=args.d, insertions=_insertions(args.codims, args.dim))
     return _query(args, key, f"p{args.dim}")
 
 
@@ -161,7 +167,7 @@ def _add_real(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_real(args: argparse.Namespace) -> int:
-    key = RealKey(n=args.n, d=args.d, insertions=CodimVector.from_entries(args.codims),
+    key = RealKey(n=args.n, d=args.d, insertions=_insertions(args.codims, 2 * args.n - 1),
                   phi=args.phi)
     return _query(args, key, f"real-{args.n}")
 

@@ -48,10 +48,12 @@ deepest it reached, and steps of another engine's context do not count.
 from __future__ import annotations
 
 import sys
+import threading
 from collections.abc import Callable
 from functools import wraps
+from types import SimpleNamespace
 
-from .keys import CodimVector, ComplexKey, _new, degeneration_terms, enumerate_splits
+from .keys import B, MASK, CodimVector, ComplexKey, _new, degeneration_terms, enumerate_splits
 
 __all__ = [
     "ComplexEvalContext",
@@ -64,10 +66,11 @@ __all__ = [
 # Each level of the recursion nests three frames (driver, step method, step);
 # deep keys need more than CPython's default 1000 frames.
 RECURSION_LIMIT = 20000
+_LIMIT = SimpleNamespace(lock=threading.Lock(), running=0, caller=0)
 
 PivotRule = Callable[[CodimVector], tuple[int, int, int]]
-# Memo key of both engines: (dimension, degree, CodimVector.pairs).
-MemoKey = tuple[int, int, tuple[tuple[int, int], ...]]
+# Memo key of both engines: (dimension, degree, packed code of the CodimVector).
+MemoKey = tuple[int, int, int]
 
 
 def canonical_pivot(cv: CodimVector) -> tuple[int, int, int]:
@@ -84,17 +87,17 @@ def canonical_pivot(cv: CodimVector) -> tuple[int, int, int]:
 
 def complex_rules(N: int, d: int, cv: CodimVector) -> int | CodimVector:
     """Rules 1-6 for <cv>_d on P^N: its value, or its core (``EvalContext``)."""
-    pairs, k, total = cv
-    if pairs and pairs[-1][0] > N or (N + 1) * d + N - 3 + k - total:
+    code, k, total = cv
+    if code >> B * (N + 1) or (N + 1) * d + N - 3 + k - total:
         return 0
     if d == 0:
         return 1 if k == 3 and total == N else 0
-    if pairs and pairs[0][0] == 0:
+    if code & MASK:
         return 0
-    m = pairs[0][1] if pairs and pairs[0][0] == 1 else 0
+    m = (code >> B) & MASK
     if k - m <= 2:
         return d**m
-    return _new(CodimVector, (pairs[1:], k - m, total - m)) if m else cv
+    return _new(CodimVector, (code - (m << B), k - m, total - m)) if m else cv
 
 
 class EvalContext:
@@ -103,8 +106,7 @@ class EvalContext:
     A subclass supplies its recursion ``step`` and its pure ``rules``: the
     value of <cv>_d, or its core, ``cv`` itself or less the m divisor entries
     the divisor relation strips, so that <cv>_d = d^m * <core>_d.  The memo
-    and the depth are not locked, and ``deep_recursion`` sets the
-    process-wide recursion limit, so evaluations run in one thread at a time.
+    and the depth are not locked: one context is used by one thread at a time.
     """
 
     __slots__ = ("memo", "calls", "hits", "deep_evals", "depth", "max_depth")
@@ -122,7 +124,7 @@ class EvalContext:
         core = self.rules(dim, d, cv)
         if isinstance(core, int):
             return core
-        memo_key = (dim, d, core[0])  # a CodimVector is (pairs, k, total_codim)
+        memo_key = (dim, d, core[0])  # a CodimVector is (code, k, total_codim)
         value = self.memo.get(memo_key)
         if value is None:
             self.depth += 1
@@ -167,16 +169,22 @@ class ComplexEvalContext(EvalContext):
 
 
 def deep_recursion(evaluate: Callable[..., int]) -> Callable[..., int]:
-    """Run ``evaluate`` with the recursion limit raised to RECURSION_LIMIT, then
-    restore the caller's limit, also on a raise; nested calls never lower it."""
+    """Run ``evaluate`` with the process-wide recursion limit at least RECURSION_LIMIT:
+    the first of the evaluations running in all threads raises it, the last restores it."""
     @wraps(evaluate)
     def run(*args, **kwargs) -> int:
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(max(limit, RECURSION_LIMIT))
+        with _LIMIT.lock:
+            if not _LIMIT.running:
+                _LIMIT.caller = sys.getrecursionlimit()
+                sys.setrecursionlimit(max(_LIMIT.caller, RECURSION_LIMIT))
+            _LIMIT.running += 1
         try:
             return evaluate(*args, **kwargs)
         finally:
-            sys.setrecursionlimit(limit)
+            with _LIMIT.lock:
+                _LIMIT.running -= 1
+                if not _LIMIT.running:
+                    sys.setrecursionlimit(_LIMIT.caller)
 
     return run
 

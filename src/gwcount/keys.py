@@ -1,11 +1,11 @@
 """Shared exact-arithmetic core for the curve-counting engines.
 
 Provides the canonical multiset of insertion codimensions (``CodimVector``,
-which stores its insertion count and total codimension), the two invariant
-key types, dimension bookkeeping, safe binomials, the weighted splittings of
-an insertion multiset and the one solved degeneration sum over them,
-``degeneration_terms(N, d, splits, weight, terms)``, whose factors are each
-built by one multi-entry insertion (``CodimVector.add_all``).
+one integer code beside its insertion count and total codimension), the two
+invariant key types, dimension bookkeeping, safe binomials, the weighted
+splittings of an insertion multiset and the one solved degeneration sum over
+them, ``degeneration_terms(N, d, splits, weight, terms)``, whose factors are
+each built by one multi-entry insertion (``CodimVector.add_all``).
 Everything here is pure and exact: values are Python ints, keys are
 immutable and hashable.
 """
@@ -13,7 +13,6 @@ immutable and hashable.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import product
@@ -27,12 +26,16 @@ __all__ = [
     "complex_dimension_gap",
     "degeneration_terms",
     "enumerate_splits",
-    "expand_pairs",
+    "expand_code",
     "real_dimension_gap",
 ]
 
+B = 16  # bits per class of a packed code
+MASK = (1 << B) - 1  # the multiplicity of class c is (code >> B*c) & MASK
+MAX_INSERTIONS = MASK - 2  # 2^B - 3, so that no step carries a digit (CodimVector)
+MAX_CODIM = 1024
 INVOLUTIONS = ("tau", "eta")
-_new = tuple.__new__  # _new(CodimVector, (pairs, k, total_codim)) skips the sums
+_new = tuple.__new__  # _new(CodimVector, (code, k, total_codim)) skips the sums
 
 
 def binomial(n: int, k: int) -> int:
@@ -46,33 +49,43 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def expand_pairs(pairs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """The entries of sorted (codim, multiplicity) pairs, each repeated."""
+def expand_code(code: int) -> tuple[int, ...]:
+    """The entries of a packed code in ascending order, with repetition."""
     out: list[int] = []
-    for c, m in pairs:
-        out.extend([c] * m)
+    c = 0
+    while code:
+        if code & MASK:
+            out += [c] * (code & MASK)
+        code >>= B
+        c += 1
     return tuple(out)
 
 
 class CodimVector(tuple):
     """Multiset of insertion codimensions in canonical form.
 
-    Stored as a sorted tuple of (codim, multiplicity) pairs with positive
-    multiplicities, so any two insertion lists that agree up to permutation
-    compare and hash equal.  The insertion count ``k`` and ``total_codim``
-    are stored beside the pairs.  Instances are immutable; ``add``,
-    ``add_all`` and ``remove`` return new vectors and derive both from the
-    parent's without re-summing.
+    Stored as (code, k, total_codim) with code = sum of m_c * 2^(B*c), one
+    B-bit digit per codimension c, so permuted insertion lists compare and
+    hash equal, and ``add``, ``add_all`` and ``remove`` are integer additions.
+    No digit may carry: a vector is built with at most MAX_INSERTIONS = 2^B - 3
+    entries, each at most MAX_CODIM, as a step builds factors of at most k + 1
+    insertions and the divisor suite adds one more.
     """
 
     __slots__ = ()
 
-    def __new__(cls, pairs: tuple[tuple[int, int], ...] = ()) -> "CodimVector":
-        return _new(cls, (pairs, sum(m for _, m in pairs), sum(c * m for c, m in pairs)))
+    def __new__(cls, pairs: Iterable[tuple[int, int]] = ()) -> "CodimVector":
+        return CodimVector.from_entries(c for c, m in pairs for _ in range(m))
 
-    pairs = property(itemgetter(0))
     k = property(itemgetter(1), doc="Total number of insertions.")
     total_codim = property(itemgetter(2), doc="Sum of the codimensions.")
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """Sorted (codim, multiplicity) pairs with positive multiplicities."""
+        code = self[0]
+        return tuple((c, m) for c in range(code.bit_length() // B + 1)
+                     if (m := code >> B * c & MASK))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CodimVector) and self[0] == other[0]
@@ -83,21 +96,22 @@ class CodimVector(tuple):
         return hash(self[0])
 
     def __getnewargs__(self) -> tuple:
-        return (self[0],)
+        return (self.pairs,)
 
     def __repr__(self) -> str:
-        return f"CodimVector(pairs={self[0]!r})"
+        return f"CodimVector(pairs={self.pairs!r})"
 
     @staticmethod
     def from_entries(entries: Iterable[int]) -> "CodimVector":
-        counts: dict[int, int] = {}
-        for c in entries:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise ValueError(f"codimension entries must be ints, got {c!r}")
-            if c < 0:
-                raise ValueError(f"codimension entries must be >= 0, got {c}")
-            counts[c] = counts.get(c, 0) + 1
-        return CodimVector(tuple(sorted(counts.items())))
+        code = k = total = 0
+        for k, c in enumerate(entries, 1):
+            if type(c) is not int or not 0 <= c <= MAX_CODIM:
+                raise ValueError(f"codimension entries must be ints in 0..{MAX_CODIM}, got {c!r}")
+            if k > MAX_INSERTIONS:
+                raise ValueError(f"a vector holds at most {MAX_INSERTIONS} insertions")
+            code += 1 << B * c
+            total += c
+        return _new(CodimVector, (code, k, total))
 
     @staticmethod
     def of(*entries: int) -> "CodimVector":
@@ -105,63 +119,49 @@ class CodimVector(tuple):
 
     @property
     def min_codim(self) -> int:
-        if not self.pairs:
+        if not self[0]:
             raise ValueError("empty codimension vector has no minimum")
-        return self.pairs[0][0]
+        return ((self[0] & -self[0]).bit_length() - 1) // B
 
     @property
     def max_codim(self) -> int:
-        if not self.pairs:
+        if not self[0]:
             raise ValueError("empty codimension vector has no maximum")
-        return self.pairs[-1][0]
+        return (self[0].bit_length() - 1) // B
 
     def multiplicity(self, c: int) -> int:
-        for cc, m in self.pairs:
-            if cc == c:
-                return m
-        return 0
+        return (self[0] >> B * c) & MASK if c >= 0 else 0
 
     def expand(self) -> tuple[int, ...]:
         """All entries in ascending order, with repetition."""
-        return expand_pairs(self[0])
+        return expand_code(self[0])
 
     def add(self, c: int, times: int = 1) -> "CodimVector":
-        if times <= 0:
-            raise ValueError("times must be positive")
-        return self.add_all((c,) * times)
+        code, k, total = self
+        if not 0 < times <= MASK - k:  # more would let a digit carry into the next class
+            raise ValueError(f"times must be in 1..{MASK - k}, got {times}")
+        return _new(CodimVector, (code + (times << B * c), k + times, total + c * times))
 
     def add_all(self, entries: tuple[int, ...]) -> "CodimVector":
-        """This vector plus one copy of each of ``entries`` (repeats allowed)."""
-        pairs, k, total = self
-        out = list(pairs)
+        """This vector plus one copy of each of ``entries`` (repeats allowed);
+        unchecked, as the engines keep every multiplicity at most MASK."""
+        code, k, total = self
         for c in entries:
-            i = bisect_left(out, (c,))
-            if i < len(out) and out[i][0] == c:
-                out[i] = (c, out[i][1] + 1)
-            else:
-                out.insert(i, (c, 1))
-        return _new(CodimVector, (tuple(out), k + len(entries), total + sum(entries)))
+            code += 1 << B * c
+        return _new(CodimVector, (code, k + len(entries), total + sum(entries)))
 
     def remove(self, c: int, times: int = 1) -> "CodimVector":
-        if times <= 0:
-            raise ValueError("times must be positive")
-        pairs, k, total = self
-        out = list(pairs)
-        i = bisect_left(out, (c,))
-        if i == len(out) or out[i][0] != c:
-            raise ValueError(f"codimension {c} not present")
-        kept = out.pop(i)[1] - times
-        if kept < 0:
-            raise ValueError(f"cannot remove {times} copies of {c}, only {kept + times} present")
-        if kept:
-            out.insert(i, (c, kept))
-        return _new(CodimVector, (tuple(out), k - times, total - c * times))
+        code, k, total = self
+        present = self.multiplicity(c)
+        if not 0 < times <= present:
+            raise ValueError(f"cannot remove {times} copies of {c}, only {present} present")
+        return _new(CodimVector, (code - (times << B * c), k - times, total - c * times))
 
     def __contains__(self, c: int) -> bool:
         return self.multiplicity(c) > 0
 
     def __bool__(self) -> bool:
-        return bool(self.pairs)
+        return bool(self[0])
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.expand())
@@ -186,7 +186,7 @@ class ComplexKey(frozen_record("ComplexKey", "N d insertions")):
     """A genus-0 invariant of P^N: degree d, insertions H^{c_1}..H^{c_k}.
 
     Entries may exceed N (such keys are legal and evaluate to 0), and entries
-    equal to 0 (fundamental class) or 1 (divisor) are legal as well.
+    equal to 0 (fundamental class) or 1 (divisor) are legal; N < MAX_CODIM.
     """
 
     __slots__ = ()
@@ -194,6 +194,8 @@ class ComplexKey(frozen_record("ComplexKey", "N d insertions")):
     def __new__(cls, N: int, d: int, insertions: CodimVector) -> "ComplexKey":
         if N < 1:
             raise ValueError(f"complex target needs N >= 1, got N={N}")
+        if N >= MAX_CODIM:
+            raise ValueError(f"complex target needs N < {MAX_CODIM}, got N={N}")
         if d < 0:
             raise ValueError(f"degree must be >= 0, got d={d}")
         if not isinstance(insertions, CodimVector):
@@ -206,7 +208,7 @@ class RealKey(frozen_record("RealKey", "n d insertions phi")):
 
     The involution tag ``phi`` ("tau" or "eta") is carried as metadata: the
     normalized value is a pure function of (n, d, insertions) and does not
-    depend on it.  All insertion codimensions must be >= 1.
+    depend on it.  All insertion codimensions must be >= 1; 2n-1 < MAX_CODIM.
     """
 
     __slots__ = ()
@@ -214,13 +216,15 @@ class RealKey(frozen_record("RealKey", "n d insertions phi")):
     def __new__(cls, n: int, d: int, insertions: CodimVector, phi: str = "tau") -> "RealKey":
         if n < 2:
             raise ValueError(f"real target needs n >= 2, got n={n}")
+        if 2 * n - 1 >= MAX_CODIM:
+            raise ValueError(f"real target needs 2n-1 < {MAX_CODIM}, got n={n}")
         if d < 1:
             raise ValueError(f"degree must be >= 1, got d={d}")
         if phi not in INVOLUTIONS:
             raise ValueError(f"phi must be one of {INVOLUTIONS}, got {phi!r}")
         if not isinstance(insertions, CodimVector):
             raise ValueError("insertions must be a CodimVector")
-        if insertions and insertions.min_codim < 1:
+        if insertions.multiplicity(0):
             raise ValueError("real insertions must have codimension >= 1")
         return super().__new__(cls, n, d, insertions, phi)
 
@@ -275,22 +279,16 @@ def enumerate_splits(
     yielded weight is the product over classes of C(m_c, i_c) * w^{i_c}, so
     the weights of all splits sum to (1 + w)^k.
     """
-    k, total = cv.k, cv.total_codim
-    # One choice per count i of a class (c, m): (I pair, J pair, i, c*i, weight).
-    choices = [[((c, i) if i else None, (c, m - i) if i < m else None, i, c * i,
-                 binomial(m, i) * per_element_weight**i) for i in range(m + 1)]
-               for c, m in cv.pairs]
+    code, k, total = cv[0], cv.k, cv.total_codim  # properties traced by bench/tracing.py
+    # One choice per count i of a class (c, m): (I's code, i, c*i, weight).
+    choices = [[(i << B * c, i, c * i, binomial(m, i) * per_element_weight**i)
+                for i in range(m + 1)] for c, m in cv.pairs]
     for combo in product(*choices):
-        weight, ik, itotal = 1, 0, 0
-        ipairs: list[tuple[int, int]] = []
-        jpairs: list[tuple[int, int]] = []
-        for ipair, jpair, i, ci, wi in combo:
+        weight, icode, ik, itotal = 1, 0, 0, 0
+        for ci_code, i, ci, wi in combo:
             weight *= wi
-            if ipair:
-                ipairs.append(ipair)
-                ik += i
-                itotal += ci
-            if jpair:
-                jpairs.append(jpair)
-        yield (_new(CodimVector, (tuple(ipairs), ik, itotal)),
-               _new(CodimVector, (tuple(jpairs), k - ik, total - itotal)), weight)
+            icode += ci_code
+            ik += i
+            itotal += ci
+        yield (_new(CodimVector, (icode, ik, itotal)),
+               _new(CodimVector, (code - icode, k - ik, total - itotal)), weight)

@@ -44,7 +44,8 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .complex_engine import ComplexEvalContext, EvalContext, deep_recursion
-from .keys import CodimVector, RealKey, _new, degeneration_terms, enumerate_splits
+from .keys import (B, MASK, MAX_CODIM, CodimVector, RealKey, _new, degeneration_terms,
+                   enumerate_splits)
 
 __all__ = [
     "RealEvalContext",
@@ -56,6 +57,9 @@ __all__ = [
 ]
 
 DesignationRule = Callable[[CodimVector], tuple[int, int]]
+# MASK in the digit of every even class up to MAX_CODIM, above every real target's
+# top: the two-digit pattern (even digit MASK, odd digit 0), repeated.
+_EVEN_CLASSES = int.from_bytes(MASK.to_bytes(B // 4, "little") * (MAX_CODIM // 2 + 1), "little")
 
 
 def canonical_designation(cv: CodimVector) -> tuple[int, int]:
@@ -68,15 +72,15 @@ def canonical_designation(cv: CodimVector) -> tuple[int, int]:
 
 def real_rules(n: int, d: int, cv: CodimVector) -> int | CodimVector:
     """Rules 1-5 for <cv>_d on P^{2n-1}: its value, or its core (``EvalContext``)."""
-    pairs, k, total = cv
+    code, k, total = cv
     top = 2 * n - 1
-    if (d % 2 == 0 or any(c % 2 == 0 for c, _ in pairs) or pairs and pairs[-1][0] > top
+    if (d % 2 == 0 or code & _EVEN_CLASSES or code >> B * (top + 1)
             or n * (d + 1) - 2 + k - total):
         return 0
-    m = pairs[0][1] if pairs[0][0] == 1 else 0
+    m = (code >> B) & MASK
     if k - m == 1:  # rule 5, on the core: its one entry is the largest of cv
-        return 1 if d == 1 and pairs[-1][0] == top else 0
-    return _new(CodimVector, (pairs[1:], k - m, total - m)) if m else cv
+        return 1 if d == 1 and code >> B * top else 0
+    return _new(CodimVector, (code - (m << B), k - m, total - m)) if m else cv
 
 
 class RealEvalContext(EvalContext):
@@ -164,8 +168,8 @@ def theorem12_residual(
     cv = RealKey(n=n, d=d, insertions=CodimVector.from_entries(c_list)).insertions
     if not isinstance(c, int) or isinstance(c, bool):
         raise ValueError(f"transfer amount c must be an int, got {c!r}")
-    if c < 1 or cv.k < 2:
-        raise ValueError("need c >= 1 and at least two insertions to transfer between")
+    if not 1 <= c <= MAX_CODIM or cv.k < 2:
+        raise ValueError(f"need 1 <= c <= {MAX_CODIM} and two insertions to transfer between")
     c1, c2 = c_list[:2]
     rest = cv.remove(c1).remove(c2)
     lhs = ctx.evaluate(n, d, rest.add_all((c1, c2 + 2 * c)))

@@ -30,6 +30,11 @@ def _rkey(n, d, *cs, phi="tau"):
     return RealKey(n=n, d=d, insertions=CodimVector.of(*cs), phi=phi)
 
 
+def _code(*cs):
+    """The packed code of the entries: the last field of a memo key."""
+    return CodimVector.of(*cs)[0]
+
+
 def test_insert_lookup_roundtrip():
     store = CacheStore()
     store.insert(_ckey(3, 3, 3, 3, 3, 3, 3, 3), 1)
@@ -110,6 +115,9 @@ def test_load_rejects_malformed_lines(tmp_path):
         "gw1|C|N=3|d=1|c=3,2|v=1",
         "gw1|C|N=3|d=1|c=3,3|v=q",
         "gw1|C|N=3|d=one|c=3,3|v=1",
+        "gw1|C|N=3|d=1|c=3,1025|v=0",  # entries above MAX_CODIM
+        "gw1|C|N=3|d=1|c=3,1000000000|v=0",
+        "gw1|C|N=3|d=1|c=1" + ",1" * 65_535 + "|v=1",  # a digit past 2^16 - 1
     ):
         path.write_text(HEADER + "\n" + line + "\n")
         with pytest.raises(CacheFormatError):
@@ -128,7 +136,7 @@ def test_parse_reads_only_the_record_grammar(line):
         CacheStore.parse(f"{HEADER}\n{line}\n")
     # Leading zeros are part of the grammar: 03 and 3 are one codimension.
     store = CacheStore.parse(f"{HEADER}\ngw1|C|N=03|d=01|c=03,3|v=-07\n")
-    assert store.records["C"] == {(3, 1, ((3, 2),)): -7}
+    assert store.records["C"] == {(3, 1, _code(3, 3)): -7}
 
 
 def test_load_rejects_non_ascii_bytes(tmp_path):
@@ -224,8 +232,8 @@ def test_load_keys_records_like_the_engine_memos(tmp_path):
                     + "gw1|R|n=2|d=1|c=|v=0\n")
     loaded = CacheStore.load(path)
     assert loaded.records == {
-        "C": {(3, 2, ((2, 2), (3, 3))): 1},
-        "R": {(2, 3, ((1, 1), (3, 3))): -3, (2, 1, ()): 0},
+        "C": {(3, 2, _code(2, 2, 3, 3, 3)): 1},
+        "R": {(2, 3, _code(1, 3, 3, 3)): -3, (2, 1, _code()): 0},
     }
 
 
@@ -260,7 +268,7 @@ def test_save_through_a_symlink_updates_its_target(tmp_path):
 codim_lists = st.lists(st.integers(0, 6), max_size=6).map(sorted)
 memo_records = st.dictionaries(
     st.tuples(st.sampled_from("CR"), st.integers(1, 9), st.integers(0, 30),
-              codim_lists.map(lambda c: CodimVector.from_entries(c).pairs)),
+              codim_lists.map(lambda c: _code(*c))),
     st.integers(-(10**40), 10**40),
     max_size=30,
 )
@@ -268,12 +276,12 @@ memo_records = st.dictionaries(
 
 @settings(max_examples=50, deadline=None, database=None)
 @given(memo_records)
-@example({("C", 3, 2, ((3, 2),)): 1, ("C", 3, 2, ((3, 1), (4, 1))): 2,
-          ("C", 3, 2, ((3, 3),)): 3})
+@example({("C", 3, 2, _code(3, 3)): 1, ("C", 3, 2, _code(3, 4)): 2,
+          ("C", 3, 2, _code(3, 3, 3)): 3})
 def test_render_load_roundtrip_fuzz(tmp_path_factory, records):
     store = CacheStore()
-    for (kind, dim, d, pairs), value in records.items():
-        store.records[kind][(dim, d, pairs)] = value
+    for (kind, dim, d, code), value in records.items():
+        store.records[kind][(dim, d, code)] = value
     text = store.render()
     path = tmp_path_factory.mktemp("fuzz") / "cache.txt"
     path.write_text(text)
@@ -304,13 +312,13 @@ def test_is_memo_key_matches_what_a_cold_evaluation_memoizes():
             for cv in _multisets(range(N + 2), 6):
                 ctx = ComplexEvalContext()
                 eval_complex(ComplexKey(N=N, d=d, insertions=cv), ctx)
-                assert is_memo_key("C", N, d, cv) == ((N, d, cv.pairs) in ctx.memo), (N, d, cv)
-                memoized["C"] += (N, d, cv.pairs) in ctx.memo
+                assert is_memo_key("C", N, d, cv) == ((N, d, cv[0]) in ctx.memo), (N, d, cv)
+                memoized["C"] += (N, d, cv[0]) in ctx.memo
     for n in (2, 3):
         for d in range(1, 6):
             for cv in _multisets(range(1, 2 * n + 1), 6):
                 ctx = RealEvalContext()
                 eval_real(RealKey(n=n, d=d, insertions=cv), ctx)
-                assert is_memo_key("R", n, d, cv) == ((n, d, cv.pairs) in ctx.memo), (n, d, cv)
-                memoized["R"] += (n, d, cv.pairs) in ctx.memo
+                assert is_memo_key("R", n, d, cv) == ((n, d, cv[0]) in ctx.memo), (n, d, cv)
+                memoized["R"] += (n, d, cv[0]) in ctx.memo
     assert memoized == {"C": 55, "R": 9}  # of 13,584 complex and 5,670 real keys

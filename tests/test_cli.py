@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import time
 
 import pytest
 
@@ -52,11 +53,35 @@ def test_real_query_phi_flag_is_metadata(capsys):
 @pytest.mark.parametrize("argv", [
     ("complex", "--dim", "3", "--d", "1", "--codims", "3,3" + ",1" * 25_000),
     ("real", "--n", "2", "--d", "1", "--codims", "3" + ",1" * 25_000),
+    # 65,533 insertions, the most a vector holds
+    ("complex", "--dim", "3", "--d", "1", "--codims", "3,3" + ",1" * 65_531),
 ])
 def test_deep_divisor_chain(capsys, argv):
     # One frame per divisor insertion would exceed the recursion limit.
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (0, "1\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("complex", "--dim", "3", "--d", "1", "--codims", "3,3" + ",1" * 65_532),
+    ("complex", "--dim", "1024", "--d", "1", "--codims", "3,3"),
+    ("real", "--n", "513", "--d", "1", "--codims", "3"),
+])
+def test_keys_beyond_the_packed_bounds_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("complex", "--dim", "3", "--d", "1", "--codims", "1000000000,3"),
+    ("real", "--n", "2", "--d", "1", "--codims", "3,1000000000"),
+])
+def test_an_entry_above_the_top_is_zero_without_packing_it(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (0, "0\n", "")
 
 
 @pytest.mark.parametrize("engine, argv", [
@@ -225,6 +250,18 @@ def test_check_stdout_is_pinned(capsys):
     assert code == 0 and len(out.splitlines()) == 779
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "3abb746d8d177a34a5162af5cbc27666d6405d0cf3f08243f9cb17ac7df5ec6e")
+
+
+def test_cache_file_bytes_are_pinned(tmp_path, capsys):
+    # Guards the render order and the decode of every stored key.
+    path = str(tmp_path / "store.gwc")
+    for argv in (("table1", "--dmax", "61", "--limit", "61", "--engine", "general"),
+                 ("table2", "--space", "p7"), ("table2", "--space", "p5")):
+        assert run(capsys, *argv, "--cache", path)[0] == 0
+    data = (tmp_path / "store.gwc").read_bytes()
+    assert data.count(b"\n") == 286
+    assert hashlib.sha256(data).hexdigest() == (
+        "9a53f82f6a4bbfaeb6b562d58df3ab63004802560eb7d0ca8ab74fa68d3da113")
 
 
 def test_suite_registry_names_every_suite_once():

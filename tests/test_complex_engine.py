@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import sys
+import threading
 from itertools import combinations_with_replacement
 
 import pytest
@@ -332,5 +333,51 @@ def test_recursion_limit_is_raised_only_while_an_evaluation_runs():
         with pytest.raises(LookupError):
             eval_real(real, RealEvalContext(designation_rule=fail))
         assert sys.getrecursionlimit() == 1500
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def test_overlapping_evaluations_in_two_threads_share_the_raised_limit():
+    # Events in the pivot rules order the threads: A starts, B starts, A
+    # ends while B runs, then B ends.
+    a_in, b_in, a_done = threading.Event(), threading.Event(), threading.Event()
+    seen_by_b = []
+
+    def pivot_a(cv):
+        if not a_in.is_set():
+            a_in.set()
+            assert b_in.wait(10)
+        return canonical_pivot(cv)
+
+    def pivot_b(cv):
+        if not b_in.is_set():
+            b_in.set()
+            assert a_done.wait(10)
+            seen_by_b.append(sys.getrecursionlimit())
+        return canonical_pivot(cv)
+
+    key = ComplexKey(N=2, d=2, insertions=CodimVector.of(2, 2, 2, 2, 2))
+    results = {}
+
+    def run_a():
+        results["a"] = eval_complex(key, ComplexEvalContext(pivot_a))
+        a_done.set()
+
+    def run_b():
+        assert a_in.wait(10)
+        results["b"] = eval_complex(key, ComplexEvalContext(pivot_b))
+
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(3000)
+    try:
+        threads = [threading.Thread(target=run_a), threading.Thread(target=run_b)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(20)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == {"a": 1, "b": 1}
+        assert seen_by_b == [RECURSION_LIMIT]
+        assert sys.getrecursionlimit() == 3000
     finally:
         sys.setrecursionlimit(saved)

@@ -6,13 +6,16 @@ import pytest
 
 from gwcount import (
     CodimVector,
+    ComplexEvalContext,
     ComplexKey,
     RealKey,
     binomial,
     complex_dimension_gap,
     enumerate_splits,
+    eval_complex,
     real_dimension_gap,
 )
+from gwcount.keys import B, MAX_CODIM, MAX_INSERTIONS
 
 
 def test_normalize_is_permutation_insensitive():
@@ -66,6 +69,29 @@ def test_codim_vector_validation():
         CodimVector.from_entries([3, "5"])  # type: ignore[list-item]
     with pytest.raises(ValueError):
         CodimVector.from_entries([True])
+    # Entries stay at most MAX_CODIM, so a packed code stays small.
+    assert CodimVector.of(MAX_CODIM).max_codim == MAX_CODIM
+    with pytest.raises(ValueError, match="ints in 0..1024, got 1025"):
+        CodimVector.of(3, MAX_CODIM + 1)
+    with pytest.raises(ValueError, match="got 1000000000"):
+        CodimVector(((3, 1), (10**9, 1)))
+
+
+def test_insertion_count_bound():
+    # A step raises a multiplicity to at most k + 1 and the divisor suite
+    # adds one more, so k = 2^B - 3 is the most a B-bit digit can hold.
+    assert MAX_INSERTIONS == 2**B - 3 == 65_533
+    at_bound = CodimVector.from_entries([3, 3] + [1] * (MAX_INSERTIONS - 2))
+    assert (at_bound.k, at_bound.multiplicity(1), at_bound.multiplicity(3)) == (65_533, 65_531, 2)
+    assert eval_complex(ComplexKey(N=3, d=1, insertions=at_bound), ComplexEvalContext()) == 1
+    with pytest.raises(ValueError, match="at most 65533 insertions"):
+        CodimVector.from_entries([3, 3] + [1] * (MAX_INSERTIONS - 1))
+    with pytest.raises(ValueError, match="at most 65533 insertions"):
+        CodimVector(((1, MAX_INSERTIONS - 1), (3, 2)))
+    # add never carries a digit into the next class
+    assert at_bound.add(1, times=2).k == 2**B - 1
+    with pytest.raises(ValueError, match="times must be in 1..2, got 3"):
+        at_bound.add(1, times=3)
 
 
 def test_binomial_matches_pascal_triangle():
@@ -115,6 +141,9 @@ def test_key_validation():
         RealKey(n=2, d=1, insertions=CodimVector.of(0, 3))
     with pytest.raises(ValueError):
         RealKey(n=2, d=1, insertions=ins, phi="sigma")
+    # the largest targets below MAX_CODIM (tests/test_records.py rejects the next)
+    ComplexKey(N=MAX_CODIM - 1, d=1, insertions=ins)
+    RealKey(n=MAX_CODIM // 2, d=1, insertions=ins)
     # complex keys allow overflow, zero, and divisor entries
     ComplexKey(N=3, d=1, insertions=CodimVector.of(0, 1, 9))
     RealKey(n=2, d=1, insertions=ins, phi="eta")

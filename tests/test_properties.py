@@ -30,7 +30,7 @@ from gwcount import (
     eval_real,
 )
 from gwcount.complex_engine import wdvv_step
-from gwcount.keys import complex_dimension_gap, degeneration_terms, enumerate_splits
+from gwcount.keys import B, complex_dimension_gap, degeneration_terms, enumerate_splits
 from gwcount.real_engine import recursion_step
 
 from test_complex_engine import _random_pivot_rule
@@ -128,10 +128,11 @@ def _check_vector(cv: CodimVector, entries: list[int]) -> None:
     assert (cv.k, cv.total_codim) == (len(entries), sum(entries))
     assert (reference.k, reference.total_codim) == (len(entries), sum(entries))
     assert cv == reference and not cv != reference and hash(cv) == hash(reference)
-    assert cv != (cv.pairs, cv.k, cv.total_codim)
+    assert cv[0] == sum(1 << B * c for c in entries)  # the packed code
+    assert cv != tuple(cv)
     assert repr(cv) == f"CodimVector(pairs={cv.pairs!r})"
     for twin in (copy.copy(cv), pickle.loads(pickle.dumps(cv))):
-        assert (twin.pairs, twin.k, twin.total_codim) == (cv.pairs, cv.k, cv.total_codim)
+        assert tuple(twin) == tuple(cv) and twin.pairs == cv.pairs
 
 
 @settings(max_examples=100, deadline=None, database=None)

@@ -206,6 +206,9 @@ def test_theorem12_residual_validation():
         theorem12_residual(2, 3, 1, (3,), ctx)
     with pytest.raises(ValueError):
         theorem12_residual(2, 3, 1, (3, 0), ctx)
+    # a transfer above MAX_CODIM would pack a class of 2c
+    with pytest.raises(ValueError, match="need 1 <= c <= 1024"):
+        theorem12_residual(2, 3, 1025, (3, 3), ctx)
 
 
 @pytest.mark.parametrize("c_list", [(3.0, 3), (3, 3.5), (True, 3), (3, 3, 3.0)])

@@ -56,9 +56,11 @@ def test_records_are_immutable(record, field):
 
 @pytest.mark.parametrize("make, message", [
     (lambda: ComplexKey(N=0, d=1, insertions=CV), "complex target needs N >= 1, got N=0"),
+    (lambda: ComplexKey(N=1024, d=1, insertions=CV), "complex target needs N < 1024, got N=1024"),
     (lambda: ComplexKey(N=3, d=-1, insertions=CV), "degree must be >= 0, got d=-1"),
     (lambda: ComplexKey(N=3, d=1, insertions=(3, 3)), "insertions must be a CodimVector"),
     (lambda: RealKey(n=1, d=1, insertions=CV), "real target needs n >= 2, got n=1"),
+    (lambda: RealKey(n=513, d=1, insertions=CV), "real target needs 2n-1 < 1024, got n=513"),
     (lambda: RealKey(n=2, d=0, insertions=CV), "degree must be >= 1, got d=0"),
     (lambda: RealKey(n=2, d=1, insertions=CV, phi="sigma"),
      "phi must be one of ('tau', 'eta'), got 'sigma'"),
