@@ -34,7 +34,7 @@ import re
 from collections.abc import Iterable
 
 from .complex_engine import ComplexEvalContext, MemoKey, complex_rules
-from .keys import B, MAX_CODIM, MAX_INSERTIONS, CodimVector, ComplexKey, RealKey, expand_code
+from .keys import B, MAX_CODIM, MAX_HELD_INSERTIONS, CodimVector, ComplexKey, RealKey, expand_code
 from .real_engine import RealEvalContext, real_rules
 
 __all__ = [
@@ -233,9 +233,9 @@ def _parse_line(line: str, lineno: int) -> tuple[str, MemoKey, int]:
     tag, dim, d, body, value = match.groups()
     try:
         entries = [int(c) for c in body.split(",")] if body else []
-        if (entries != sorted(entries) or len(entries) > MAX_INSERTIONS
+        if (entries != sorted(entries) or len(entries) > MAX_HELD_INSERTIONS
                 or entries and entries[-1] > MAX_CODIM):
-            raise ValueError(f"codimensions must be sorted, at most {MAX_INSERTIONS} of "
+            raise ValueError(f"codimensions must be sorted, at most {MAX_HELD_INSERTIONS} of "
                              f"them, each at most {MAX_CODIM}: {body!r}")
         return tag[0], (int(dim), int(d), sum([1 << B * c for c in entries])), int(value)
     except ValueError as exc:  # also an int too long to convert

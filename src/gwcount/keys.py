@@ -5,9 +5,8 @@ one integer code beside its insertion count and total codimension), the two
 invariant key types, dimension bookkeeping, safe binomials, the weighted
 splittings of an insertion multiset and the one solved degeneration sum over
 them, ``degeneration_terms(N, d, splits, weight, terms)``, whose factors are
-each built by one multi-entry insertion (``CodimVector.add_all``).
-Everything here is pure and exact: values are Python ints, keys are
-immutable and hashable.
+each built from a split by adding one per-step code delta.  Everything here
+is pure and exact: values are Python ints, keys are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import product
 from operator import itemgetter
 
 __all__ = [
@@ -33,6 +31,7 @@ __all__ = [
 B = 16  # bits per class of a packed code
 MASK = (1 << B) - 1  # the multiplicity of class c is (code >> B*c) & MASK
 MAX_INSERTIONS = MASK - 2  # 2^B - 3, so that no step carries a digit (CodimVector)
+MAX_HELD_INSERTIONS = MASK  # the most insertions any vector, memo key or cache record holds
 MAX_CODIM = 1024
 INVOLUTIONS = ("tau", "eta")
 _new = tuple.__new__  # _new(CodimVector, (code, k, total_codim)) skips the sums
@@ -66,10 +65,10 @@ class CodimVector(tuple):
 
     Stored as (code, k, total_codim) with code = sum of m_c * 2^(B*c), one
     B-bit digit per codimension c, so permuted insertion lists compare and
-    hash equal, and ``add``, ``add_all`` and ``remove`` are integer additions.
-    No digit may carry: a vector is built with at most MAX_INSERTIONS = 2^B - 3
-    entries, each at most MAX_CODIM, as a step builds factors of at most k + 1
-    insertions and the divisor suite adds one more.
+    hash equal, and ``add``, ``add_all``, ``remove`` and the factors of
+    ``degeneration_terms`` are integer additions.  No digit may carry: vectors
+    are built from at most MAX_INSERTIONS = 2^B - 3 entries, each <= MAX_CODIM;
+    a step adds one and the divisor suite one more, up to MAX_HELD_INSERTIONS.
     """
 
     __slots__ = ()
@@ -138,8 +137,8 @@ class CodimVector(tuple):
 
     def add(self, c: int, times: int = 1) -> "CodimVector":
         code, k, total = self
-        if not 0 < times <= MASK - k:  # more would let a digit carry into the next class
-            raise ValueError(f"times must be in 1..{MASK - k}, got {times}")
+        if not 0 < times <= MAX_HELD_INSERTIONS - k:  # more could carry a digit over
+            raise ValueError(f"times must be in 1..{MAX_HELD_INSERTIONS - k}, got {times}")
         return _new(CodimVector, (code + (times << B * c), k + times, total + c * times))
 
     def add_all(self, entries: tuple[int, ...]) -> "CodimVector":
@@ -251,15 +250,20 @@ def degeneration_terms(
     <L, H^x>_{d1} is balanced only at (-d1, x) = divmod(N - 2 + k(L) - sum(L),
     N + 1), so each split and term yields at most once:
     (sign * w, d1, d2, I + left_extra + H^x, J + right_extra + H^(N-x)).
+    Each factor is its split plus a per-step code delta and its H^x or H^(N-x).
     """
-    solved = [(sign, N - 2 + len(left) - sum(left), left, right) for sign, left, right in terms]
-    for I, J, w in splits:
-        gap = I[1] - I[2]
-        for sign, shift, left_extra, right_extra in solved:
+    solved = [(sign, N - 2 + len(lx) - sum(lx), sum([1 << B * c for c in lx]), len(lx) + 1,
+               sum(lx), sum([1 << B * c for c in rx]), len(rx) + 1, sum(rx) + N)
+              for sign, lx, rx in terms]
+    bit = [1 << B * x for x in range(N + 1)]  # bit[x] is the code of H^x
+    for (icode, ik, itotal), (jcode, jk, jtotal), w in splits:
+        gap = ik - itotal
+        for sign, shift, lcode, lk, lt, rcode, rk, rt in solved:
             q, x = divmod(shift + gap, N + 1)
             if 0 < -weight * q < d and 0 < x < N and x % weight == 0:
                 yield (sign * w, -q, d + weight * q,
-                       I.add_all(left_extra + (x,)), J.add_all(right_extra + (N - x,)))
+                       _new(CodimVector, (icode + lcode + bit[x], ik + lk, itotal + lt + x)),
+                       _new(CodimVector, (jcode + rcode + bit[N - x], jk + rk, jtotal + rt - x)))
 
 
 def real_dimension_gap(key: RealKey) -> int:
@@ -280,15 +284,13 @@ def enumerate_splits(
     the weights of all splits sum to (1 + w)^k.
     """
     code, k, total = cv[0], cv.k, cv.total_codim  # properties traced by bench/tracing.py
-    # One choice per count i of a class (c, m): (I's code, i, c*i, weight).
-    choices = [[(i << B * c, i, c * i, binomial(m, i) * per_element_weight**i)
-                for i in range(m + 1)] for c, m in cv.pairs]
-    for combo in product(*choices):
-        weight, icode, ik, itotal = 1, 0, 0, 0
-        for ci_code, i, ci, wi in combo:
-            weight *= wi
-            icode += ci_code
-            ik += i
-            itotal += ci
+    # (I's code, k, total, weight) per split so far; the newest class varies fastest.
+    splits = [(0, 0, 0, 1)]
+    for c, m in cv.pairs:
+        choices = [(i << B * c, i, c * i, binomial(m, i) * per_element_weight**i)
+                   for i in range(m + 1)]
+        splits = [(icode + ccode, ik + i, itotal + ci, weight * wi)
+                  for icode, ik, itotal, weight in splits for ccode, i, ci, wi in choices]
+    for icode, ik, itotal, weight in splits:
         yield (_new(CodimVector, (icode, ik, itotal)),
                _new(CodimVector, (code - icode, k - ik, total - itotal)), weight)

@@ -20,6 +20,7 @@ from gwcount import (
     eval_real,
 )
 from gwcount.cache import HEADER, is_memo_key
+from gwcount.keys import MAX_HELD_INSERTIONS
 
 
 def _ckey(N, d, *cs):
@@ -122,6 +123,16 @@ def test_load_rejects_malformed_lines(tmp_path):
         path.write_text(HEADER + "\n" + line + "\n")
         with pytest.raises(CacheFormatError):
             CacheStore.load(path)
+
+
+def test_render_parse_roundtrip_at_the_insertion_bound():
+    # add fills a digit to 2^16 - 1 insertions; a store holding that vector
+    # must read back what save wrote.
+    cv = CodimVector.of(3, 3).add(2, MAX_HELD_INSERTIONS - 2)
+    assert cv.k == MAX_HELD_INSERTIONS == 65_535
+    store = CacheStore()
+    store.insert(ComplexKey(N=3, d=1, insertions=cv), 5)
+    assert CacheStore.parse(store.render()).records == store.records
 
 
 @pytest.mark.parametrize("line", [

@@ -15,7 +15,7 @@ from gwcount import (
     eval_complex,
     real_dimension_gap,
 )
-from gwcount.keys import B, MAX_CODIM, MAX_INSERTIONS
+from gwcount.keys import B, MAX_CODIM, MAX_HELD_INSERTIONS, MAX_INSERTIONS
 
 
 def test_normalize_is_permutation_insensitive():
@@ -89,7 +89,7 @@ def test_insertion_count_bound():
     with pytest.raises(ValueError, match="at most 65533 insertions"):
         CodimVector(((1, MAX_INSERTIONS - 1), (3, 2)))
     # add never carries a digit into the next class
-    assert at_bound.add(1, times=2).k == 2**B - 1
+    assert at_bound.add(1, times=2).k == MAX_HELD_INSERTIONS == 2**B - 1
     with pytest.raises(ValueError, match="times must be in 1..2, got 3"):
         at_bound.add(1, times=3)
 

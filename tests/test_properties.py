@@ -8,13 +8,15 @@ is checked through one explicit step, because evaluation itself peels
 divisors by that axiom.  ``CodimVector`` keeps its stored insertion count and
 total codimension in step with its pairs under every operation.  The solved
 degeneration sum yields exactly the balanced terms that a plain loop over
-every degree and diagonal class finds.
+every degree and diagonal class finds, and the splits come in the order
+``itertools.product`` gives them.
 """
 
 from __future__ import annotations
 
 import copy
 import pickle
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +32,8 @@ from gwcount import (
     eval_real,
 )
 from gwcount.complex_engine import wdvv_step
-from gwcount.keys import B, complex_dimension_gap, degeneration_terms, enumerate_splits
+from gwcount.keys import (B, binomial, complex_dimension_gap, degeneration_terms,
+                          enumerate_splits)
 from gwcount.real_engine import recursion_step
 
 from test_complex_engine import _random_pivot_rule
@@ -199,3 +202,27 @@ def test_degeneration_terms_match_a_plain_loop(case):
     # Tuples of the vectors, so that the stored k and total codimension match too.
     assert [(*t[:3], tuple(t[3]), tuple(t[4])) for t in got] == \
         [(*t[:3], tuple(t[3]), tuple(t[4])) for t in expected]
+
+
+def _splits_by_product(cv: CodimVector, per_element_weight: int):
+    """The splits of ``cv`` built on ``itertools.product``, last class fastest."""
+    choices = [[(i, c, binomial(m, i) * per_element_weight**i) for i in range(m + 1)]
+               for c, m in cv.pairs]
+    for combo in product(*choices):
+        weight, I, J = 1, [], []
+        for i, c, wi in combo:
+            weight *= wi
+            I += [c] * i
+            J += [c] * (cv.multiplicity(c) - i)
+        yield CodimVector.from_entries(I), CodimVector.from_entries(J), weight
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(classes=st.dictionaries(st.integers(0, 12), st.integers(1, 3), max_size=4),
+       weight=st.sampled_from((1, 2)))
+@example(classes={2: 1, 5: 2}, weight=1)
+def test_enumerate_splits_follows_product_order(classes, weight):
+    # Memo order and max_depth follow the order of the splits, not just their set.
+    cv = CodimVector(sorted(classes.items()))
+    got = [(tuple(I), tuple(J), w) for I, J, w in enumerate_splits(cv, weight)]
+    assert got == [(tuple(I), tuple(J), w) for I, J, w in _splits_by_product(cv, weight)]
