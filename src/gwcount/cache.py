@@ -18,13 +18,13 @@ memos; it never changes what an engine would compute.
 it trusts the stored value; it checks the whole file's syntax against the
 strict grammar of canonical lines, and that the key's line occurs once and
 belongs to a key the engine memoizes (``is_memo_key``, which asks the
-engine's own rule function).  Anything else is left to the full parse:
-``load`` reads the file again and ``parse`` matches each line against the
-record grammar ``_RECORD``, which also accepts leading zeros in every number
-and a ``-`` on the dimension, degree and value; any other spelling (a ``+``,
-a space, an underscore) is a malformed record, as are codimensions no vector
-holds.  The full parse checks sort order and conflicts and accepts
-unmemoized keys; ``gw cache verify`` rejects them.
+engine's own rule function).  Anything else is a miss, answered from one
+read, one parse and at most one render.  ``parse`` matches each ``\\n``-ended
+line against the record grammar ``_RECORD``, which also accepts leading zeros
+in every number and a ``-`` on the dimension, degree and value; any other
+spelling (a ``+``, a space, an underscore, another line break) is malformed,
+as are codimensions no vector holds.  The full parse checks sort order and
+conflicts and accepts unmemoized keys; ``gw cache verify`` rejects them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ import re
 from collections.abc import Iterable
 
 from .complex_engine import ComplexEvalContext, MemoKey, complex_rules
-from .keys import B, MAX_CODIM, MAX_HELD_INSERTIONS, CodimVector, ComplexKey, RealKey, expand_code
+from .keys import (B, MASK, MAX_CODIM, MAX_HELD_INSERTIONS, CodimVector, ComplexKey, RealKey,
+                   expand_code)
 from .real_engine import RealEvalContext, real_rules
 
 __all__ = [
@@ -182,16 +183,29 @@ class CacheStore:
 
     # -- serialization -----------------------------------------------------
 
+    def _file_order(self) -> list[tuple[str, int, int, str, str, int]]:
+        """Rows (kind, dim, d, key, line, value) in file order; the key spells entry c as chr(c)."""
+        rows = []
+        for kind, records in self.records.items():
+            for (dim, d, code), value in records.items():
+                key = body = ""
+                while code:
+                    c = ((code & -code).bit_length() - 1) // B
+                    m = code >> B * c & MASK
+                    code ^= m << B * c
+                    key += chr(c) * m
+                    body += f"{c}," * m
+                line = f"gw1|{kind}|{DIMTAGS[kind]}={dim}|d={d}|c={body[:-1]}|v={value}"
+                rows.append((kind, dim, d, key, line, value))
+        return sorted(rows)  # (kind, dim, d, key) is unique, so no line is compared
+
     def sorted_records(self) -> list[tuple[str, int, int, tuple[int, ...], int]]:
         """(kind, dim, d, codims, value) of every record, in file order."""
-        return [(kind, *row) for kind in ("C", "R") for row in sorted(
-            (dim, d, expand_code(code), value)
-            for (dim, d, code), value in self.records[kind].items())]
+        return [(kind, dim, d, tuple(map(ord, key)), value)
+                for kind, dim, d, key, _, value in self._file_order()]
 
     def render(self) -> str:
-        lines = [HEADER]
-        lines += [record_line(*record) for record in self.sorted_records()]
-        return "\n".join(lines) + "\n"
+        return "\n".join([HEADER, *[row[4] for row in self._file_order()], ""])
 
     def save(self, path: str | os.PathLike[str]) -> None:
         """Write the store to ``path`` through a temp file in the same directory."""
@@ -213,30 +227,35 @@ class CacheStore:
     @classmethod
     def parse(cls, text: str) -> "CacheStore":
         """The store written as ``text``; checks every line and every conflict."""
-        lines = text.splitlines()
+        lines = text.removesuffix("\n").split("\n") if text else []  # only "\n" ends a line
         if not lines or lines[0] != HEADER:
             raise CacheFormatError(
                 f"unsupported cache header: {lines[0]!r}" if lines else "empty cache file"
             )
         store = cls()
+        class_bit = _ClassBits().__getitem__
         for lineno, line in enumerate(lines[1:], start=2):
-            kind, memo_key, value = _parse_line(line, lineno)
-            store._merge(kind, ((memo_key, value),))
+            match = _RECORD.fullmatch(line)
+            if match is None:
+                raise CacheFormatError(f"line {lineno}: malformed record {line!r}")
+            tag, dim, d, body, value = match.groups()
+            try:
+                entries = [*map(class_bit, body.split(","))] if body else []
+                code = sum(entries)  # no digit carries, so a capped class shows
+                if (entries != sorted(entries) or len(entries) > MAX_HELD_INSERTIONS
+                        or code >> B * (MAX_CODIM + 1)):
+                    raise ValueError(f"codimensions must be sorted, at most {MAX_HELD_INSERTIONS} "
+                                     f"of them, each at most {MAX_CODIM}: {body!r}")
+                memo_key, value = (int(dim), int(d), code), int(value)
+            except ValueError as exc:  # also an int too long to convert
+                raise CacheFormatError(f"line {lineno}: {exc}") from None
+            if store.records[tag[0]].setdefault(memo_key, value) != value:
+                store._merge(tag[0], ((memo_key, value),))  # raises, naming the conflict
         return store
 
 
-def _parse_line(line: str, lineno: int) -> tuple[str, MemoKey, int]:
-    """One record in any spelling ``_RECORD`` accepts, as (kind, memo key, value)."""
-    match = _RECORD.fullmatch(line)
-    if match is None:
-        raise CacheFormatError(f"line {lineno}: malformed record {line!r}")
-    tag, dim, d, body, value = match.groups()
-    try:
-        entries = [int(c) for c in body.split(",")] if body else []
-        if (entries != sorted(entries) or len(entries) > MAX_HELD_INSERTIONS
-                or entries and entries[-1] > MAX_CODIM):
-            raise ValueError(f"codimensions must be sorted, at most {MAX_HELD_INSERTIONS} of "
-                             f"them, each at most {MAX_CODIM}: {body!r}")
-        return tag[0], (int(dim), int(d), sum([1 << B * c for c in entries])), int(value)
-    except ValueError as exc:  # also an int too long to convert
-        raise CacheFormatError(f"line {lineno}: {exc}") from None
+class _ClassBits(dict):
+    """Codimension spelling -> class bit ``1 << B*c``, c capped at MAX_CODIM + 1."""
+
+    def __missing__(self, spelling: str) -> int:
+        return self.setdefault(spelling, 1 << B * min(int(spelling), MAX_CODIM + 1))

@@ -12,7 +12,7 @@ variable; the flag wins) to warm the engines from a store keyed like their
 memos; a query rewrites the file only if it added records or the file is new.
 ``gw complex`` and ``gw real`` answer a key from its one canonical line in a
 syntactically valid file, without building a store (``cache.stored_value``);
-on a miss they load the file again through ``CacheStore.load``, the one way
+on a miss they parse the same text through ``CacheStore.parse``, the one way
 every store here is read, whose full parse also accepts leading zeros and a
 ``-`` on the dimension, degree and value (``cache._RECORD``).  ``gw cache
 save`` rewrites the file in canonical form, and ``gw cache verify``, the only
@@ -99,10 +99,10 @@ def _open_store(path: str | None) -> CacheStore:
 
 
 @contextlib.contextmanager
-def _engines(args: argparse.Namespace):
-    """Engine contexts warmed from the cache; new results are saved on success."""
+def _engines(args: argparse.Namespace, text: str | None = None):
+    """Engines warmed from the cache (its ``text`` if read); saves new results on success."""
     path = _cache_path(args)
-    store = _open_store(path)
+    store = _open_store(path) if text is None else CacheStore.parse(text)
     cctx = ComplexEvalContext()
     rctx = RealEvalContext(cctx)
     store.warm(cctx, rctx)
@@ -127,9 +127,10 @@ def _print_value(args: argparse.Namespace, space: str, value: int) -> None:
 def _query(args: argparse.Namespace, key: ComplexKey | RealKey, space: str) -> int:
     """Print one invariant: from its cached line on a hit, else from the engines."""
     path = _cache_path(args)
-    value = stored_value(read_text(path), key) if path and os.path.exists(path) else None
-    if value is None:  # a miss reads the file again, through CacheStore.load
-        with _engines(args) as (cctx, rctx):
+    text = read_text(path) if path and os.path.exists(path) else None
+    value = None if text is None else stored_value(text, key)
+    if value is None:  # a miss parses the text read above
+        with _engines(args, text) as (cctx, rctx):
             value = eval_real(key, rctx) if isinstance(key, RealKey) else eval_complex(key, cctx)
     _print_value(args, space, value)
     return 0

@@ -19,8 +19,8 @@ from gwcount import (
     eval_complex,
     eval_real,
 )
-from gwcount.cache import HEADER, is_memo_key
-from gwcount.keys import MAX_HELD_INSERTIONS
+from gwcount.cache import _RECORD, HEADER, is_memo_key, record_line
+from gwcount.keys import B, MAX_CODIM, MAX_HELD_INSERTIONS
 
 
 def _ckey(N, d, *cs):
@@ -307,6 +307,112 @@ def test_render_load_roundtrip_fuzz(tmp_path_factory, records):
 def _file_order(line):
     _, kind, dim, d, codims, _ = line.split("|")
     return kind, int(dim[2:]), int(d[2:]), tuple(int(c) for c in codims[2:].split(",") if c)
+
+
+# Classes past 9, so that 9 sorts before 10 only as a number does.
+wide_records = st.dictionaries(
+    st.tuples(st.sampled_from("CR"), st.integers(-1, 3), st.integers(-1, 3),
+              st.lists(st.integers(0, 12), max_size=6).map(sorted).map(tuple)),
+    st.integers(-(10**40), 10**40),
+    max_size=30,
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(wide_records)
+@example({("C", 3, 2, (3,)): 1, ("C", 3, 2, (3, 3)): 2, ("C", 3, 2, (3, 4)): 3,
+          ("C", 3, 2, ()): 4, ("C", 3, 2, (0, 3)): 5, ("R", 3, 2, (9,)): 6,
+          ("R", 3, 2, (10,)): 7, ("R", 3, 2, (9, 10)): 8, ("R", 3, 2, (0,)): 9})
+def test_render_matches_the_record_line_reference(records):
+    store = CacheStore()
+    for (kind, dim, d, entries), value in records.items():
+        store.records[kind][(dim, d, _code(*entries))] = value
+    reference = sorted((kind, dim, d, entries, value)
+                       for (kind, dim, d, entries), value in records.items())
+    assert store.sorted_records() == reference
+    assert store.render() == "".join(f"{line}\n" for line in [
+        HEADER, *(record_line(*record) for record in reference)])
+
+
+def _reference_parse(text):
+    """Records by kind of the full parse, converting every entry with int()."""
+    lines = text.removesuffix("\n").split("\n") if text else []
+    if not lines or lines[0] != HEADER:
+        raise CacheFormatError(
+            f"unsupported cache header: {lines[0]!r}" if lines else "empty cache file")
+    records = {"C": {}, "R": {}}
+    for lineno, line in enumerate(lines[1:], start=2):
+        match = _RECORD.fullmatch(line)
+        if match is None:
+            raise CacheFormatError(f"line {lineno}: malformed record {line!r}")
+        tag, dim, d, body, value = match.groups()
+        try:
+            entries = [int(c) for c in body.split(",")] if body else []
+            if (entries != sorted(entries) or len(entries) > MAX_HELD_INSERTIONS
+                    or entries and entries[-1] > MAX_CODIM):
+                raise ValueError(f"codimensions must be sorted, at most {MAX_HELD_INSERTIONS} "
+                                 f"of them, each at most {MAX_CODIM}: {body!r}")
+            key = (int(dim), int(d), sum(1 << B * c for c in entries))
+            value = int(value)
+        except ValueError as exc:
+            raise CacheFormatError(f"line {lineno}: {exc}") from None
+        if records[tag[0]].setdefault(key, value) != value:
+            raise CacheIntegrityError(
+                f"conflicting values for {tag[0]} dim={key[0]} d={key[1]} "
+                f"c={','.join(map(str, entries))}: had {records[tag[0]][key]}, got {value}")
+    return records
+
+
+# Codimension spellings: leading zeros, the MAX_CODIM bound and an entry too
+# long for int() to convert.
+spellings = st.one_of(
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(1, 3), st.integers(0, 12)).map(lambda z: "0" * z[0] + str(z[1])),
+    st.sampled_from(["1024", "01024", "1025", "01025", "3" * 5_000]),
+)
+record_lines = st.tuples(
+    st.sampled_from(["C|N", "R|n"]), st.sampled_from(["3", "03", "-1"]),
+    st.sampled_from(["1", "2", "01"]), st.lists(spellings, max_size=5),
+    st.sampled_from(["0", "5", "-5", "05"]),
+).map(lambda r: f"gw1|{r[0]}={r[1]}|d={r[2]}|c={','.join(r[3])}|v={r[4]}")
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.lists(st.one_of(record_lines, st.sampled_from(["", "gw1|C|N=3|d=1|c=3_0|v=1"])),
+                max_size=8))
+@example(["gw1|C|N=3|d=1|c=3,03|v=1", "gw1|C|N=3|d=1|c=03,3|v=1"])
+@example(["gw1|C|N=3|d=1|c=03,2|v=1"])
+@example(["gw1|C|N=3|d=1|c=01025|v=1"])
+@example(["gw1|C|N=3|d=1|c=2,01024,1024|v=1", "gw1|C|N=3|d=1|c=2,1024,01024|v=5"])
+@example(["gw1|C|N=3|d=1|c=1025," + "3" * 5_000 + "|v=1"])
+@example(["gw1|C|N=3|d=1|c=2,3|v=1", "gw1|C|N=3|d=1|c=2," + "0" * 4_999 + "3|v=1"])
+def test_parse_matches_the_per_entry_reference(lines):
+    text = "".join(f"{line}\n" for line in [HEADER, *lines])
+    try:
+        want = _reference_parse(text)
+    except (CacheFormatError, CacheIntegrityError) as exc:
+        with pytest.raises(type(exc)) as got:
+            CacheStore.parse(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert CacheStore.parse(text).records == want
+
+
+@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
+def test_parse_splits_records_at_newlines_only(brk):
+    # str.splitlines would read these as two records; only "\n" ends a line.
+    line = f"gw1|C|N=3|d=1|c=3,3|v=1{brk}gw1|R|n=2|d=1|c=3|v=1"
+    with pytest.raises(CacheFormatError, match=r"^line 2: malformed record "):
+        CacheStore.parse(f"{HEADER}\n{line}\n")
+
+
+def test_parse_reads_a_missing_final_newline_and_rejects_blank_lines():
+    assert len(CacheStore.parse(f"{HEADER}\ngw1|C|N=3|d=1|c=3,3|v=1")) == 1
+    assert len(CacheStore.parse(HEADER)) == 0
+    with pytest.raises(CacheFormatError, match=r"^line 2: malformed record ''$"):
+        CacheStore.parse(f"{HEADER}\n\ngw1|C|N=3|d=1|c=3,3|v=1\n")
+    with pytest.raises(CacheFormatError, match=r"^line 3: malformed record ''$"):
+        CacheStore.parse(f"{HEADER}\ngw1|C|N=3|d=1|c=3,3|v=1\n\n")
 
 
 def _multisets(codims, kmax):

@@ -459,6 +459,48 @@ def test_repeated_cached_key_takes_the_full_parse(tmp_path, capsys, monkeypatch,
     assert parses == [1]
 
 
+def test_cache_miss_reads_the_file_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "store.txt"
+    run(capsys, *_real_argv(5, path))
+    reads = []
+    original = open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if os.fspath(file) == str(path) and "r" in mode:
+            reads.append(mode)
+        return original(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    parses = _count_parses(monkeypatch)
+    assert run(capsys, *_real_argv(7, path))[:2] == (0, "-85\n")
+    assert (len(reads), parses) == (1, [1])
+
+
+def test_every_record_dropped_from_a_store_comes_back_byte_identical(tmp_path, capsys):
+    # A miss warms the engines from the rest of the store, so recomputing the
+    # dropped key adds exactly its record, and the save restores every byte.
+    path = tmp_path / "store.gwc"
+    assert run(capsys, "table2", "--space", "p7", "--cache", str(path))[0] == 0
+    complete = path.read_bytes()
+    lines = complete.decode().splitlines(keepends=True)
+    assert len(lines) == 109
+    for dropped in lines[1:]:
+        path.write_text("".join(line for line in lines if line != dropped))
+        _, kind, dim, d, codims, value = dropped.rstrip("\n").split("|")
+        argv = (("complex", "--dim") if kind == "C" else ("real", "--n")) + (
+            dim[2:], "--d", d[2:], "--codims", codims[2:], "--cache", str(path))
+        assert run(capsys, *argv) == (0, f"{value[2:]}\n", "")
+        assert path.read_bytes() == complete, dropped
+
+
+def test_cache_load_reads_a_form_feed_as_part_of_a_record(tmp_path, capsys):
+    path = tmp_path / "store.gwc"
+    path.write_text(f"{HEADER}\ngw1|C|N=3|d=1|c=3,3|v=1\x0cgw1|R|n=2|d=1|c=3|v=1\n")
+    code, out, err = run(capsys, "cache", "load", "--cache", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 2: malformed record ") and err.count("\n") == 1
+
+
 def test_malformed_line_elsewhere_fails_a_cached_query(tmp_path, capsys):
     path = tmp_path / "store.txt"
     run(capsys, *_real_argv(5, path))
