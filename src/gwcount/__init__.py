@@ -14,9 +14,7 @@ from .keys import (
     ComplexKey,
     RealKey,
     binomial,
-    complex_dimension_gap,
     enumerate_splits,
-    real_dimension_gap,
 )
 from .p3 import (
     complex_series_p3,
@@ -51,14 +49,12 @@ __all__ = [
     "binomial",
     "canonical_designation",
     "canonical_pivot",
-    "complex_dimension_gap",
     "complex_series_p3",
     "congruence_mod4_report",
     "enumerate_splits",
     "eval_complex",
     "eval_real",
     "parity_report",
-    "real_dimension_gap",
     "real_series_p3",
     "table1_rows",
     "table2_rows",

@@ -36,7 +36,9 @@ peels it as the weight d2 or d1, as in Kontsevich and Manin's form of the
 recursion.  The sum is evaluated only at the one (d1, f) per split and term
 that balances the left factor (``keys.degeneration_terms(N, d, splits, 1,
 terms)``): every other (d1, f) gives 0 by rule 2, and f = 0 or f = N by
-rule 4.
+rule 4.  Every split sum of both engines runs through the one product loop,
+``product_sum``: it probes the memo for each factor before it calls the
+driver, and a hit there counts as the driver's would.
 
 All arithmetic is exact; only the results of step 7 are memoized, keyed on
 the core (the cheap structural rules are recomputed on the fly), so the memo
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import sys
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from functools import wraps
 from types import SimpleNamespace
 
@@ -105,14 +107,17 @@ class EvalContext:
 
     A subclass supplies its recursion ``step`` and its pure ``rules``: the
     value of <cv>_d, or its core, ``cv`` itself or less the m divisor entries
-    the divisor relation strips, so that <cv>_d = d^m * <core>_d.  The memo
-    and the depth are not locked: one context is used by one thread at a time.
+    the divisor relation strips, so that <cv>_d = d^m * <core>_d.  ``solved``
+    holds the values of this context's own steps, all cores; ``memo`` holds
+    them and any warmed ones.  Counting happens in ``evaluate`` and in the memo
+    probe of ``product_sum``.  Nothing is locked: one thread uses a context.
     """
 
-    __slots__ = ("memo", "calls", "hits", "deep_evals", "depth", "max_depth")
+    __slots__ = ("memo", "solved", "calls", "hits", "deep_evals", "depth", "max_depth")
 
     def __init__(self) -> None:
         self.memo: dict[MemoKey, int] = {}
+        self.solved: dict[MemoKey, int] = {}
         self.calls = 0
         self.hits = 0
         self.deep_evals = 0
@@ -130,7 +135,7 @@ class EvalContext:
             self.depth += 1
             self.max_depth = max(self.max_depth, self.depth)
             try:
-                value = self.memo[memo_key] = self.step(dim, d, core)
+                value = self.memo[memo_key] = self.solved[memo_key] = self.step(dim, d, core)
             finally:
                 self.depth -= 1
             self.deep_evals += 1
@@ -218,9 +223,36 @@ def wdvv_step(
     total += ctx.evaluate(N, d, S.add_all((a, c, e + 1)))
     total -= d * ctx.evaluate(N, d, S.add_all((a, c + e)))
     terms = ((1, (a, c), (e,)), (-1, (a,), (c, e)))
-    for w, d1, d2, left, right in degeneration_terms(N, d, enumerate_splits(S, 1), 1, terms):
-        t = ctx.evaluate(N, d1, left)
+    factors = degeneration_terms(N, d, enumerate_splits(S, 1), 1, terms)
+    return total + product_sum(ctx, N, ctx, N, factors, weighted=True)
+
+
+def product_sum(lctx: EvalContext, ldim: int, rctx: EvalContext, rdim: int,
+                factors: Iterable[tuple[int, int, int, CodimVector, CodimVector]],
+                weighted: bool) -> int:
+    """Sum of w * <left>_{d1} * <right>_{d2} (times d2 if w > 0, else d1, if
+    ``weighted``) over the ``factors`` of ``degeneration_terms``, <left> in
+    ``lctx`` on ``ldim`` and, if it is nonzero, <right> in ``rctx`` on ``rdim``.
+    A factor found in ``solved`` is a core and counts one call and one memo hit,
+    as in ``evaluate``, the one reader of cache records, which need not be cores.
+    """
+    lmemo, rmemo = lctx.solved, rctx.solved
+    total = 0
+    for w, d1, d2, left, right in factors:
+        t = lmemo.get((ldim, d1, left[0]))
+        if t is None:
+            t = lctx.evaluate(ldim, d1, left)
+        else:
+            lctx.calls += 1
+            lctx.hits += 1
         if t:
-            t *= ctx.evaluate(N, d2, right)
-            total += (d2 if w > 0 else d1) * w * t
+            u = rmemo.get((rdim, d2, right[0]))
+            if u is None:
+                u = rctx.evaluate(rdim, d2, right)
+            else:
+                rctx.calls += 1
+                rctx.hits += 1
+            if weighted:
+                u *= d2 if w > 0 else d1
+            total += w * t * u
     return total

@@ -2,11 +2,11 @@
 
 Provides the canonical multiset of insertion codimensions (``CodimVector``,
 one integer code beside its insertion count and total codimension), the two
-invariant key types, dimension bookkeeping, safe binomials, the weighted
-splittings of an insertion multiset and the one solved degeneration sum over
-them, ``degeneration_terms(N, d, splits, weight, terms)``, whose factors are
-each built from a split by adding one per-step code delta.  Everything here
-is pure and exact: values are Python ints, keys are immutable and hashable.
+invariant key types, safe binomials, the weighted splittings of an insertion
+multiset and the one solved degeneration sum over them,
+``degeneration_terms(N, d, splits, weight, terms)``, whose factors are each
+built from a split by adding one per-step code delta.  Everything here is
+pure and exact: values are Python ints, keys are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ __all__ = [
     "ComplexKey",
     "RealKey",
     "binomial",
-    "complex_dimension_gap",
     "degeneration_terms",
     "enumerate_splits",
     "expand_code",
-    "real_dimension_gap",
 ]
 
 B = 16  # bits per class of a packed code
@@ -228,12 +226,6 @@ class RealKey(frozen_record("RealKey", "n d insertions phi")):
         return super().__new__(cls, n, d, insertions, phi)
 
 
-def complex_dimension_gap(key: ComplexKey) -> int:
-    """(N+1)d + N - 3 + k - sum(c_i): zero exactly on dimension-balanced keys."""
-    ins = key.insertions
-    return (key.N + 1) * key.d + key.N - 3 + ins.k - ins.total_codim
-
-
 def degeneration_terms(
     N: int,
     d: int,
@@ -264,12 +256,6 @@ def degeneration_terms(
                 yield (sign * w, -q, d + weight * q,
                        _new(CodimVector, (icode + lcode + bit[x], ik + lk, itotal + lt + x)),
                        _new(CodimVector, (jcode + rcode + bit[N - x], jk + rk, jtotal + rt - x)))
-
-
-def real_dimension_gap(key: RealKey) -> int:
-    """n(d+1) - 2 + k - sum(c_i): zero exactly on dimension-balanced real keys."""
-    ins = key.insertions
-    return key.n * (key.d + 1) - 2 + ins.k - ins.total_codim
 
 
 def enumerate_splits(

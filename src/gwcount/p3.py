@@ -100,14 +100,7 @@ def congruence_mod4_report() -> CheckReport:
     for d in range(1, MOD4_DMAX + 1):
         want = 1 if d % 2 else 0
         report.check_equal(f"N^C_{d} mod 4", want, n[d] % 4)
-        if d % 2:
-            want_nt = 1
-        elif d == 2:
-            want_nt = 1
-        elif d == 4:
-            want_nt = 2
-        else:
-            want_nt = 0
+        want_nt = 1 if d % 2 else {2: 1, 4: 2}.get(d, 0)
         report.check_equal(f"Ntilde^C_{d} mod 4", want_nt, nt[d] % 4)
         report.check_equal(f"N^R_{d} mod 4", want, nr[d] % 4)
         if d % 2 == 0:

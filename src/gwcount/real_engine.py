@@ -35,15 +35,16 @@ where <...>^C are complex invariants of P^{2n-1} evaluated by the shared
 complex engine.  This sum and the one in ``theorem12_residual`` are
 evaluated only at the one (d1, 2i) per split and term that balances the
 complex factor (``keys.degeneration_terms(N, d, splits, 2, terms)``, with
-splits weighted 2 per element in I).  Only step-6 results are memoized,
-keyed on (n, d, core insertions).
+splits weighted 2 per element in I), by the one product loop ``product_sum``,
+which probes the memos first and counts as ``EvalContext.evaluate``.  Only
+step-6 results are memoized, keyed on (n, d, core insertions).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from .complex_engine import ComplexEvalContext, EvalContext, deep_recursion
+from .complex_engine import ComplexEvalContext, EvalContext, deep_recursion, product_sum
 from .keys import (B, MASK, MAX_CODIM, CodimVector, RealKey, _new, degeneration_terms,
                    enumerate_splits)
 
@@ -133,12 +134,8 @@ def recursion_step(
     N = 2 * n - 1
     total = d * ctx.evaluate(n, d, rest.add(c1 + c2 - 1))
     terms = ((1, (c1 - 1, c2), ()), (-1, (c1 - 1,), (c2,)))
-    for w, d1, d2, left, right in degeneration_terms(N, d, enumerate_splits(rest, 2), 2, terms):
-        t = ctx.complex_ctx.evaluate(N, d1, left)
-        if t:
-            t *= ctx.evaluate(n, d2, right)
-            total += (d2 if w > 0 else d1) * w * t
-    return total
+    factors = degeneration_terms(N, d, enumerate_splits(rest, 2), 2, terms)
+    return total + product_sum(ctx.complex_ctx, N, ctx, n, factors, weighted=True)
 
 
 @deep_recursion
@@ -175,10 +172,6 @@ def theorem12_residual(
     lhs = ctx.evaluate(n, d, rest.add_all((c1, c2 + 2 * c)))
     lhs -= ctx.evaluate(n, d, rest.add_all((c1 + 2 * c, c2)))
     N = 2 * n - 1
-    rhs = 0
     terms = ((1, (2 * c, c1), (c2,)), (-1, (2 * c, c2), (c1,)))
-    for w, d1, d2, left, right in degeneration_terms(N, d, enumerate_splits(rest, 2), 2, terms):
-        t = ctx.complex_ctx.evaluate(N, d1, left)
-        if t:
-            rhs += w * t * ctx.evaluate(n, d2, right)
-    return lhs - rhs
+    factors = degeneration_terms(N, d, enumerate_splits(rest, 2), 2, terms)
+    return lhs - product_sum(ctx.complex_ctx, N, ctx, n, factors, weighted=False)

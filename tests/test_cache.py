@@ -223,6 +223,23 @@ def test_warm_cache_cannot_change_results(tmp_path):
     assert warm == cold
 
 
+def test_a_warmed_record_of_an_unmemoized_factor_is_never_read():
+    # Each record is a product factor of the queried key that is not its own
+    # core: the engines answer it by the divisor relation, never from a memo,
+    # so even a wrong stored value must not reach the result.
+    queries = [(eval_complex, _ckey(3, 3, *[2] * 12), "C", (3, 1, (1, 1, 2, 2, 2, 2))),
+               (eval_real, _rkey(2, 5, *[3] * 5), "R", (2, 3, (1, 3, 3, 3)))]
+    for evaluate, key, kind, (dim, d, entries) in queries:
+        assert not is_memo_key(kind, dim, d, CodimVector.of(*entries))
+        cold = evaluate(key, RealEvalContext() if kind == "R" else ComplexEvalContext())
+        store = CacheStore()
+        store.records[kind][(dim, d, _code(*entries))] = 7
+        cctx = ComplexEvalContext()
+        rctx = RealEvalContext(cctx)
+        store.warm(cctx, rctx)
+        assert evaluate(key, rctx if kind == "R" else cctx) == cold
+
+
 def test_absorb_detects_engine_cache_conflicts():
     cctx = ComplexEvalContext()
     eval_complex(_ckey(3, 3, 3, 3, 3, 3, 3, 3), cctx)

@@ -21,6 +21,7 @@ from gwcount import (
     theorem12_residual,
 )
 from gwcount.complex_engine import RECURSION_LIMIT, wdvv_step
+from gwcount.p3 import complex_codim_vectors
 
 from golden import COMPLEX_P3_N, COMPLEX_P3_NTILDE, KONTSEVICH_P2, SCHUBERT_P3_LINES
 
@@ -245,6 +246,22 @@ def test_memo_statistics_track_work():
     before = stats["memo_hits"]
     C(ctx, 3, 3, *([3] * 6))
     assert ctx.stats()["memo_hits"] > before
+
+
+def test_engine_counters_of_every_balanced_complex_key():
+    # Every balanced key of P^3 (d <= 6) and P^5 (d <= 4) in one context,
+    # with no real engine involved: each of the 422 memo keys is expanded
+    # once, and every other call is a memo hit or a structural end.
+    keys = [ComplexKey(N=N, d=d, insertions=cv) for N, top in ((3, 6), (5, 4))
+            for d in range(1, top + 1) for cv in complex_codim_vectors(N, d)]
+    assert len(keys) == 424
+    ctx = ComplexEvalContext()
+    for key in keys:
+        eval_complex(key, ctx)
+    stats = ctx.stats()
+    assert tuple(stats[name] for name in ("calls", "memo_hits", "deep_evals", "memo_size")) == (
+        31_440, 29_788, 422, 422)
+    assert stats["max_depth"] == 1
 
 
 @pytest.mark.parametrize("engine, dim, d, divisors, core", [

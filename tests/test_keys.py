@@ -10,12 +10,12 @@ from gwcount import (
     ComplexKey,
     RealKey,
     binomial,
-    complex_dimension_gap,
     enumerate_splits,
     eval_complex,
-    real_dimension_gap,
 )
+from gwcount.complex_engine import complex_rules
 from gwcount.keys import B, MAX_CODIM, MAX_HELD_INSERTIONS, MAX_INSERTIONS
+from gwcount.real_engine import real_rules
 
 
 def test_normalize_is_permutation_insensitive():
@@ -113,18 +113,20 @@ def test_binomial_out_of_range_is_zero():
 
 
 def test_dimension_gaps():
-    k = ComplexKey(N=3, d=3, insertions=CodimVector.of(2, 2, 3, 3, 3, 3, 3))
-    assert complex_dimension_gap(k) == 0
-    k = ComplexKey(N=3, d=1, insertions=CodimVector.of(3, 3, 3))
-    assert complex_dimension_gap(k) == -2
-    k = ComplexKey(N=5, d=0, insertions=CodimVector.of(1, 2, 2))
-    assert complex_dimension_gap(k) == 0
-    r = RealKey(n=2, d=3, insertions=CodimVector.of(3, 3, 3))
-    assert real_dimension_gap(r) == 0
-    r = RealKey(n=2, d=1, insertions=CodimVector.of(3, 3))
-    assert real_dimension_gap(r) == -2
-    r = RealKey(n=4, d=5, insertions=CodimVector.of(7, 7, 7, 5))
-    assert real_dimension_gap(r) == 0
+    # Each engine's rules give 0 on a key off its dimension balance; on a
+    # balanced key they give its value or its core.
+    cv = CodimVector.of(2, 2, 3, 3, 3, 3, 3)
+    assert complex_rules(3, 3, cv) is cv
+    assert complex_rules(3, 1, CodimVector.of(3, 3, 3)) == 0
+    assert complex_rules(3, 1, CodimVector.of(3, 3)) == 1
+    assert complex_rules(5, 0, CodimVector.of(1, 2, 2)) == 1
+    cv = CodimVector.of(3, 3, 3)
+    assert real_rules(2, 3, cv) is cv
+    assert real_rules(2, 1, CodimVector.of(3, 3)) == 0
+    assert real_rules(2, 1, CodimVector.of(3)) == 1
+    cv = CodimVector.of(7, 7, 7, 5)
+    assert real_rules(4, 5, cv) is cv
+    assert real_rules(4, 5, cv.add(5)) == real_rules(4, 3, cv) == 0
 
 
 def test_key_validation():

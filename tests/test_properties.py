@@ -32,8 +32,7 @@ from gwcount import (
     eval_real,
 )
 from gwcount.complex_engine import wdvv_step
-from gwcount.keys import (B, binomial, complex_dimension_gap, degeneration_terms,
-                          enumerate_splits)
+from gwcount.keys import B, binomial, degeneration_terms, enumerate_splits
 from gwcount.real_engine import recursion_step
 
 from test_complex_engine import _random_pivot_rule
@@ -195,7 +194,7 @@ def test_degeneration_terms_match_a_plain_loop(case):
                     if weight * d1 >= d or x % weight:
                         continue
                     left = I.add_all(left_extra + (x,))
-                    if complex_dimension_gap(ComplexKey(N=N, d=d1, insertions=left)) == 0:
+                    if (N + 1) * d1 + N - 3 + left.k - left.total_codim == 0:  # balanced
                         right = J.add_all(right_extra + (N - x,))
                         expected.append((sign * w, d1, d - weight * d1, left, right))
     got = list(degeneration_terms(N, d, enumerate_splits(S, weight), weight, terms))

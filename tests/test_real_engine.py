@@ -14,6 +14,7 @@ from gwcount import (
     real_series_p3,
     theorem12_residual,
 )
+from gwcount.checks import theorem12_samples
 from gwcount.p3 import real_codim_vectors
 from gwcount.real_engine import recursion_step
 from gwcount.tables import table2_rows
@@ -250,6 +251,17 @@ def test_engine_counters_on_the_p7_sweep(order):
     assert _counters(ctx.complex_ctx) == (25_757, 24_240, 483, 483)
     assert _counters(ctx) == (2_374, 2_140, 93, 93)
     assert (ctx.complex_ctx.max_depth, ctx.max_depth) == {1: (6, 1), -1: (7, 14)}[order]
+
+
+def test_engine_counters_of_the_transfer_identity():
+    # Every residual of the sample grid in one context pair: the two sides
+    # of each identity and the factors of its correction sum.
+    ctx = RealEvalContext()
+    for n, d, c, c_list in theorem12_samples():
+        assert theorem12_residual(n, d, c, c_list, ctx) == 0
+    assert _counters(ctx.complex_ctx) == (171, 130, 9, 9)
+    assert _counters(ctx) == (248, 19, 4, 4)
+    assert (ctx.complex_ctx.max_depth, ctx.max_depth) == (2, 2)
 
 
 def test_engine_counters_of_table2_p5():
