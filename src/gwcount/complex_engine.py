@@ -45,15 +45,21 @@ the core (the cheap structural rules are recomputed on the fly), so the memo
 holds exactly the keys whose evaluation required a full expansion.  The
 driver also holds the nesting depth of its own steps; ``max_depth`` is the
 deepest it reached, and steps of another engine's context do not count.
+
+The driver bounds that nesting, so deep keys need no raised recursion limit.
+A memo miss MAX_NESTING steps deep does not recurse: it names its core to the
+context's outermost step, whose frame solves that core first, from depth 0,
+and then runs its own step again, on memo hits where it had got to.  Each
+step nests four frames, and only real steps nest complex ones, so at most
+2 * 64 * 4 = 512 frames are in use.  For a key that nests past MAX_NESTING
+steps, ``calls`` and ``memo_hits`` include the retried lookups and
+``max_depth`` reads at most MAX_NESTING; ``deep_evals`` and the memo do not
+change.
 """
 
 from __future__ import annotations
 
-import sys
-import threading
 from collections.abc import Callable, Iterable
-from functools import wraps
-from types import SimpleNamespace
 
 from .keys import B, MASK, CodimVector, ComplexKey, _new, degeneration_terms, enumerate_splits
 
@@ -65,10 +71,8 @@ __all__ = [
     "wdvv_step",
 ]
 
-# Each level of the recursion nests three frames (driver, step method, step);
-# deep keys need more than CPython's default 1000 frames.
-RECURSION_LIMIT = 20000
-_LIMIT = SimpleNamespace(lock=threading.Lock(), running=0, caller=0)
+# Steps a context nests before a miss is solved from its outermost step instead.
+MAX_NESTING = 64
 
 PivotRule = Callable[[CodimVector], tuple[int, int, int]]
 # Memo key of both engines: (dimension, degree, packed code of the CodimVector).
@@ -102,6 +106,10 @@ def complex_rules(N: int, d: int, cv: CodimVector) -> int | CodimVector:
     return _new(CodimVector, (code - (m << B), k - m, total - m)) if m else cv
 
 
+class _TooDeep(Exception):
+    """A memo miss MAX_NESTING steps deep: args are its context and its key."""
+
+
 class EvalContext:
     """Memo table, counters and the evaluation driver of both engines.
 
@@ -111,6 +119,11 @@ class EvalContext:
     holds the values of this context's own steps, all cores; ``memo`` holds
     them and any warmed ones.  Counting happens in ``evaluate`` and in the memo
     probe of ``product_sum``.  Nothing is locked: one thread uses a context.
+
+    Steps nest at most MAX_NESTING deep.  A miss below that raises ``_TooDeep``
+    up to the outermost step, which solves the named core first and then runs
+    again; for such keys ``calls`` and ``memo_hits`` include the retried
+    lookups, and ``max_depth`` reads at most MAX_NESTING.
     """
 
     __slots__ = ("memo", "solved", "calls", "hits", "deep_evals", "depth", "max_depth")
@@ -129,18 +142,31 @@ class EvalContext:
         core = self.rules(dim, d, cv)
         if isinstance(core, int):
             return core
-        memo_key = (dim, d, core[0])  # a CodimVector is (code, k, total_codim)
-        value = self.memo.get(memo_key)
-        if value is None:
+        value = self.memo.get((dim, d, core[0]))  # a CodimVector is (code, k, total_codim)
+        if value is not None:
+            self.hits += 1
+        elif self.depth == MAX_NESTING:
+            raise _TooDeep(self, (dim, d, core))
+        else:
             self.depth += 1
             self.max_depth = max(self.max_depth, self.depth)
+            pending = [(dim, d, core)]  # cores to solve, last first; only the outermost adds
             try:
-                value = self.memo[memo_key] = self.solved[memo_key] = self.step(dim, d, core)
+                while pending:
+                    key = pending[-1]
+                    try:
+                        value = self.step(*key)
+                    except _TooDeep as deeper:
+                        if self.depth > 1 or deeper.args[0] is not self:  # not the outermost
+                            raise
+                        pending.append(deeper.args[1])
+                        continue
+                    memo_key = (key[0], key[1], key[2][0])
+                    self.memo[memo_key] = self.solved[memo_key] = value
+                    self.deep_evals += 1
+                    pending.pop()
             finally:
                 self.depth -= 1
-            self.deep_evals += 1
-        else:
-            self.hits += 1
         return value if core is cv else d ** (cv[1] - core[1]) * value
 
     def stats(self) -> dict[str, int]:
@@ -173,28 +199,6 @@ class ComplexEvalContext(EvalContext):
         return wdvv_step(N, d, cv, self.pivot_rule(cv), self)
 
 
-def deep_recursion(evaluate: Callable[..., int]) -> Callable[..., int]:
-    """Run ``evaluate`` with the process-wide recursion limit at least RECURSION_LIMIT:
-    the first of the evaluations running in all threads raises it, the last restores it."""
-    @wraps(evaluate)
-    def run(*args, **kwargs) -> int:
-        with _LIMIT.lock:
-            if not _LIMIT.running:
-                _LIMIT.caller = sys.getrecursionlimit()
-                sys.setrecursionlimit(max(_LIMIT.caller, RECURSION_LIMIT))
-            _LIMIT.running += 1
-        try:
-            return evaluate(*args, **kwargs)
-        finally:
-            with _LIMIT.lock:
-                _LIMIT.running -= 1
-                if not _LIMIT.running:
-                    sys.setrecursionlimit(_LIMIT.caller)
-
-    return run
-
-
-@deep_recursion
 def eval_complex(key: ComplexKey, ctx: ComplexEvalContext) -> int:
     """Exact value of a complex invariant key (keys validate on construction)."""
     return ctx.evaluate(key.N, key.d, key.insertions)

@@ -88,6 +88,7 @@ class CodimVector(tuple):
         return isinstance(other, CodimVector) and self[0] == other[0]
 
     __ne__ = object.__ne__  # tuple's own would compare k and total_codim too
+    __contains__ = None  # tuple's own would find k or total_codim; use multiplicity
 
     def __hash__(self) -> int:
         return hash(self[0])
@@ -153,9 +154,6 @@ class CodimVector(tuple):
         if not 0 < times <= present:
             raise ValueError(f"cannot remove {times} copies of {c}, only {present} present")
         return _new(CodimVector, (code - (times << B * c), k - times, total - c * times))
-
-    def __contains__(self, c: int) -> bool:
-        return self.multiplicity(c) > 0
 
     def __bool__(self) -> bool:
         return bool(self[0])

@@ -132,19 +132,10 @@ def complex_codim_vectors(N: int, d: int) -> Iterator[CodimVector]:
         yield CodimVector.from_entries(base)
 
 
-def real_codim_vectors(n: int, d: int, max_ones: int = 0) -> Iterator[CodimVector]:
-    """All dimension-balanced odd codimension vectors for (n, d).
-
-    Entries lie in {3, 5, ..., 2n-1}; with ``max_ones`` > 0, each vector is
-    also emitted with up to that many divisor entries appended (appending a 1
-    preserves the dimension balance, so the full family is infinite and the
-    divisor relation reduces every padded vector to its base).
-    """
+def real_codim_vectors(n: int, d: int) -> Iterator[CodimVector]:
+    """All dimension-balanced odd codimension vectors for (n, d), entries in {3, 5, ..., 2n-1}."""
     for base in _base_vectors(2 * n - 1, 2, n * (d + 1) - 2):
-        cv = CodimVector.from_entries(base)
-        yield cv
-        for ones in range(1, max_ones + 1):
-            yield cv.add(1, times=ones)
+        yield CodimVector.from_entries(base)
 
 
 def parity_report(
@@ -165,12 +156,8 @@ def parity_report(
     for d in d_list:
         if d % 2 == 0:
             raise ValueError("parity checks apply to odd degrees only")
-        for cv in real_codim_vectors(n, d, max_ones=2):
-            value = eval_real(RealKey(n=n, d=d, insertions=cv), ctx)
-            report.add(
-                f"n={n} d={d} <{cv}>",
-                value % 2 == 1,
-                "odd nonzero",
-                value,
-            )
+        for base in real_codim_vectors(n, d):
+            for cv in (base, base.add(1), base.add(1, times=2)):
+                value = eval_real(RealKey(n=n, d=d, insertions=cv), ctx)
+                report.add(f"n={n} d={d} <{cv}>", value % 2 == 1, "odd nonzero", value)
     return report

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .complex_engine import ComplexEvalContext, EvalContext, deep_recursion, product_sum
+from .complex_engine import ComplexEvalContext, EvalContext, product_sum
 from .keys import (B, MASK, MAX_CODIM, CodimVector, RealKey, _new, degeneration_terms,
                    enumerate_splits)
 
@@ -110,7 +110,6 @@ class RealEvalContext(EvalContext):
         return recursion_step(n, d, cv, self.designation_rule(cv), self)
 
 
-@deep_recursion
 def eval_real(key: RealKey, ctx: RealEvalContext) -> int:
     """Exact value of a real invariant key (keys validate on construction)."""
     return ctx.evaluate(key.n, key.d, key.insertions)
@@ -138,7 +137,6 @@ def recursion_step(
     return total + product_sum(ctx.complex_ctx, N, ctx, n, factors, weighted=True)
 
 
-@deep_recursion
 def theorem12_residual(
     n: int,
     d: int,

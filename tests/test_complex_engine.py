@@ -18,10 +18,9 @@ from gwcount import (
     complex_series_p3,
     eval_complex,
     eval_real,
-    theorem12_residual,
 )
-from gwcount.complex_engine import RECURSION_LIMIT, wdvv_step
-from gwcount.p3 import complex_codim_vectors
+from gwcount.complex_engine import MAX_NESTING, wdvv_step
+from gwcount.p3 import complex_codim_vectors, real_series_p3
 
 from golden import COMPLEX_P3_N, COMPLEX_P3_NTILDE, KONTSEVICH_P2, SCHUBERT_P3_LINES
 
@@ -315,86 +314,50 @@ def test_a_raising_pivot_rule_leaves_the_depth_at_zero():
     assert ctx.max_depth == fresh.max_depth > 1
 
 
-def test_recursion_limit_is_raised_only_while_an_evaluation_runs():
-    saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(1500)
-    try:
-        seen = []
+def test_keys_nested_past_max_nesting_evaluate_under_a_low_recursion_limit():
+    # <3^200>_100 on P^3 nests 99 complex steps and the real count of degree
+    # 141 nests 70 real steps; both need more than 400 frames without the bound.
+    limits = set()
 
-        def pivot(cv):
-            # A nested evaluation must leave the raised limit in place.
-            eval_real(RealKey(n=2, d=3, insertions=CodimVector.of(3, 3, 3)), RealEvalContext())
-            seen.append(sys.getrecursionlimit())
-            return canonical_pivot(cv)
-
-        def designation(cv):
-            seen.append(sys.getrecursionlimit())
-            return canonical_designation(cv)
-
-        key = ComplexKey(N=3, d=3, insertions=CodimVector.of(2, 2, 3, 3, 3, 3, 3))
-        assert eval_complex(key, ComplexEvalContext(pivot)) == 5
-        assert sys.getrecursionlimit() == 1500
-        real = RealKey(n=2, d=3, insertions=CodimVector.of(3, 3, 3))
-        assert eval_real(real, RealEvalContext(designation_rule=designation)) == -1
-        assert sys.getrecursionlimit() == 1500
-        assert theorem12_residual(2, 3, 1, (3, 3), RealEvalContext()) == 0
-        assert sys.getrecursionlimit() == 1500
-        assert seen and set(seen) == {RECURSION_LIMIT}
-
-        def fail(cv):
-            raise LookupError("no pivot")
-
-        with pytest.raises(LookupError):
-            eval_complex(key, ComplexEvalContext(fail))
-        assert sys.getrecursionlimit() == 1500
-        with pytest.raises(LookupError):
-            eval_real(real, RealEvalContext(designation_rule=fail))
-        assert sys.getrecursionlimit() == 1500
-    finally:
-        sys.setrecursionlimit(saved)
-
-
-def test_overlapping_evaluations_in_two_threads_share_the_raised_limit():
-    # Events in the pivot rules order the threads: A starts, B starts, A
-    # ends while B runs, then B ends.
-    a_in, b_in, a_done = threading.Event(), threading.Event(), threading.Event()
-    seen_by_b = []
-
-    def pivot_a(cv):
-        if not a_in.is_set():
-            a_in.set()
-            assert b_in.wait(10)
+    def pivot(cv):
+        limits.add(sys.getrecursionlimit())
         return canonical_pivot(cv)
 
-    def pivot_b(cv):
-        if not b_in.is_set():
-            b_in.set()
-            assert a_done.wait(10)
-            seen_by_b.append(sys.getrecursionlimit())
-        return canonical_pivot(cv)
+    def designation(cv):
+        limits.add(sys.getrecursionlimit())
+        return canonical_designation(cv)
 
-    key = ComplexKey(N=2, d=2, insertions=CodimVector.of(2, 2, 2, 2, 2))
-    results = {}
+    complex_key = ComplexKey(N=3, d=100, insertions=CodimVector.of(*[3] * 200))
+    real_key = RealKey(n=2, d=141, insertions=CodimVector.of(*[3] * 141))
+    expected = {"complex": complex_series_p3(100)[0][100],
+                "real": (-1) ** 70 * real_series_p3(141)[141]}
 
-    def run_a():
-        results["a"] = eval_complex(key, ComplexEvalContext(pivot_a))
-        a_done.set()
-
-    def run_b():
-        assert a_in.wait(10)
-        results["b"] = eval_complex(key, ComplexEvalContext(pivot_b))
+    def run(kind):
+        if kind == "complex":
+            ctx = ComplexEvalContext(pivot)
+            return eval_complex(complex_key, ctx), ctx
+        ctx = RealEvalContext(ComplexEvalContext(pivot), designation)
+        return eval_real(real_key, ctx), ctx
 
     saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(3000)
+    sys.setrecursionlimit(400)
     try:
-        threads = [threading.Thread(target=run_a), threading.Thread(target=run_b)]
+        value, cctx = run("complex")
+        assert value == expected["complex"]
+        assert (cctx.deep_evals, len(cctx.memo), cctx.max_depth) == (198, 198, MAX_NESTING)
+        value, rctx = run("real")
+        assert value == expected["real"]
+        assert (rctx.deep_evals, len(rctx.memo), rctx.depth) == (70, 70, 0)
+        assert (rctx.complex_ctx.deep_evals, len(rctx.complex_ctx.memo)) == (138, 138)
+
+        results = {}
+        threads = [threading.Thread(target=lambda kind=kind: results.update({kind: run(kind)[0]}))
+                   for kind in expected]
         for thread in threads:
             thread.start()
         for thread in threads:
-            thread.join(20)
-        assert not any(thread.is_alive() for thread in threads)
-        assert results == {"a": 1, "b": 1}
-        assert seen_by_b == [RECURSION_LIMIT]
-        assert sys.getrecursionlimit() == 3000
+            thread.join(60)
+        assert results == expected
+        assert limits == {400}
     finally:
         sys.setrecursionlimit(saved)

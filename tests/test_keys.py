@@ -38,7 +38,9 @@ def test_codim_vector_accessors():
     assert cv.max_codim == 5
     assert cv.multiplicity(3) == 2
     assert cv.multiplicity(9) == 0
-    assert 5 in cv and 4 not in cv
+    assert cv.multiplicity(5) == 1 and cv.multiplicity(4) == 0
+    with pytest.raises(TypeError):
+        13 in cv  # the tuple's own test would find total_codim
     assert cv.expand() == (2, 3, 3, 5)
     assert str(cv) == "2,3,3,5"
     assert str(CodimVector()) == ""

@@ -63,12 +63,9 @@ def test_real_codim_vector_enumeration():
     # n=2, d=3: only 3,3,3 plus divisor paddings
     plain = list(real_codim_vectors(2, 3))
     assert [cv.expand() for cv in plain] == [(3, 3, 3)]
-    padded = list(real_codim_vectors(2, 3, max_ones=2))
-    assert [cv.expand() for cv in padded] == [
-        (3, 3, 3),
-        (1, 3, 3, 3),
-        (1, 1, 3, 3, 3),
-    ]
+    # parity pads each vector with one and then two divisor entries
+    checked = [r.check_id for r in parity_report(2, (3,)).results]
+    assert checked == ["n=2 d=3 <3,3,3>", "n=2 d=3 <1,3,3,3>", "n=2 d=3 <1,1,3,3,3>"]
     # n=3, d=3: 2a + 4b = 10 over entries {3, 5}
     vecs = {cv.expand() for cv in real_codim_vectors(3, 3)}
     assert vecs == {(3, 5, 5), (3, 3, 3, 5), (3, 3, 3, 3, 3)}

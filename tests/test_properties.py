@@ -90,7 +90,7 @@ def test_random_designations_match_canonical(key, rng):
 
 
 def _without_divisors(cv: CodimVector) -> CodimVector:
-    return cv.remove(1, cv.multiplicity(1)) if 1 in cv else cv
+    return cv.remove(1, cv.multiplicity(1)) if cv.multiplicity(1) else cv
 
 
 @PROPERTY_SETTINGS

@@ -179,8 +179,9 @@ def test_degree_one_collapse():
     # Every dimension-balanced degree-1 invariant equals 1.
     ctx = RealEvalContext()
     for n in (2, 3, 4):
-        for cv in real_codim_vectors(n, 1, max_ones=2):
-            assert eval_real(RealKey(n=n, d=1, insertions=cv), ctx) == 1, (n, cv)
+        for base in real_codim_vectors(n, 1):
+            for cv in (base, base.add(1), base.add(1, times=2)):
+                assert eval_real(RealKey(n=n, d=1, insertions=cv), ctx) == 1, (n, cv)
 
 
 def test_theorem12_residual_zero_on_spot_tuples():
