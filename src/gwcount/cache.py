@@ -73,14 +73,7 @@ class CacheFormatError(CacheError):
 
 
 class CacheIntegrityError(CacheError):
-    """An insert tried to change the value already stored for a key."""
-
-
-def _memo_key(key: ComplexKey | RealKey) -> tuple[str, MemoKey]:
-    for kind, (key_type, _) in _ENGINES.items():
-        if isinstance(key, key_type):  # phi is metadata: both involutions share one record
-            return kind, (key[0], key.d, key.insertions[0])
-    raise TypeError(f"expected ComplexKey or RealKey, got {type(key).__name__}")
+    """Two values for one key: in a loaded file, or between a store and an engine memo."""
 
 
 def record_line(kind: str, dim: int, d: int, entries: tuple[int, ...], value: int | str) -> str:
@@ -120,8 +113,8 @@ def stored_value(text: str, key: ComplexKey | RealKey) -> int | None:
     text is not a file of canonical records, or the key's line is absent or
     repeated.
     """
-    kind, (dim, d, _) = _memo_key(key)
-    cv = key.insertions
+    kind = "R" if isinstance(key, RealKey) else "C"  # phi is metadata: one record for both
+    dim, d, cv = key[0], key.d, key.insertions
     if not is_memo_key(kind, dim, d, cv):
         return None
     prefix = "\n" + record_line(kind, dim, d, cv.expand(), "")
@@ -140,14 +133,6 @@ class CacheStore:
 
     def __len__(self) -> int:
         return len(self.records["C"]) + len(self.records["R"])
-
-    def lookup(self, key: ComplexKey | RealKey) -> int | None:
-        kind, memo_key = _memo_key(key)
-        return self.records[kind].get(memo_key)
-
-    def insert(self, key: ComplexKey | RealKey, value: int) -> None:
-        kind, memo_key = _memo_key(key)
-        self._merge(kind, ((memo_key, value),))
 
     def _merge(self, kind: str, items: Iterable[tuple[MemoKey, int]]) -> int:
         """Add ``items`` to the records of ``kind``; returns how many were new."""

@@ -37,14 +37,19 @@ recursion.  The sum is evaluated only at the one (d1, f) per split and term
 that balances the left factor (``keys.degeneration_terms(N, d, splits, 1,
 terms)``): every other (d1, f) gives 0 by rule 2, and f = 0 or f = N by
 rule 4.  Every split sum of both engines runs through the one product loop,
-``product_sum``: it probes the memo for each factor before it calls the
-driver, and a hit there counts as the driver's would.
+``product_sum``, which looks up each factor through the driver.
 
 All arithmetic is exact; only the results of step 7 are memoized, keyed on
 the core (the cheap structural rules are recomputed on the fly), so the memo
 holds exactly the keys whose evaluation required a full expansion.  The
-driver also holds the nesting depth of its own steps; ``max_depth`` is the
-deepest it reached, and steps of another engine's context do not count.
+driver first looks up the key less its m divisor entries in ``solved``, the
+values of its own steps.  Each is a core with d >= 1, and H^1 entries keep the
+dimension balance, so a hit is exactly a key the rules would peel to that
+core, and its value is d^m times the stored one.  Only a miss runs the rules.  Each lookup counts once, as a memo hit, a
+structural end (an int from the rules) or a deep evaluation; ``calls`` is
+their sum.  The driver also holds the nesting depth of its own steps;
+``max_depth`` is the deepest it reached, and steps of another engine's
+context do not count.
 
 The driver bounds that nesting, so deep keys need no raised recursion limit.
 A memo miss MAX_NESTING steps deep does not recurse: it names its core to the
@@ -52,9 +57,9 @@ context's outermost step, whose frame solves that core first, from depth 0,
 and then runs its own step again, on memo hits where it had got to.  Each
 step nests four frames, and only real steps nest complex ones, so at most
 2 * 64 * 4 = 512 frames are in use.  For a key that nests past MAX_NESTING
-steps, ``calls`` and ``memo_hits`` include the retried lookups and
-``max_depth`` reads at most MAX_NESTING; ``deep_evals`` and the memo do not
-change.
+steps, a lookup aborted at the bound is no call, ``calls`` and ``memo_hits``
+include the retried lookups, and ``max_depth`` reads at most MAX_NESTING;
+``deep_evals`` and the memo do not change.
 """
 
 from __future__ import annotations
@@ -117,32 +122,38 @@ class EvalContext:
     value of <cv>_d, or its core, ``cv`` itself or less the m divisor entries
     the divisor relation strips, so that <cv>_d = d^m * <core>_d.  ``solved``
     holds the values of this context's own steps, all cores; ``memo`` holds
-    them and any warmed ones.  Counting happens in ``evaluate`` and in the memo
-    probe of ``product_sum``.  Nothing is locked: one thread uses a context.
+    them and any warmed ones.  Counting happens only in ``evaluate``: each
+    lookup ends as a memo hit (``hits``), a structural end (``ends``) or a deep
+    evaluation, and ``calls`` in ``stats`` is their sum.  Nothing is locked:
+    one thread uses a context.
 
     Steps nest at most MAX_NESTING deep.  A miss below that raises ``_TooDeep``
     up to the outermost step, which solves the named core first and then runs
-    again; for such keys ``calls`` and ``memo_hits`` include the retried
-    lookups, and ``max_depth`` reads at most MAX_NESTING.
+    again; such an aborted lookup counts nothing, the retried ones count, and
+    ``max_depth`` reads at most MAX_NESTING.
     """
 
-    __slots__ = ("memo", "solved", "calls", "hits", "deep_evals", "depth", "max_depth")
+    __slots__ = ("memo", "solved", "hits", "ends", "deep_evals", "depth", "max_depth")
 
     def __init__(self) -> None:
         self.memo: dict[MemoKey, int] = {}
         self.solved: dict[MemoKey, int] = {}
-        self.calls = 0
-        self.hits = 0
-        self.deep_evals = 0
+        self.hits = self.ends = self.deep_evals = 0
         self.depth = self.max_depth = 0
 
     def evaluate(self, dim: int, d: int, cv: CodimVector) -> int:
         """<cv>_d in one call: a divisor peel is the factor d^m, not a call."""
-        self.calls += 1
+        code = cv[0]  # a CodimVector is (code, k, total_codim)
+        m = (code >> B) & MASK
+        value = self.solved.get((dim, d, code - (m << B)))
+        if value is not None:  # every solved key is a core: cv is it plus m divisor entries
+            self.hits += 1
+            return d**m * value
         core = self.rules(dim, d, cv)
         if isinstance(core, int):
+            self.ends += 1
             return core
-        value = self.memo.get((dim, d, core[0]))  # a CodimVector is (code, k, total_codim)
+        value = self.memo.get((dim, d, core[0]))
         if value is not None:
             self.hits += 1
         elif self.depth == MAX_NESTING:
@@ -171,7 +182,7 @@ class EvalContext:
 
     def stats(self) -> dict[str, int]:
         return {
-            "calls": self.calls,
+            "calls": self.hits + self.deep_evals + self.ends,
             "memo_hits": self.hits,
             "deep_evals": self.deep_evals,
             "memo_size": len(self.memo),
@@ -236,26 +247,14 @@ def product_sum(lctx: EvalContext, ldim: int, rctx: EvalContext, rdim: int,
                 weighted: bool) -> int:
     """Sum of w * <left>_{d1} * <right>_{d2} (times d2 if w > 0, else d1, if
     ``weighted``) over the ``factors`` of ``degeneration_terms``, <left> in
-    ``lctx`` on ``ldim`` and, if it is nonzero, <right> in ``rctx`` on ``rdim``.
-    A factor found in ``solved`` is a core and counts one call and one memo hit,
-    as in ``evaluate``, the one reader of cache records, which need not be cores.
+    ``lctx`` on ``ldim`` and, if it is nonzero, <right> in ``rctx`` on ``rdim``;
+    each factor is one ``evaluate`` call, which counts it.
     """
-    lmemo, rmemo = lctx.solved, rctx.solved
     total = 0
     for w, d1, d2, left, right in factors:
-        t = lmemo.get((ldim, d1, left[0]))
-        if t is None:
-            t = lctx.evaluate(ldim, d1, left)
-        else:
-            lctx.calls += 1
-            lctx.hits += 1
+        t = lctx.evaluate(ldim, d1, left)
         if t:
-            u = rmemo.get((rdim, d2, right[0]))
-            if u is None:
-                u = rctx.evaluate(rdim, d2, right)
-            else:
-                rctx.calls += 1
-                rctx.hits += 1
+            u = rctx.evaluate(rdim, d2, right)
             if weighted:
                 u *= d2 if w > 0 else d1
             total += w * t * u

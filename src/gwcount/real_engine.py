@@ -36,8 +36,8 @@ complex engine.  This sum and the one in ``theorem12_residual`` are
 evaluated only at the one (d1, 2i) per split and term that balances the
 complex factor (``keys.degeneration_terms(N, d, splits, 2, terms)``, with
 splits weighted 2 per element in I), by the one product loop ``product_sum``,
-which probes the memos first and counts as ``EvalContext.evaluate``.  Only
-step-6 results are memoized, keyed on (n, d, core insertions).
+which looks up every factor through ``EvalContext.evaluate``.  Only step-6
+results are memoized, keyed on (n, d, core insertions).
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ def _ckey(N, d, *cs):
     return ComplexKey(N=N, d=d, insertions=CodimVector.of(*cs))
 
 
-def _rkey(n, d, *cs, phi="tau"):
-    return RealKey(n=n, d=d, insertions=CodimVector.of(*cs), phi=phi)
+def _rkey(n, d, *cs):
+    return RealKey(n=n, d=d, insertions=CodimVector.of(*cs))
 
 
 def _code(*cs):
@@ -36,39 +36,13 @@ def _code(*cs):
     return CodimVector.of(*cs)[0]
 
 
-def test_insert_lookup_roundtrip():
-    store = CacheStore()
-    store.insert(_ckey(3, 3, 3, 3, 3, 3, 3, 3), 1)
-    store.insert(_rkey(2, 3, 3, 3, 3), -1)
-    assert store.lookup(_ckey(3, 3, 3, 3, 3, 3, 3, 3)) == 1
-    assert store.lookup(_rkey(2, 3, 3, 3, 3)) == -1
-    assert store.lookup(_ckey(3, 1, 3, 3)) is None
-    assert len(store) == 2
-
-
-def test_insert_is_idempotent_but_conflicts_raise():
-    store = CacheStore()
-    key = _rkey(2, 3, 3, 3, 3)
-    store.insert(key, -1)
-    store.insert(key, -1)
-    assert len(store) == 1
-    with pytest.raises(CacheIntegrityError):
-        store.insert(key, 7)
-
-
-def test_phi_variants_share_a_record():
-    store = CacheStore()
-    store.insert(_rkey(2, 3, 3, 3, 3, phi="tau"), -1)
-    assert store.lookup(_rkey(2, 3, 3, 3, 3, phi="eta")) == -1
-
-
 def test_save_load_roundtrip_is_byte_identical(tmp_path):
     store = CacheStore()
-    store.insert(_ckey(3, 3, 3, 3, 3, 3, 3, 3), 1)
-    store.insert(_ckey(3, 1, 3, 3), 1)
-    store.insert(_ckey(5, 1, 2, 4, 5), 1)
-    store.insert(_rkey(2, 3, 3, 3, 3), -1)
-    store.insert(_rkey(3, 3, 3, 5, 5), -1)
+    store.records["C"][(3, 3, _code(3, 3, 3, 3, 3, 3))] = 1
+    store.records["C"][(3, 1, _code(3, 3))] = 1
+    store.records["C"][(5, 1, _code(2, 4, 5))] = 1
+    store.records["R"][(2, 3, _code(3, 3, 3))] = -1
+    store.records["R"][(3, 3, _code(3, 5, 5))] = -1
     path = tmp_path / "cache.txt"
     store.save(path)
     text = path.read_text()
@@ -82,10 +56,10 @@ def test_save_load_roundtrip_is_byte_identical(tmp_path):
 
 def test_records_are_sorted_deterministically(tmp_path):
     store = CacheStore()
-    store.insert(_rkey(2, 5, 3, 3, 3, 3, 3), 5)
-    store.insert(_ckey(5, 1, 2, 4, 5), 1)
-    store.insert(_ckey(3, 2, 3, 3, 3, 3), 0)
-    store.insert(_ckey(3, 1, 3, 3), 1)
+    store.records["R"][(2, 5, _code(3, 3, 3, 3, 3))] = 5
+    store.records["C"][(5, 1, _code(2, 4, 5))] = 1
+    store.records["C"][(3, 2, _code(3, 3, 3, 3))] = 0
+    store.records["C"][(3, 1, _code(3, 3))] = 1
     lines = store.render().splitlines()
     assert lines[0] == HEADER
     assert lines[1:] == [
@@ -131,7 +105,7 @@ def test_render_parse_roundtrip_at_the_insertion_bound():
     cv = CodimVector.of(3, 3).add(2, MAX_HELD_INSERTIONS - 2)
     assert cv.k == MAX_HELD_INSERTIONS == 65_535
     store = CacheStore()
-    store.insert(ComplexKey(N=3, d=1, insertions=cv), 5)
+    store.records["C"][(3, 1, cv[0])] = 5
     assert CacheStore.parse(store.render()).records == store.records
 
 
@@ -174,7 +148,7 @@ def test_large_roundtrip(tmp_path):
     for N in (3, 5, 7, 9):
         for d in range(1, 26):
             for k in range(1, 101):
-                store.insert(_ckey(N, d, 2, 3, k + 3), (-k) ** d + N)
+                store.records["C"][(N, d, _code(2, 3, k + 3))] = (-k) ** d + N
                 count += 1
     assert count == 10000
     path = tmp_path / "big.txt"
@@ -267,11 +241,11 @@ def test_load_keys_records_like_the_engine_memos(tmp_path):
 
 def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch):
     store = CacheStore()
-    store.insert(_ckey(3, 1, 3, 3), 1)
+    store.records["C"][(3, 1, _code(3, 3))] = 1
     path = tmp_path / "cache.txt"
     store.save(path)
     before = path.read_bytes()
-    store.insert(_ckey(3, 2, 3, 3, 3, 3), 0)
+    store.records["C"][(3, 2, _code(3, 3, 3, 3))] = 0
     # a record that cannot be encoded makes the write fail part-way
     monkeypatch.setattr(CacheStore, "render", lambda self: HEADER + "\nv=\u221e\n")
     with pytest.raises(UnicodeEncodeError):
@@ -282,12 +256,12 @@ def test_failed_save_keeps_the_old_file(tmp_path, monkeypatch):
 
 def test_save_through_a_symlink_updates_its_target(tmp_path):
     store = CacheStore()
-    store.insert(_ckey(3, 1, 3, 3), 1)
+    store.records["C"][(3, 1, _code(3, 3))] = 1
     target = tmp_path / "cache.txt"
     store.save(target)
     link = tmp_path / "link.txt"
     link.symlink_to(target)
-    store.insert(_ckey(3, 2, 3, 3, 3, 3), 0)
+    store.records["C"][(3, 2, _code(3, 3, 3, 3))] = 0
     store.save(link)
     assert link.is_symlink()
     assert target.read_text() == store.render()

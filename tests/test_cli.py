@@ -42,12 +42,22 @@ def test_real_query_high_dimension(capsys):
     assert out == "1\n"
 
 
-def test_real_query_phi_flag_is_metadata(capsys):
+def test_real_query_phi_flag_is_metadata(capsys, tmp_path):
     _, out_tau, _ = run(capsys, "real", "--n", "2", "--d", "3",
                         "--codims", "3,3,3", "--phi", "tau")
     _, out_eta, _ = run(capsys, "real", "--n", "2", "--d", "3",
                         "--codims", "3,3,3", "--phi", "eta")
     assert out_tau == out_eta == "-1\n"
+    # Both involutions read one record: a query under eta hits the line tau wrote.
+    path = tmp_path / "store.gwc"
+    run(capsys, "real", "--n", "2", "--d", "3", "--codims", "3,3,3", "--phi", "tau",
+        "--cache", str(path))
+    text = path.read_text()
+    assert "gw1|R|n=2|d=3|c=3,3,3|v=-1\n" in text
+    path.write_text(text.replace("gw1|R|n=2|d=3|c=3,3,3|v=-1\n", "gw1|R|n=2|d=3|c=3,3,3|v=7\n"))
+    _, out, _ = run(capsys, "real", "--n", "2", "--d", "3", "--codims", "3,3,3", "--phi", "eta",
+                    "--cache", str(path))
+    assert out == "7\n"
 
 
 @pytest.mark.parametrize("argv", [

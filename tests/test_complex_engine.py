@@ -287,6 +287,24 @@ def test_divisor_peel_costs_no_call(engine, dim, d, divisors, core):
     assert peeled_stats == stats  # calls and max_depth included
 
 
+def test_divisor_lookups_of_solved_cores_skip_the_rules(monkeypatch):
+    cv, real_cv = CodimVector.of(*[2] * 8), CodimVector.of(*[3] * 5)
+    cctx, rctx = ComplexEvalContext(), RealEvalContext()
+    assert cctx.evaluate(3, 2, cv) == 92 and rctx.evaluate(2, 5, real_cv) == 5
+
+    def no_rules(*args):
+        raise AssertionError("the rules ran for a key with a solved core")
+
+    monkeypatch.setattr(ComplexEvalContext, "rules", staticmethod(no_rules))
+    monkeypatch.setattr(RealEvalContext, "rules", staticmethod(no_rules))
+    for ctx, dim, d, key, value in ((cctx, 3, 2, cv.add(1, times=2), 368),
+                                    (rctx, 2, 5, real_cv.add(1), 25)):
+        before = ctx.stats()
+        assert ctx.evaluate(dim, d, key) == value
+        after = ctx.stats()
+        assert (after["calls"] - before["calls"], after["memo_hits"] - before["memo_hits"]) == (1, 1)
+
+
 @pytest.mark.parametrize("N, d, twos, depth", [(3, 10, 40, 20), (5, 4, 26, 18)])
 def test_max_depth_of_deep_keys(N, d, twos, depth):
     ctx = ComplexEvalContext()
@@ -314,7 +332,7 @@ def test_a_raising_pivot_rule_leaves_the_depth_at_zero():
     assert ctx.max_depth == fresh.max_depth > 1
 
 
-def test_keys_nested_past_max_nesting_evaluate_under_a_low_recursion_limit():
+def test_keys_nested_past_max_nesting_evaluate_under_a_low_recursion_limit(monkeypatch):
     # <3^200>_100 on P^3 nests 99 complex steps and the real count of degree
     # 141 nests 70 real steps; both need more than 400 frames without the bound.
     limits = set()
@@ -326,6 +344,19 @@ def test_keys_nested_past_max_nesting_evaluate_under_a_low_recursion_limit():
     def designation(cv):
         limits.add(sys.getrecursionlimit())
         return canonical_designation(cv)
+
+    ends = {ComplexEvalContext: 0, RealEvalContext: 0}  # int results of each class's rules
+    for cls in ends:
+        def rules(*args, inner=cls.rules, cls=cls):
+            value = inner(*args)
+            ends[cls] += isinstance(value, int)
+            return value
+
+        monkeypatch.setattr(cls, "rules", staticmethod(rules))
+
+    def assert_counts_add_up(ctx, ends_of_ctx, calls):
+        stats = ctx.stats()
+        assert stats["calls"] == stats["memo_hits"] + stats["deep_evals"] + ends_of_ctx == calls
 
     complex_key = ComplexKey(N=3, d=100, insertions=CodimVector.of(*[3] * 200))
     real_key = RealKey(n=2, d=141, insertions=CodimVector.of(*[3] * 141))
@@ -345,10 +376,15 @@ def test_keys_nested_past_max_nesting_evaluate_under_a_low_recursion_limit():
         value, cctx = run("complex")
         assert value == expected["complex"]
         assert (cctx.deep_evals, len(cctx.memo), cctx.max_depth) == (198, 198, MAX_NESTING)
+        # A lookup aborted at the bound is not a call; its retry is.
+        assert_counts_add_up(cctx, ends[ComplexEvalContext], 59_467)
+        ends[ComplexEvalContext] = 0
         value, rctx = run("real")
         assert value == expected["real"]
         assert (rctx.deep_evals, len(rctx.memo), rctx.depth) == (70, 70, 0)
         assert (rctx.complex_ctx.deep_evals, len(rctx.complex_ctx.memo)) == (138, 138)
+        assert_counts_add_up(rctx, ends[RealEvalContext], 5_106)
+        assert_counts_add_up(rctx.complex_ctx, ends[ComplexEvalContext], 33_879)
 
         results = {}
         threads = [threading.Thread(target=lambda kind=kind: results.update({kind: run(kind)[0]}))
