@@ -84,17 +84,17 @@ def record_line(kind: str, dim: int, d: int, entries: tuple[int, ...], value: in
 def is_memo_key(kind: str, dim: int, d: int, cv: CodimVector) -> bool:
     """True exactly when the engine of ``kind`` memoizes the key itself.
 
-    That is when the engine's rule function returns ``cv`` as its own core.
-    Any other key is answered by a structural rule or stored under a smaller
-    core, so a stored value for it is never read.  Records outside the key
-    domain (n = 1, say, or d < 0) are no key at all.
+    That is when it has no divisor entry and the engine's rules send it to a
+    step.  Any other key is answered by a structural rule or stored under a
+    smaller core, so a stored value for it is never read.  Records outside
+    the key domain (n = 1, say, or d < 0) are no key at all.
     """
     key_type, rules = _ENGINES[kind]
     try:
         key_type(dim, d, cv)
     except ValueError:
         return False
-    return rules(dim, d, cv) is cv
+    return not cv.multiplicity(1) and rules(dim, d, cv) is None
 
 
 def read_text(path: str | os.PathLike[str]) -> str:

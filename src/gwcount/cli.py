@@ -291,6 +291,9 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()  # None before 3.10.7
+    if digits is not None:  # exact values convert at any size, for this call only
+        sys.set_int_max_str_digits(0)
     try:
         return COMMANDS[args.command][2](args)
     except (CacheError, OSError) as exc:
@@ -302,6 +305,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

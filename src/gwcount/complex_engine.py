@@ -3,16 +3,16 @@
 The invariant <H^{c_1}, ..., H^{c_k}>_d counts rational curves of degree d
 meeting k generic linear subspaces of the given codimensions (when the
 dimension gap vanishes; otherwise it is 0 by convention).  Evaluation applies
-the first matching rule; ``complex_rules`` states rules 1-6 and the driver
-(``EvalContext.evaluate``) applies the divisor peel as the factor d^m:
+the first matching rule.  The driver (``EvalContext.evaluate``) applies rule 5
+to every key; ``complex_rules`` judges the core it leaves by rules 1-4 and 6:
 
   1. some c_i > N                -> 0 (the class vanishes)
   2. nonzero dimension gap       -> 0
   3. d = 0                       -> classical triple intersection: 1 iff
                                     k = 3 and c_1+c_2+c_3 = N, else 0
   4. some c_i = 0 and d >= 1     -> 0 (fundamental-class axiom)
-  5. m entries c_i = 1, d >= 1   -> d^m * <rest>_d (divisor axiom, applied
-                                    to all m divisors at once)
+  5. m entries c_i = 1, d >= 1   -> d^m * <rest>_d (divisor axiom: the
+                                    driver's factor d^m; none at d = 0)
   6. k <= 2 and d >= 1           -> 1: balance forces d = 1 and either
                                     {H^N, H^N} (the line through two points)
                                     or N = 1 and k = 0 (<>_1 of P^1)
@@ -42,12 +42,11 @@ rule 4.  Every split sum of both engines runs through the one product loop,
 All arithmetic is exact; only the results of step 7 are memoized, keyed on
 the core (the cheap structural rules are recomputed on the fly), so the memo
 holds exactly the keys whose evaluation required a full expansion.  The
-driver first looks up the key less its m divisor entries in ``solved``, the
-values of its own steps.  Each is a core with d >= 1, and H^1 entries keep the
-dimension balance, so a hit is exactly a key the rules would peel to that
-core, and its value is d^m times the stored one.  Only a miss runs the rules.  Each lookup counts once, as a memo hit, a
-structural end (an int from the rules) or a deep evaluation; ``calls`` is
-their sum.  The driver also holds the nesting depth of its own steps;
+driver strips the m divisor entries of a key and looks up the rest in
+``solved``, the values of its own steps.  Each is a core with d >= 1, and H^1
+entries keep the dimension balance, so a hit is exactly a key whose core was
+solved, and its value is d^m times the stored one.  Only a miss runs the
+rules, on the core.  The driver also holds the nesting depth of its own steps;
 ``max_depth`` is the deepest it reached, and steps of another engine's
 context do not count.
 
@@ -66,7 +65,8 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from .keys import B, MASK, CodimVector, ComplexKey, _new, degeneration_terms, enumerate_splits
+from .keys import (B, MASK, CodimVector, ComplexKey, Triple, _new, degeneration_terms,
+                   enumerate_splits)
 
 __all__ = [
     "ComplexEvalContext",
@@ -96,8 +96,8 @@ def canonical_pivot(cv: CodimVector) -> tuple[int, int, int]:
     return e[0], e[-2], e[-1]
 
 
-def complex_rules(N: int, d: int, cv: CodimVector) -> int | CodimVector:
-    """Rules 1-6 for <cv>_d on P^N: its value, or its core (``EvalContext``)."""
+def complex_rules(N: int, d: int, cv: CodimVector) -> int | None:
+    """Rules 1-4 and 6 for the core <cv>_d on P^N: its value, or None (a step)."""
     code, k, total = cv
     if code >> B * (N + 1) or (N + 1) * d + N - 3 + k - total:
         return 0
@@ -105,10 +105,7 @@ def complex_rules(N: int, d: int, cv: CodimVector) -> int | CodimVector:
         return 1 if k == 3 and total == N else 0
     if code & MASK:
         return 0
-    m = (code >> B) & MASK
-    if k - m <= 2:
-        return d**m
-    return _new(CodimVector, (code - (m << B), k - m, total - m)) if m else cv
+    return 1 if k <= 2 else None
 
 
 class _TooDeep(Exception):
@@ -118,19 +115,17 @@ class _TooDeep(Exception):
 class EvalContext:
     """Memo table, counters and the evaluation driver of both engines.
 
-    A subclass supplies its recursion ``step`` and its pure ``rules``: the
-    value of <cv>_d, or its core, ``cv`` itself or less the m divisor entries
-    the divisor relation strips, so that <cv>_d = d^m * <core>_d.  ``solved``
-    holds the values of this context's own steps, all cores; ``memo`` holds
-    them and any warmed ones.  Counting happens only in ``evaluate``: each
-    lookup ends as a memo hit (``hits``), a structural end (``ends``) or a deep
-    evaluation, and ``calls`` in ``stats`` is their sum.  Nothing is locked:
-    one thread uses a context.
-
-    Steps nest at most MAX_NESTING deep.  A miss below that raises ``_TooDeep``
-    up to the outermost step, which solves the named core first and then runs
-    again; such an aborted lookup counts nothing, the retried ones count, and
-    ``max_depth`` reads at most MAX_NESTING.
+    A subclass supplies its recursion ``step`` and its pure ``rules``.  Only
+    ``evaluate`` reads a key's shape: it takes any (code, k, total_codim)
+    triple, strips its m divisor entries if d >= 1 and hands ``rules`` the core
+    left, typed as a ``CodimVector``; ``rules`` returns the core's value or
+    None (it needs a step), and the key's value is d^m times the core's.
+    ``solved`` holds the values of this context's own steps, all cores;
+    ``memo`` holds them and any warmed ones.  Counting happens only in
+    ``evaluate``: each lookup ends as a memo hit (``hits``), a structural end
+    (``ends``) or a deep evaluation, and ``calls`` in ``stats`` is their sum.
+    Steps nest at most MAX_NESTING deep, as the module docstring describes.
+    Nothing is locked: one thread uses a context.
     """
 
     __slots__ = ("memo", "solved", "hits", "ends", "deep_evals", "depth", "max_depth")
@@ -141,20 +136,19 @@ class EvalContext:
         self.hits = self.ends = self.deep_evals = 0
         self.depth = self.max_depth = 0
 
-    def evaluate(self, dim: int, d: int, cv: CodimVector) -> int:
+    def evaluate(self, dim: int, d: int, cv: Triple) -> int:
         """<cv>_d in one call: a divisor peel is the factor d^m, not a call."""
-        code = cv[0]  # a CodimVector is (code, k, total_codim)
-        m = (code >> B) & MASK
-        value = self.solved.get((dim, d, code - (m << B)))
+        m = (cv[0] >> B) & MASK if d else 0  # the divisor axiom needs d >= 1
+        code = cv[0] - (m << B)
+        value = self.solved.get((dim, d, code))
         if value is not None:  # every solved key is a core: cv is it plus m divisor entries
             self.hits += 1
             return d**m * value
-        core = self.rules(dim, d, cv)
-        if isinstance(core, int):
-            self.ends += 1
-            return core
-        value = self.memo.get((dim, d, core[0]))
+        core = _new(CodimVector, (code, cv[1] - m, cv[2] - m))
+        value = self.rules(dim, d, core)
         if value is not None:
+            self.ends += 1
+        elif (value := self.memo.get((dim, d, code))) is not None:
             self.hits += 1
         elif self.depth == MAX_NESTING:
             raise _TooDeep(self, (dim, d, core))
@@ -178,7 +172,7 @@ class EvalContext:
                     pending.pop()
             finally:
                 self.depth -= 1
-        return value if core is cv else d ** (cv[1] - core[1]) * value
+        return d**m * value
 
     def stats(self) -> dict[str, int]:
         return {
@@ -243,12 +237,12 @@ def wdvv_step(
 
 
 def product_sum(lctx: EvalContext, ldim: int, rctx: EvalContext, rdim: int,
-                factors: Iterable[tuple[int, int, int, CodimVector, CodimVector]],
-                weighted: bool) -> int:
+                factors: Iterable[tuple[int, int, int, Triple, Triple]], weighted: bool) -> int:
     """Sum of w * <left>_{d1} * <right>_{d2} (times d2 if w > 0, else d1, if
-    ``weighted``) over the ``factors`` of ``degeneration_terms``, <left> in
-    ``lctx`` on ``ldim`` and, if it is nonzero, <right> in ``rctx`` on ``rdim``;
-    each factor is one ``evaluate`` call, which counts it.
+    ``weighted``) over the ``factors`` of ``degeneration_terms``, whose left and
+    right are plain (code, k, total_codim) triples: <left> in ``lctx`` on
+    ``ldim`` and, if it is nonzero, <right> in ``rctx`` on ``rdim``; each
+    factor is one ``evaluate`` call, which counts it and types its core.
     """
     total = 0
     for w, d1, d2, left, right in factors:

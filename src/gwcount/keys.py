@@ -4,9 +4,9 @@ Provides the canonical multiset of insertion codimensions (``CodimVector``,
 one integer code beside its insertion count and total codimension), the two
 invariant key types, safe binomials, the weighted splittings of an insertion
 multiset and the one solved degeneration sum over them,
-``degeneration_terms(N, d, splits, weight, terms)``, whose factors are each
-built from a split by adding one per-step code delta.  Everything here is
-pure and exact: values are Python ints, keys are immutable and hashable.
+``degeneration_terms(N, d, splits, weight, terms)``, whose factors are plain
+triples, each a split plus one per-step code delta.  Everything here is pure
+and exact: values are Python ints, keys are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ MAX_HELD_INSERTIONS = MASK  # the most insertions any vector, memo key or cache 
 MAX_CODIM = 1024
 INVOLUTIONS = ("tau", "eta")
 _new = tuple.__new__  # _new(CodimVector, (code, k, total_codim)) skips the sums
+Triple = tuple[int, int, int]  # (code, k, total_codim), the fields of a CodimVector
 
 
 def binomial(n: int, k: int) -> int:
@@ -230,7 +231,7 @@ def degeneration_terms(
     splits: Iterable[tuple[CodimVector, CodimVector, int]],
     weight: int,
     terms: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...],
-) -> Iterator[tuple[int, int, int, CodimVector, CodimVector]]:
+) -> Iterator[tuple[int, int, int, Triple, Triple]]:
     """The terms of a degeneration sum on P^N whose left factor can be nonzero.
 
     The sum runs over splits (I, J, w), ``terms`` (sign, left_extra,
@@ -240,7 +241,8 @@ def degeneration_terms(
     <L, H^x>_{d1} is balanced only at (-d1, x) = divmod(N - 2 + k(L) - sum(L),
     N + 1), so each split and term yields at most once:
     (sign * w, d1, d2, I + left_extra + H^x, J + right_extra + H^(N-x)).
-    Each factor is its split plus a per-step code delta and its H^x or H^(N-x).
+    Each factor is a plain (code, k, total_codim) triple: its split plus a
+    per-step code delta and its H^x or H^(N-x).
     """
     solved = [(sign, N - 2 + len(lx) - sum(lx), sum([1 << B * c for c in lx]), len(lx) + 1,
                sum(lx), sum([1 << B * c for c in rx]), len(rx) + 1, sum(rx) + N)
@@ -252,8 +254,8 @@ def degeneration_terms(
             q, x = divmod(shift + gap, N + 1)
             if 0 < -weight * q < d and 0 < x < N and x % weight == 0:
                 yield (sign * w, -q, d + weight * q,
-                       _new(CodimVector, (icode + lcode + bit[x], ik + lk, itotal + lt + x)),
-                       _new(CodimVector, (jcode + rcode + bit[N - x], jk + rk, jtotal + rt - x)))
+                       (icode + lcode + bit[x], ik + lk, itotal + lt + x),
+                       (jcode + rcode + bit[N - x], jk + rk, jtotal + rt - x))
 
 
 def enumerate_splits(

@@ -6,16 +6,16 @@ c_i = 2n-1), normalized so that the line through a point and its conjugate
 counts as +1.  The value is identical for both standard anti-holomorphic
 involutions on P^{2n-1}, so the ``phi`` tag on keys never enters evaluation.
 
-Evaluation applies the first matching rule; ``real_rules`` states rules 1-5
-and the driver (``EvalContext.evaluate``) applies the divisor peel as the
-factor d^m:
+Evaluation applies the first matching rule.  The driver
+(``EvalContext.evaluate``) applies rule 4 to every key; ``real_rules`` judges
+the core it leaves by rules 1-3 and 5:
 
   1. d even, or some c_i even     -> 0 (conjugation-odd configurations cancel)
   2. some c_i > 2n-1              -> 0
   3. nonzero dimension gap        -> 0
-  4. m entries c_i = 1            -> d^m * <rest>_d (divisor relation,
-                                     applied to all m divisors at once;
-                                     balance leaves rest an entry above 1)
+  4. m entries c_i = 1            -> d^m * <rest>_d (divisor relation: the
+                                     driver's factor d^m; balance leaves
+                                     rest an entry above 1)
   5. k = 1                        -> 1 iff d = 1 and c_1 = 2n-1, else 0
   6. otherwise                    -> one step of the degree-lowering
                                      recursion (below)
@@ -45,8 +45,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .complex_engine import ComplexEvalContext, EvalContext, product_sum
-from .keys import (B, MASK, MAX_CODIM, CodimVector, RealKey, _new, degeneration_terms,
-                   enumerate_splits)
+from .keys import B, MASK, MAX_CODIM, CodimVector, RealKey, degeneration_terms, enumerate_splits
 
 __all__ = [
     "RealEvalContext",
@@ -71,17 +70,16 @@ def canonical_designation(cv: CodimVector) -> tuple[int, int]:
     return e[-1], e[-2]
 
 
-def real_rules(n: int, d: int, cv: CodimVector) -> int | CodimVector:
-    """Rules 1-5 for <cv>_d on P^{2n-1}: its value, or its core (``EvalContext``)."""
+def real_rules(n: int, d: int, cv: CodimVector) -> int | None:
+    """Rules 1-3 and 5 for the core <cv>_d on P^{2n-1}: its value, or None (a step)."""
     code, k, total = cv
     top = 2 * n - 1
     if (d % 2 == 0 or code & _EVEN_CLASSES or code >> B * (top + 1)
             or n * (d + 1) - 2 + k - total):
         return 0
-    m = (code >> B) & MASK
-    if k - m == 1:  # rule 5, on the core: its one entry is the largest of cv
+    if k == 1:
         return 1 if d == 1 and code >> B * top else 0
-    return _new(CodimVector, (code - (m << B), k - m, total - m)) if m else cv
+    return None
 
 
 class RealEvalContext(EvalContext):

@@ -5,6 +5,7 @@ from __future__ import annotations
 from gwcount import ComplexEvalContext, RealEvalContext
 from gwcount import checks
 from gwcount.checks import divisor_report
+from gwcount.keys import B, MASK
 from gwcount.p3 import complex_codim_vectors, real_codim_vectors
 
 
@@ -14,8 +15,9 @@ class _OffPeel:
     __slots__ = ()
 
     def evaluate(self, dim, d, cv):
-        m = cv.multiplicity(1)
-        value = super().evaluate(dim, d, cv.remove(1, m) if m else cv)
+        code, k, total = cv  # a CodimVector or a plain factor triple
+        m = (code >> B) & MASK
+        value = super().evaluate(dim, d, (code - (m << B), k - m, total - m))
         return (d + (d == 3)) ** m * value
 
 

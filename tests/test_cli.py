@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 import argparse
+import decimal
 import hashlib
 import json
 import os
 import re
+import sys
 import time
 
 import pytest
 
 from gwcount import CodimVector, ComplexEvalContext, RealEvalContext, RealKey, eval_real
-from gwcount.cache import HEADER, CacheStore
+from gwcount.cache import HEADER, CacheStore, is_memo_key
 from gwcount import cli
 from gwcount.cli import main
 
@@ -112,6 +114,58 @@ def test_recursion_error_is_a_clean_exit(capsys, monkeypatch, engine, argv):
 def test_complex_query_on_p1(capsys):
     code, out, err = run(capsys, "complex", "--dim", "1", "--d", "1", "--codims", "1,1,1")
     assert (code, out, err) == (0, "1\n", "")
+
+
+def test_divisor_entries_at_degree_zero_are_not_stripped(capsys):
+    # The divisor axiom needs d >= 1: <H, H, H>_0 = 1 on P^3 is a triple
+    # intersection, but the stripped key <>_0 is 0 (the driver's own cases are
+    # in test_complex_engine.py::test_rule_degree_zero).
+    assert run(capsys, "complex", "--dim", "3", "--d", "0", "--codims", "1,1,1") == (0, "1\n", "")
+    assert not is_memo_key("C", 3, 0, CodimVector.of(1, 1, 1))
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default cap on int/str conversion (3.10.7+; None before), restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield None
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(saved)
+
+
+def _unchanged(limit):
+    return limit is None or sys.get_int_max_str_digits() == limit
+
+
+def test_values_past_the_digit_limit_print_exactly(capsys, tmp_path, digit_limit):
+    # <H^2 x 5>_2 of P^2 is 1, so 15,000 divisors make 2^15000: 4,516 digits.
+    argv = ("complex", "--dim", "2", "--d", "2", "--codims", "2,2,2,2,2" + ",1" * 15_000)
+    expected = str(decimal.Decimal(2**15000))  # Decimal formats past the limit
+    assert run(capsys, *argv) == (0, expected + "\n", "") and _unchanged(digit_limit)
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, json.loads(out)["value"], err) == (0, expected, "")
+    store = str(tmp_path / "big.gwc")
+    for _ in range(2):  # computed and saved, then answered from the store
+        assert run(capsys, *argv, "--cache", store) == (0, expected + "\n", "")
+    assert _unchanged(digit_limit)
+
+
+def test_a_stored_value_past_the_digit_limit_round_trips(capsys, tmp_path, digit_limit):
+    # The store is trusted: a hand-written value of 5,000 digits is read back
+    # by the one-line lookup and by the full parse, and rewritten unchanged.
+    big = "9" * 5000
+    path = tmp_path / "big.gwc"
+    path.write_text(f"{HEADER}\ngw1|C|N=3|d=2|c=2,2,2,2,2,2,2,2|v={big}\n")
+    text = path.read_text()
+    argv = ("complex", "--dim", "3", "--d", "2", "--cache", str(path), "--codims")
+    assert run(capsys, *argv, "2,2,2,2,2,2,2,2") == (0, big + "\n", "")
+    code, out, _ = run(capsys, *argv, "1,2,2,2,2,2,2,2,2")
+    assert (code, out) == (0, "1" + "9" * 4999 + "8\n")  # 2 * (10^5000 - 1)
+    assert run(capsys, "cache", "save", "--cache", str(path))[0] == 0
+    assert path.read_text() == text and _unchanged(digit_limit)
 
 
 def test_json_query_output(capsys):

@@ -20,6 +20,7 @@ from gwcount import (
     eval_real,
 )
 from gwcount.complex_engine import MAX_NESTING, wdvv_step
+from gwcount.keys import degeneration_terms, enumerate_splits
 from gwcount.p3 import complex_codim_vectors, real_series_p3
 
 from golden import COMPLEX_P3_N, COMPLEX_P3_NTILDE, KONTSEVICH_P2, SCHUBERT_P3_LINES
@@ -303,6 +304,24 @@ def test_divisor_lookups_of_solved_cores_skip_the_rules(monkeypatch):
         assert ctx.evaluate(dim, d, key) == value
         after = ctx.stats()
         assert (after["calls"] - before["calls"], after["memo_hits"] - before["memo_hits"]) == (1, 1)
+
+
+def test_the_rules_see_only_typed_cores(monkeypatch):
+    seen = []
+    for cls in (ComplexEvalContext, RealEvalContext):
+        def rules(dim, d, cv, inner=cls.rules):
+            seen.append((d, cv))
+            return inner(dim, d, cv)
+
+        monkeypatch.setattr(cls, "rules", staticmethod(rules))
+    # <5^3 3^2>_5 of P^5, cold: the driver strips every divisor entry first.
+    assert eval_real(RealKey(n=3, d=5, insertions=CodimVector.of(5, 5, 5, 3, 3)),
+                     RealEvalContext()) == 1
+    assert len(seen) == 40
+    assert all(type(cv) is CodimVector and not (d and cv.multiplicity(1)) for d, cv in seen)
+    S, terms = CodimVector.of(5, 3, 3), ((1, (4, 5), ()), (-1, (4,), (5,)))
+    factors = list(degeneration_terms(5, 7, enumerate_splits(S, 2), 2, terms))
+    assert factors and all(type(left) is type(right) is tuple for *_, left, right in factors)
 
 
 @pytest.mark.parametrize("N, d, twos, depth", [(3, 10, 40, 20), (5, 4, 26, 18)])
