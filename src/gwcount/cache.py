@@ -19,12 +19,16 @@ it trusts the stored value; it checks the whole file's syntax against the
 strict grammar of canonical lines, and that the key's line occurs once and
 belongs to a key the engine memoizes (``is_memo_key``, which asks the
 engine's own rule function).  Anything else is a miss, answered from one
-read, one parse and at most one render.  ``parse`` matches each ``\\n``-ended
-line against the record grammar ``_RECORD``, which also accepts leading zeros
-in every number and a ``-`` on the dimension, degree and value; any other
-spelling (a ``+``, a space, an underscore, another line break) is malformed,
-as are codimensions no vector holds.  The full parse checks sort order and
-conflicts and accepts unmemoized keys; ``gw cache verify`` rejects them.
+read, one parse and at most one render.  ``parse`` checks the whole text
+once: against the canonical grammar, or else against the record grammar
+``_RECORDS``, which also accepts leading zeros in every number and a ``-`` on
+the dimension, degree and value, and stops before the first malformed line.
+Any other spelling (a ``+``, a space, an underscore, another line break) is
+malformed, as are codimensions no vector holds.  The full parse checks sort
+order and conflicts, in file order, and accepts unmemoized keys; ``gw cache
+verify`` rejects them.  A store parsed from canonical text keeps each
+record's line, and a render reuses it while the record holds the value it
+was read with; it spells every other record afresh.
 """
 
 from __future__ import annotations
@@ -58,10 +62,12 @@ _INT = "(?:[1-9][0-9]*|0)"  # no leading zeros; the common case is tried first
 _CANONICAL_FILE = re.compile(
     rf"{re.escape(HEADER)}\n(?:gw1\|(?:C\|N|R\|n)={_INT}\|d={_INT}"
     rf"\|c=(?:{_INT}(?:,{_INT})*)?\|v=(?:-?[1-9][0-9]*|0)\n)*")
-# One record as the full parse reads it.  The signs let ``gw cache verify``
-# see and name records outside the key domain.
-_RECORD = re.compile(
-    r"gw1\|(C\|N|R\|n)=(-?[0-9]+)\|d=(-?[0-9]+)\|c=((?:[0-9]+(?:,[0-9]+)*)?)\|v=(-?[0-9]+)")
+# The header and the longest run of records after it that the full parse
+# reads, each a whole line; ``match`` ends before the first malformed line.
+# The signs let ``gw cache verify`` see and name records outside the key domain.
+_RECORDS = re.compile(
+    rf"{re.escape(HEADER)}(?:\ngw1\|(?:C\|N|R\|n)=-?[0-9]+\|d=-?[0-9]+"
+    r"\|c=(?:[0-9]+(?:,[0-9]+)*)?\|v=-?[0-9]+(?=\n|\Z))*")
 
 
 class CacheError(Exception):
@@ -130,6 +136,8 @@ class CacheStore:
 
     def __init__(self) -> None:
         self.records: dict[str, dict[MemoKey, int]] = {"C": {}, "R": {}}
+        # Memo key -> file-order row of each record read from canonical text.
+        self._rows: dict[str, dict[MemoKey, tuple]] = {"C": {}, "R": {}}
 
     def __len__(self) -> int:
         return len(self.records["C"]) + len(self.records["R"])
@@ -168,25 +176,32 @@ class CacheStore:
 
     # -- serialization -----------------------------------------------------
 
-    def _file_order(self) -> list[tuple[str, int, int, str, str, int]]:
-        """Rows (kind, dim, d, key, line, value) in file order; the key spells entry c as chr(c)."""
+    def _file_order(self) -> list[tuple[str, int, int, tuple[int, ...], str, int]]:
+        """Rows (kind, dim, d, key, line, value) in file order; the key holds the class
+        bit ``1 << B*c`` of each entry c.  A record still holding the value it was read
+        with reuses its canonical line."""
         rows = []
         for kind, records in self.records.items():
-            for (dim, d, code), value in records.items():
-                key = body = ""
-                while code:
-                    c = ((code & -code).bit_length() - 1) // B
-                    m = code >> B * c & MASK
-                    code ^= m << B * c
-                    key += chr(c) * m
-                    body += f"{c}," * m
-                line = f"gw1|{kind}|{DIMTAGS[kind]}={dim}|d={d}|c={body[:-1]}|v={value}"
-                rows.append((kind, dim, d, key, line, value))
+            kept = self._rows[kind]
+            for memo_key, value in records.items():
+                row = kept.get(memo_key)
+                if row is None or row[5] != value:
+                    dim, d, code = memo_key
+                    key, body = (), ""
+                    while code:
+                        c = ((code & -code).bit_length() - 1) // B
+                        m = code >> B * c & MASK
+                        code ^= m << B * c
+                        key += (1 << B * c,) * m
+                        body += f"{c}," * m
+                    line = f"gw1|{kind}|{DIMTAGS[kind]}={dim}|d={d}|c={body[:-1]}|v={value}"
+                    row = kind, dim, d, key, line, value
+                rows.append(row)
         return sorted(rows)  # (kind, dim, d, key) is unique, so no line is compared
 
     def sorted_records(self) -> list[tuple[str, int, int, tuple[int, ...], int]]:
         """(kind, dim, d, codims, value) of every record, in file order."""
-        return [(kind, dim, d, tuple(map(ord, key)), value)
+        return [(kind, dim, d, tuple((bit.bit_length() - 1) // B for bit in key), value)
                 for kind, dim, d, key, _, value in self._file_order()]
 
     def render(self) -> str:
@@ -218,12 +233,13 @@ class CacheStore:
                 f"unsupported cache header: {lines[0]!r}" if lines else "empty cache file"
             )
         store = cls()
+        canonical = _CANONICAL_FILE.fullmatch(text) is not None
+        # lines[:good] are the header and the records the grammar reads.
+        good = len(lines) if canonical else text.count("\n", 0, _RECORDS.match(text).end()) + 1
         class_bit = _ClassBits().__getitem__
-        for lineno, line in enumerate(lines[1:], start=2):
-            match = _RECORD.fullmatch(line)
-            if match is None:
-                raise CacheFormatError(f"line {lineno}: malformed record {line!r}")
-            tag, dim, d, body, value = match.groups()
+        for lineno, line in enumerate(lines[1:good], start=2):
+            _, kind, dim, d, body, value = line.split("|")
+            body = body[2:]
             try:
                 entries = [*map(class_bit, body.split(","))] if body else []
                 code = sum(entries)  # no digit carries, so a capped class shows
@@ -231,11 +247,16 @@ class CacheStore:
                         or code >> B * (MAX_CODIM + 1)):
                     raise ValueError(f"codimensions must be sorted, at most {MAX_HELD_INSERTIONS} "
                                      f"of them, each at most {MAX_CODIM}: {body!r}")
-                memo_key, value = (int(dim), int(d), code), int(value)
+                dim, d, value = int(dim[2:]), int(d[2:]), int(value[2:])
             except ValueError as exc:  # also an int too long to convert
                 raise CacheFormatError(f"line {lineno}: {exc}") from None
-            if store.records[tag[0]].setdefault(memo_key, value) != value:
-                store._merge(tag[0], ((memo_key, value),))  # raises, naming the conflict
+            memo_key = dim, d, code
+            if store.records[kind].setdefault(memo_key, value) != value:
+                store._merge(kind, ((memo_key, value),))  # raises, naming the conflict
+            if canonical:
+                store._rows[kind][memo_key] = kind, dim, d, tuple(entries), line, value
+        if good < len(lines):
+            raise CacheFormatError(f"line {good + 1}: malformed record {lines[good]!r}")
         return store
 
 

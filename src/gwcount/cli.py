@@ -2,10 +2,11 @@
 
 ``COMMANDS`` maps each command (complex, real, table1, table2, check, cache)
 to its help line, the function adding its arguments, and its handler.  A call
-builds only the invoked command's subparser; with no command or an unknown
-one, ``build_parser`` builds all six, and help and usage errors read the same
-either way.  ``checks`` is imported only by ``gw check``, and ``json``/``csv``
-only for the output formats that use them.
+builds one parser: that of the command it names.  Only a missing or unknown
+command, or an argument that parser leaves over, builds the full ``gw``
+parser (``build_parser``), which prints the usage error; help and usage
+errors read the same either way.  ``checks`` is imported only by ``gw
+check``, and ``json``/``csv`` only for the output formats that use them.
 
 Compute commands accept ``--cache PATH`` (or the GW_CACHE environment
 variable; the flag wins) to warm the engines from a store keyed like their
@@ -14,7 +15,7 @@ memos; a query rewrites the file only if it added records or the file is new.
 syntactically valid file, without building a store (``cache.stored_value``);
 on a miss they parse the same text through ``CacheStore.parse``, the one way
 every store here is read, whose full parse also accepts leading zeros and a
-``-`` on the dimension, degree and value (``cache._RECORD``).  ``gw cache
+``-`` on the dimension, degree and value (``cache._RECORDS``).  ``gw cache
 save`` rewrites the file in canonical form, and ``gw cache verify``, the only
 check of stored values, recomputes every record cold, naming the first wrong
 or unmemoized one.  Output is deterministic: identical invocations produce
@@ -288,9 +289,22 @@ COMMANDS = {
 }
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` read by its command's parser alone if that reads every argument, else by
+    ``build_parser``, whose subparser meets the same help and errors first."""
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"gw {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return build_parser(argv[0] if argv else None).parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_args(argv)
     digits = getattr(sys, "get_int_max_str_digits", lambda: None)()  # None before 3.10.7
     if digits is not None:  # exact values convert at any size, for this call only
         sys.set_int_max_str_digits(0)

@@ -31,8 +31,9 @@ of P^(2n-1), evaluated through the general real engine.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from operator import add
 
-from .keys import CodimVector, RealKey, binomial
+from .keys import CodimVector, RealKey
 from .real_engine import RealEvalContext, eval_real
 from .reports import CheckReport
 
@@ -48,6 +49,14 @@ __all__ = [
 MOD4_DMAX = 31
 
 
+def _pascal_rows() -> Iterator[list[int]]:
+    """Rows 0, 1, 2, ... of Pascal's triangle: row r holds C(r, 0) .. C(r, r)."""
+    row = [1]
+    while True:
+        yield row
+        row = [1, *map(add, row, row[1:]), 1]
+
+
 def complex_series_p3(dmax: int) -> tuple[list[int], list[int]]:
     """(N_d, Ntilde_d) for d = 1..dmax as 0-padded lists indexed by degree."""
     if dmax < 1:
@@ -56,15 +65,16 @@ def complex_series_p3(dmax: int) -> tuple[list[int], list[int]]:
     nt = [0] * (dmax + 1)
     n[1] = 1
     nt[1] = 1
+    rows = _pascal_rows()
+    next(rows)  # row 0
     for d in range(2, dmax + 1):
+        odd, even = next(rows), next(rows)  # rows 2d-3 and 2d-2
         acc = acc_t = 0
         for d1 in range(1, d):  # both sums run over the same pairs nt[d1] * n[d2]
             d2 = d - d1
             term = nt[d1] * n[d2]
-            acc += d2 * (d2 * binomial(2 * d - 3, 2 * d1 - 2)
-                         - d1 * binomial(2 * d - 3, 2 * d1 - 1)) * term
-            acc_t += d2 * d2 * (d1 * binomial(2 * d - 2, 2 * d1 - 1)
-                                - d2 * binomial(2 * d - 2, 2 * d1 - 2)) * term
+            acc += d2 * (d2 * odd[2 * d1 - 2] - d1 * odd[2 * d1 - 1]) * term
+            acc_t += d2 * d2 * (d1 * even[2 * d1 - 1] - d2 * even[2 * d1 - 2]) * term
         n[d] = acc
         nt[d] = d * acc + acc_t
     return n, nt
@@ -77,12 +87,14 @@ def real_series_p3(dmax: int) -> list[int]:
     _, nt = complex_series_p3(max(1, dmax // 2))
     nr = [0] * (dmax + 1)
     nr[1] = 1
+    rows = _pascal_rows()
     for d in range(3, dmax + 1, 2):
+        next(rows)  # row d-3
+        row = next(rows)  # row d-2
         acc = 0
         for d1 in range(1, (d - 1) // 2 + 1):
             d2 = d - 2 * d1
-            coeff = (-4) ** (d1 - 1) * d2 * binomial(d - 2, d2 - 1)
-            acc += coeff * nt[d1] * nr[d2]
+            acc += (-4) ** (d1 - 1) * d2 * row[d2 - 1] * nt[d1] * nr[d2]
         nr[d] = acc
     return nr
 

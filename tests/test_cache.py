@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -19,7 +20,7 @@ from gwcount import (
     eval_complex,
     eval_real,
 )
-from gwcount.cache import _RECORD, HEADER, is_memo_key, record_line
+from gwcount.cache import HEADER, is_memo_key, record_line
 from gwcount.keys import B, MAX_CODIM, MAX_HELD_INSERTIONS
 
 
@@ -68,6 +69,35 @@ def test_records_are_sorted_deterministically(tmp_path):
         "gw1|C|N=5|d=1|c=2,4,5|v=1",
         "gw1|R|n=2|d=5|c=3,3,3,3,3|v=5",
     ]
+
+
+CANONICAL = (f"{HEADER}\ngw1|C|N=3|d=1|c=3,3|v=1\ngw1|C|N=3|d=2|c=3,3,3,3|v=0\n"
+             "gw1|R|n=2|d=5|c=3,3,3,3,3|v=5\n")
+
+
+def test_render_prints_a_changed_value_of_a_parsed_record():
+    store = CacheStore.parse(CANONICAL)
+    assert store.render() == CANONICAL
+    store.records["R"][(2, 5, _code(3, 3, 3, 3, 3))] = 7
+    store.records["C"][(3, 1, _code(3, 4))] = 2
+    assert store.render() == CANONICAL.replace("v=5", "v=7").replace(
+        "c=3,3|v=1\n", "c=3,3|v=1\ngw1|C|N=3|d=1|c=3,4|v=2\n")
+
+
+@pytest.mark.parametrize("text", [
+    CANONICAL.replace("d=5", "d=05"),
+    CANONICAL.replace("c=3,3,3,3,3", "c=03,3,3,3,3"),
+    CANONICAL.replace("N=3|d=2", "N=03|d=2"),
+    CANONICAL.replace("v=5", "v=05"),
+    CANONICAL.removesuffix("\n"),
+    "".join(f"{line}\n" for line in [HEADER, *reversed(CANONICAL.splitlines()[1:])]),
+])
+def test_render_of_a_parsed_text_is_the_render_of_its_records(text):
+    store = CacheStore.parse(text)
+    built = CacheStore()
+    for kind, records in store.records.items():
+        built.records[kind].update(records)
+    assert store.render() == built.render() == CANONICAL
 
 
 def test_load_rejects_bad_header(tmp_path):
@@ -323,6 +353,11 @@ def test_render_matches_the_record_line_reference(records):
     assert store.sorted_records() == reference
     assert store.render() == "".join(f"{line}\n" for line in [
         HEADER, *(record_line(*record) for record in reference)])
+
+
+# One record line as the full parse reads it, matched line by line.
+_RECORD = re.compile(
+    r"gw1\|(C\|N|R\|n)=(-?[0-9]+)\|d=(-?[0-9]+)\|c=((?:[0-9]+(?:,[0-9]+)*)?)\|v=(-?[0-9]+)")
 
 
 def _reference_parse(text):

@@ -389,6 +389,19 @@ def test_cache_miss_rewrites_the_file_canonically(tmp_path, capsys):
     assert path.read_text() == cold.render()
 
 
+def test_cache_miss_respells_a_non_canonical_record(tmp_path, capsys):
+    path = tmp_path / "store.txt"
+    run(capsys, *_real_argv(5, path))
+    run(capsys, *_real_argv(7, path))
+    canonical = path.read_text()
+    dropped = "gw1|R|n=2|d=7|c=3,3,3,3,3,3,3|v=-85\n"
+    edited = canonical.replace("|d=5|c=3,3,3,3,3|", "|d=05|c=3,3,3,3,3|").replace(dropped, "")
+    assert "|d=05|" in edited and dropped not in edited
+    path.write_text(edited)
+    assert run(capsys, *_real_argv(7, path))[:2] == (0, "-85\n")
+    assert path.read_text() == canonical
+
+
 def test_cache_query_creates_a_missing_file(tmp_path, capsys):
     path = tmp_path / "new.gwc"
     code, out, _ = run(capsys, "real", "--n", "2", "--d", "1", "--codims", "3",
@@ -714,6 +727,9 @@ def _full_parser_error(capsys, argv):
     ["check", "--suite", "bogus"],
     ["cache", "bogus"],
     ["complex", "--dim", "3", "--d", "1", "--codims", "3,3", "extra"],
+    ["real", "--bogus"],
+    ["table1", "--dmax", "3", "stray"],
+    ["table1", "--bogus", "--dmax", "x"],
     ["bogus"],
     [],
 ])
@@ -723,3 +739,30 @@ def test_usage_errors_match_the_full_parser(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert (exc.value.code, capsys.readouterr().err) == expected
+
+
+@pytest.mark.parametrize("command", COMMAND_NAMES)
+def test_command_help_prints_the_full_parsers_bytes(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == _commands(cli.build_parser())[command].format_help()
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--dm", "3"],
+    ["table1", "--dmax=3", "--dmax", "5"],
+    ["real", "--n", "2", "--d", "1", "--codims", "3", "--ph", "eta", "--json"],
+    ["cache", "--cache", "store.gwc", "stats"],
+])
+def test_a_known_command_is_read_by_one_parser_as_by_the_full_parser(monkeypatch, argv):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert cli._parse_args(argv) == cli.build_parser().parse_args(argv)
+    # The call's one parser, then the full parser and its six subparsers.
+    assert built[0] == f"gw {argv[0]}" and len(built) == 1 + 1 + len(COMMAND_NAMES)

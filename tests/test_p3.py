@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 
 from gwcount import (
@@ -42,6 +44,29 @@ def test_p3_series_bundle():
     assert n[3] == 1
     assert nt[3] == 5
     assert nr[7] == 85
+
+
+def _series_by_comb(dmax):
+    """(N_d, Ntilde_d, N^R_d) by the module docstring's sums, each binomial from math.comb."""
+    n, nt, nr = [0] * (dmax + 1), [0] * (dmax + 1), [0] * (dmax + 1)
+    n[1] = nt[1] = nr[1] = 1
+    for d in range(2, dmax + 1):
+        pairs = [(d1, d - d1, nt[d1] * n[d - d1]) for d1 in range(1, d)]
+        n[d] = sum((d2 * d2 * comb(2 * d - 3, 2 * d1 - 2) - d1 * d2 * comb(2 * d - 3, 2 * d1 - 1))
+                   * term for d1, d2, term in pairs)
+        nt[d] = d * n[d] + sum((d1 * d2 * d2 * comb(2 * d - 2, 2 * d1 - 1)
+                                - d2 ** 3 * comb(2 * d - 2, 2 * d1 - 2)) * term
+                               for d1, d2, term in pairs)
+    for d in range(3, dmax + 1, 2):
+        nr[d] = sum((-4) ** (d1 - 1) * (d - 2 * d1) * comb(d - 2, d - 2 * d1 - 1)
+                    * nt[d1] * nr[d - 2 * d1] for d1 in range(1, (d - 1) // 2 + 1))
+    return n, nt, nr
+
+
+def test_series_match_the_binomial_reference_to_degree_150():
+    n, nt, nr = _series_by_comb(150)
+    assert complex_series_p3(150) == (n, nt)
+    assert real_series_p3(150) == nr
 
 
 def test_series_rejects_bad_dmax():
