@@ -9,13 +9,7 @@ checks.
 
 from .cache import CacheError, CacheFormatError, CacheIntegrityError, CacheStore
 from .complex_engine import ComplexEvalContext, canonical_pivot, eval_complex
-from .keys import (
-    CodimVector,
-    ComplexKey,
-    RealKey,
-    binomial,
-    enumerate_splits,
-)
+from .keys import CodimVector, ComplexKey, RealKey, enumerate_splits
 from .p3 import (
     complex_series_p3,
     congruence_mod4_report,
@@ -46,7 +40,6 @@ __all__ = [
     "RealEvalContext",
     "RealKey",
     "TableRow",
-    "binomial",
     "canonical_designation",
     "canonical_pivot",
     "complex_series_p3",

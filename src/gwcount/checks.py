@@ -54,10 +54,9 @@ def theorem12_samples() -> list[tuple[int, int, int, tuple[int, ...]]]:
             for c_list in _SAMPLE_LISTS[n]]
 
 
-def wdvv_identity_report(ctx: RealEvalContext | None = None) -> CheckReport:
+def wdvv_identity_report() -> CheckReport:
     """Residual of the codimension-transfer identity on the sample grid."""
-    if ctx is None:
-        ctx = RealEvalContext()
+    ctx = RealEvalContext()
     report = CheckReport("codimension-transfer identity")
     for n, d, c, c_list in theorem12_samples():
         residual = theorem12_residual(n, d, c, c_list, ctx)
@@ -69,10 +68,9 @@ def wdvv_identity_report(ctx: RealEvalContext | None = None) -> CheckReport:
     return report
 
 
-def cross_dim_report(ctx: RealEvalContext | None = None) -> CheckReport:
+def cross_dim_report() -> CheckReport:
     """Coincidences between invariants of different odd projective spaces."""
-    if ctx is None:
-        ctx = RealEvalContext()
+    ctx = RealEvalContext()
 
     def rval(n: int, d: int, entries: dict[int, int]) -> int:
         cv = CodimVector(tuple(sorted((c, m) for c, m in entries.items() if m)))

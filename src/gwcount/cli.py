@@ -65,23 +65,19 @@ def _at_least(lowest: int, name: str):
     return parse
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``gw`` parser, with only ``command``'s subparser if it names one.
+def build_parser() -> argparse.ArgumentParser:
+    """The full ``gw`` parser: one subparser per command, in ``COMMANDS`` order.
 
-    A one-command parser names every command in its usage line, so its help
-    and usage errors print the same bytes as the full parser's.
+    ``_parse_args`` falls back to it for ``gw -h``, a missing or unknown
+    command and arguments the command's own parser leaves over.
     """
     parser = argparse.ArgumentParser(
         prog="gw",
         description="Exact genus-0 curve counts of projective spaces.",
     )
-    if command not in COMMANDS:
-        command = None
-    metavar = "{" + ",".join(COMMANDS) + "}" if command else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, add_arguments, _) in COMMANDS.items():
-        if command in (None, name):
-            add_arguments(sub.add_parser(name, help=summary))
+        add_arguments(sub.add_parser(name, help=summary))
     return parser
 
 
@@ -188,12 +184,12 @@ def cmd_table1(args: argparse.Namespace) -> int:
         print(f"error: --dmax {args.dmax} exceeds --limit {args.limit}",
               file=sys.stderr)
         return 2
-    with _engines(args) as (_, rctx):
-        try:
+    try:  # a disagreement leaves the with body, so the store is not saved
+        with _engines(args) as (_, rctx):
             rows = table1_rows(args.dmax, engine=args.engine, ctx=rctx)
-        except EngineDisagreement as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    except EngineDisagreement as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     sys.stdout.write(format_rows(rows, args.format))
     return 0
 
@@ -299,7 +295,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         if not extras:
             args.command = argv[0]
             return args
-    return build_parser(argv[0] if argv else None).parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

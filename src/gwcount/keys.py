@@ -2,8 +2,8 @@
 
 Provides the canonical multiset of insertion codimensions (``CodimVector``,
 one integer code beside its insertion count and total codimension), the two
-invariant key types, safe binomials, the weighted splittings of an insertion
-multiset and the one solved degeneration sum over them,
+invariant key types, the weighted splittings of an insertion multiset and
+the one solved degeneration sum over them,
 ``degeneration_terms(N, d, splits, weight, terms)``, whose factors are plain
 triples, each a split plus one per-step code delta.  Everything here is pure
 and exact: values are Python ints, keys are immutable and hashable.
@@ -20,7 +20,6 @@ __all__ = [
     "CodimVector",
     "ComplexKey",
     "RealKey",
-    "binomial",
     "degeneration_terms",
     "enumerate_splits",
     "expand_code",
@@ -34,17 +33,6 @@ MAX_CODIM = 1024
 INVOLUTIONS = ("tau", "eta")
 _new = tuple.__new__  # _new(CodimVector, (code, k, total_codim)) skips the sums
 Triple = tuple[int, int, int]  # (code, k, total_codim), the fields of a CodimVector
-
-
-def binomial(n: int, k: int) -> int:
-    """Binomial coefficient C(n, k); 0 whenever k < 0 or k > n.
-
-    Degeneration sums index binomials slightly out of range at their
-    boundary terms, so out-of-range indices must vanish instead of raising.
-    """
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def expand_code(code: int) -> tuple[int, ...]:
@@ -273,7 +261,7 @@ def enumerate_splits(
     # (I's code, k, total, weight) per split so far; the newest class varies fastest.
     splits = [(0, 0, 0, 1)]
     for c, m in cv.pairs:
-        choices = [(i << B * c, i, c * i, binomial(m, i) * per_element_weight**i)
+        choices = [(i << B * c, i, c * i, math.comb(m, i) * per_element_weight**i)
                    for i in range(m + 1)]
         splits = [(icode + ccode, ik + i, itotal + ci, weight * wi)
                   for icode, ik, itotal, weight in splits for ccode, i, ci, wi in choices]

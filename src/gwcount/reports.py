@@ -33,13 +33,6 @@ class CheckReport(frozen_record("CheckReport", "suite results")):
     def failed_count(self) -> int:
         return sum(1 for r in self.results if not r.passed)
 
-    @property
-    def ok(self) -> bool:
-        return self.failed_count == 0
-
-    def failures(self) -> list[CheckResult]:
-        return [r for r in self.results if not r.passed]
-
     def lines(self) -> list[str]:
         out = []
         for r in self.results:

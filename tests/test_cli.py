@@ -277,6 +277,20 @@ def test_table1_engine_disagreement_is_one_error_line(capsys, monkeypatch):
     assert err == "error: table1 engines disagree: d=3: closed 2 vs general 1\n"
 
 
+def test_a_failed_table1_leaves_the_cache_as_it_was(capsys, tmp_path):
+    path = tmp_path / "store.gwc"
+    assert run(capsys, "table1", "--dmax", "5", "--engine", "general", "--cache", str(path)) == \
+        (0, "1  1\n3  1\n5  5\n", "")
+    # A wrong stored value and a dropped record: the engines disagree and add records.
+    text = path.read_text().replace("|d=3|c=3,3,3|v=-1\n", "|d=3|c=3,3,3|v=999\n")
+    text = "".join(line for line in text.splitlines(True) if "|d=5|" not in line)
+    path.write_text(text)
+    code, out, err = run(capsys, "table1", "--dmax", "7", "--engine", "both", "--cache", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: table1 engines disagree: d=3: closed 1 vs general -999;")
+    assert path.read_text() == text
+
+
 def test_table2_json_row_counts(capsys):
     code, out, _ = run(capsys, "table2", "--space", "p5", "--format", "json")
     assert code == 0
@@ -688,19 +702,6 @@ def _commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentPar
 def test_command_table_lists_every_command_in_help_order():
     assert list(cli.COMMANDS) == COMMAND_NAMES
     assert list(_commands(cli.build_parser())) == COMMAND_NAMES
-    assert list(_commands(cli.build_parser("bogus"))) == COMMAND_NAMES
-
-
-@pytest.mark.parametrize("command", COMMAND_NAMES)
-def test_one_command_parser_prints_the_full_parsers_bytes(command):
-    full, one = cli.build_parser(), cli.build_parser(command)
-    assert list(_commands(one)) == [command]
-    assert one.format_usage() == full.format_usage()
-    assert one.format_usage() == (
-        "usage: gw [-h] {complex,real,table1,table2,check,cache} ...\n")
-    sub, full_sub = _commands(one)[command], _commands(full)[command]
-    assert sub.format_usage() == full_sub.format_usage()
-    assert sub.format_help() == full_sub.format_help()
 
 
 def test_top_level_help_lists_every_command(capsys):
@@ -749,13 +750,9 @@ def test_command_help_prints_the_full_parsers_bytes(capsys, command):
     assert capsys.readouterr().out == _commands(cli.build_parser())[command].format_help()
 
 
-@pytest.mark.parametrize("argv", [
-    ["table1", "--dm", "3"],
-    ["table1", "--dmax=3", "--dmax", "5"],
-    ["real", "--n", "2", "--d", "1", "--codims", "3", "--ph", "eta", "--json"],
-    ["cache", "--cache", "store.gwc", "stats"],
-])
-def test_a_known_command_is_read_by_one_parser_as_by_the_full_parser(monkeypatch, argv):
+@pytest.fixture
+def built_parsers(monkeypatch):
+    """The ``prog`` of every parser built, in order."""
     built, init = [], argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
@@ -763,6 +760,24 @@ def test_a_known_command_is_read_by_one_parser_as_by_the_full_parser(monkeypatch
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("argv", [
+    ["table1", "--dm", "3"],
+    ["table1", "--dmax=3", "--dmax", "5"],
+    ["real", "--n", "2", "--d", "1", "--codims", "3", "--ph", "eta", "--json"],
+    ["cache", "--cache", "store.gwc", "stats"],
+])
+def test_a_known_command_is_read_by_one_parser_as_by_the_full_parser(built_parsers, argv):
     assert cli._parse_args(argv) == cli.build_parser().parse_args(argv)
     # The call's one parser, then the full parser and its six subparsers.
-    assert built[0] == f"gw {argv[0]}" and len(built) == 1 + 1 + len(COMMAND_NAMES)
+    assert built_parsers[0] == f"gw {argv[0]}" and len(built_parsers) == 1 + 1 + len(COMMAND_NAMES)
+
+
+def test_a_left_over_argument_is_read_by_the_full_parser(built_parsers, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli._parse_args(["complex", "--dim", "3", "--d", "1", "--codims", "3,3", "extra"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: extra\n")
+    assert built_parsers == ["gw complex", "gw", *(f"gw {name}" for name in COMMAND_NAMES)]

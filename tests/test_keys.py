@@ -9,7 +9,6 @@ from gwcount import (
     ComplexEvalContext,
     ComplexKey,
     RealKey,
-    binomial,
     enumerate_splits,
     eval_complex,
 )
@@ -94,24 +93,6 @@ def test_insertion_count_bound():
     assert at_bound.add(1, times=2).k == MAX_HELD_INSERTIONS == 2**B - 1
     with pytest.raises(ValueError, match="times must be in 1..2, got 3"):
         at_bound.add(1, times=3)
-
-
-def test_binomial_matches_pascal_triangle():
-    # Independent oracle: build the triangle by the addition rule alone.
-    limit = 64
-    row = [1]
-    for n in range(limit + 1):
-        for k in range(n + 1):
-            assert binomial(n, k) == row[k], (n, k)
-        row = [1] + [row[i] + row[i + 1] for i in range(n)] + [1]
-    assert binomial(29, 14) == 77558760
-
-
-def test_binomial_out_of_range_is_zero():
-    assert binomial(5, -1) == 0
-    assert binomial(5, 6) == 0
-    assert binomial(-1, 0) == 0
-    assert binomial(0, 0) == 1
 
 
 def test_dimension_gaps():

@@ -78,7 +78,7 @@ def test_series_rejects_bad_dmax():
 
 def test_congruence_mod4_report():
     report = congruence_mod4_report()
-    assert report.ok, report.failures()[:5]
+    assert report.failed_count == 0, [r for r in report.results if not r.passed][:5]
     # three families per degree, plus the vanishing checks at even degree
     assert len(report.results) == 3 * 31 + 15
     assert report.passed_count == len(report.results)
@@ -123,13 +123,13 @@ def test_real_codim_vectors_are_all_balanced_keys_in_descending_order(n, d):
 
 def test_parity_report_p3():
     report = parity_report(2, (1, 3, 5, 7))
-    assert report.ok, report.failures()[:5]
+    assert report.failed_count == 0, [r for r in report.results if not r.passed][:5]
     assert report.passed_count == 4 * 3  # one base vector per degree, 2 paddings
 
 
 def test_parity_report_p5():
     report = parity_report(3, (1, 3, 5))
-    assert report.ok, report.failures()[:5]
+    assert report.failed_count == 0, [r for r in report.results if not r.passed][:5]
     # base vector counts: d=1 -> 2, d=3 -> 3, d=5 -> 5; each with 2 paddings
     assert report.passed_count == (2 + 3 + 5) * 3
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import copy
 import pickle
 from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,7 +33,7 @@ from gwcount import (
     eval_real,
 )
 from gwcount.complex_engine import wdvv_step
-from gwcount.keys import B, binomial, degeneration_terms, enumerate_splits
+from gwcount.keys import B, degeneration_terms, enumerate_splits
 from gwcount.real_engine import recursion_step
 
 from test_complex_engine import _random_pivot_rule
@@ -205,7 +206,7 @@ def test_degeneration_terms_match_a_plain_loop(case):
 
 def _splits_by_product(cv: CodimVector, per_element_weight: int):
     """The splits of ``cv`` built on ``itertools.product``, last class fastest."""
-    choices = [[(i, c, binomial(m, i) * per_element_weight**i) for i in range(m + 1)]
+    choices = [[(i, c, comb(m, i) * per_element_weight**i) for i in range(m + 1)]
                for c, m in cv.pairs]
     for combo in product(*choices):
         weight, I, J = 1, [], []
