@@ -10,19 +10,13 @@ checks.
 from .cache import CacheError, CacheFormatError, CacheIntegrityError, CacheStore
 from .complex_engine import ComplexEvalContext, canonical_pivot, eval_complex
 from .keys import CodimVector, ComplexKey, RealKey, enumerate_splits
-from .p3 import (
-    complex_series_p3,
-    congruence_mod4_report,
-    parity_report,
-    real_series_p3,
-)
+from .p3 import complex_series_p3, real_series_p3
 from .real_engine import (
     RealEvalContext,
     canonical_designation,
     eval_real,
     theorem12_residual,
 )
-from .reports import CheckReport, CheckResult
 from .tables import TableRow, table1_rows, table2_rows
 
 __version__ = "0.1.0"
@@ -32,8 +26,6 @@ __all__ = [
     "CacheFormatError",
     "CacheIntegrityError",
     "CacheStore",
-    "CheckReport",
-    "CheckResult",
     "CodimVector",
     "ComplexEvalContext",
     "ComplexKey",
@@ -43,11 +35,9 @@ __all__ = [
     "canonical_designation",
     "canonical_pivot",
     "complex_series_p3",
-    "congruence_mod4_report",
     "enumerate_splits",
     "eval_complex",
     "eval_real",
-    "parity_report",
     "real_series_p3",
     "table1_rows",
     "table2_rows",

@@ -104,9 +104,9 @@ def is_memo_key(kind: str, dim: int, d: int, cv: CodimVector) -> bool:
 
 
 def read_text(path: str | os.PathLike[str]) -> str:
-    """The text of a cache file; non-ASCII bytes raise ``CacheFormatError``."""
+    """The exact text of a cache file; non-ASCII bytes raise ``CacheFormatError``."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="ascii", newline="") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise CacheFormatError(f"non-ASCII byte at offset {exc.start}") from None
@@ -213,7 +213,7 @@ class CacheStore:
         path = os.path.realpath(path)  # replace a symlink's target, not the link
         tmp = f"{path}.{os.getpid()}.tmp"
         try:
-            with open(tmp, "w", encoding="ascii") as fh:
+            with open(tmp, "w", encoding="ascii", newline="") as fh:
                 fh.write(text)
             os.replace(tmp, path)
         finally:

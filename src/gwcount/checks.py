@@ -1,7 +1,8 @@
 """Cross-cutting consistency suites exposed through ``gw check``.
 
-Each suite returns a CheckReport; the CLI prints one line per check and
-exits nonzero when anything fails.  The suites:
+Each suite returns CheckReports, the pass/fail report type defined here;
+the CLI prints one line per check and exits nonzero when anything fails.
+The suites:
 
   parity         every dimension-balanced real invariant of P^3, P^5, P^7 and
                  P^9 at small odd degree is odd and nonzero
@@ -21,25 +22,116 @@ import random
 from collections.abc import Iterable
 
 from .complex_engine import canonical_pivot, wdvv_step
-from .keys import CodimVector, RealKey
-from .p3 import (complex_codim_vectors, congruence_mod4_report, parity_report,
-                 real_codim_vectors, real_series_p3)
+from .keys import CodimVector, RealKey, frozen_record
+from .p3 import complex_codim_vectors, complex_series_p3, real_codim_vectors, real_series_p3
 from .real_engine import (RealEvalContext, canonical_designation, eval_real, recursion_step,
                           theorem12_residual)
-from .reports import CheckReport
 
 __all__ = [
+    "CheckReport",
+    "CheckResult",
     "SUITES",
+    "congruence_mod4_report",
     "cross_dim_report",
     "divisor_report",
+    "parity_report",
     "run_suites",
     "theorem12_samples",
     "wdvv_identity_report",
 ]
 
+# Top degree of the mod4 suite.
+MOD4_DMAX = 31
+
 # Seed and number of the divisor suite's draws; ``gw check`` pins their keys.
 DIVISOR_SEED = 20260814
 DIVISOR_TRIALS = 40
+
+
+class CheckResult(frozen_record("CheckResult", "check_id passed expected got")):
+    __slots__ = ()
+
+
+class CheckReport(frozen_record("CheckReport", "suite results")):
+    """An ordered list of named checks with expected/got values."""
+
+    __slots__ = ()
+
+    def __new__(cls, suite: str, results: list[CheckResult] | None = None) -> "CheckReport":
+        return super().__new__(cls, suite, [] if results is None else results)
+
+    def add(self, check_id: str, passed: bool, expected: object, got: object) -> None:
+        self.results.append(CheckResult(check_id, bool(passed), str(expected), str(got)))
+
+    def check_equal(self, check_id: str, expected: object, got: object) -> None:
+        self.add(check_id, expected == got, expected, got)
+
+    @property
+    def passed_count(self) -> int:
+        return sum(1 for r in self.results if r.passed)
+
+    @property
+    def failed_count(self) -> int:
+        return sum(1 for r in self.results if not r.passed)
+
+    def lines(self) -> list[str]:
+        out = []
+        for r in self.results:
+            if r.passed:
+                out.append(f"PASS  {r.check_id}")
+            else:
+                out.append(f"FAIL  {r.check_id}: expected {r.expected}, got {r.got}")
+        return out
+
+    def summary(self) -> str:
+        return f"{self.suite}: {self.passed_count} passed, {self.failed_count} failed"
+
+
+def parity_report(
+    n: int,
+    d_list: tuple[int, ...] | list[int],
+    ctx: RealEvalContext | None = None,
+) -> CheckReport:
+    """Check that every dimension-balanced real invariant is odd (hence nonzero).
+
+    Exhaustive over the base vectors (entries >= 3) for each odd degree in
+    ``d_list``, plus divisor-padded variants with one and two entries equal
+    to 1; padding by further 1s only multiplies values by the odd degree d,
+    which preserves oddness.
+    """
+    if ctx is None:
+        ctx = RealEvalContext()
+    report = CheckReport(f"parity, n={n}")
+    for d in d_list:
+        if d % 2 == 0:
+            raise ValueError("parity checks apply to odd degrees only")
+        for base in real_codim_vectors(n, d):
+            for cv in (base, base.add(1), base.add(1, times=2)):
+                value = eval_real(RealKey(n=n, d=d, insertions=cv), ctx)
+                report.add(f"n={n} d={d} <{cv}>", value % 2 == 1, "odd nonzero", value)
+    return report
+
+
+def congruence_mod4_report() -> CheckReport:
+    """Mod-4 congruences of the three P^3 families up to degree MOD4_DMAX.
+
+    N^R_d and N_d are congruent to 1 at odd d and to 0 at even d; Ntilde_d is
+    congruent to 1 at odd d, with the even values 1 (d = 2), 2 (d = 4) and 0
+    (even d >= 6).
+    """
+    report = CheckReport(f"mod4 congruences, d <= {MOD4_DMAX}")
+    n, nt = complex_series_p3(MOD4_DMAX)
+    nr = real_series_p3(MOD4_DMAX)
+    for d in range(1, MOD4_DMAX + 1):
+        want = 1 if d % 2 else 0
+        report.check_equal(f"N^C_{d} mod 4", want, n[d] % 4)
+        want_nt = 1 if d % 2 else {2: 1, 4: 2}.get(d, 0)
+        report.check_equal(f"Ntilde^C_{d} mod 4", want_nt, nt[d] % 4)
+        report.check_equal(f"N^R_{d} mod 4", want, nr[d] % 4)
+        if d % 2 == 0:
+            report.check_equal(f"N^R_{d}", 0, nr[d])
+    return report
+
 
 # Per-target insertion lists used for the transfer-identity sample grid.
 _SAMPLE_LISTS = {

@@ -22,10 +22,7 @@ which the general recursion engines are checked, and they extend cheaply to
 d = 31 and beyond.
 
 The module also hosts the one enumerator of dimension-balanced keys of both
-engines (``real_codim_vectors``, ``complex_codim_vectors``) and two
-structural reports: the mod-4 congruences of all three families up to
-d = MOD4_DMAX, and the odd-and-nonzero parity property of real invariants
-of P^(2n-1), evaluated through the general real engine.
+engines (``real_codim_vectors``, ``complex_codim_vectors``).
 """
 
 from __future__ import annotations
@@ -33,20 +30,14 @@ from __future__ import annotations
 from collections.abc import Iterator
 from operator import add
 
-from .keys import CodimVector, RealKey
-from .real_engine import RealEvalContext, eval_real
-from .reports import CheckReport
+from .keys import CodimVector
 
 __all__ = [
     "complex_codim_vectors",
     "complex_series_p3",
-    "congruence_mod4_report",
-    "parity_report",
     "real_codim_vectors",
     "real_series_p3",
 ]
-
-MOD4_DMAX = 31
 
 
 def _pascal_rows() -> Iterator[list[int]]:
@@ -99,27 +90,6 @@ def real_series_p3(dmax: int) -> list[int]:
     return nr
 
 
-def congruence_mod4_report() -> CheckReport:
-    """Mod-4 congruences of the three P^3 families up to degree MOD4_DMAX.
-
-    N^R_d and N_d are congruent to 1 at odd d and to 0 at even d; Ntilde_d is
-    congruent to 1 at odd d, with the even values 1 (d = 2), 2 (d = 4) and 0
-    (even d >= 6).
-    """
-    report = CheckReport(f"mod4 congruences, d <= {MOD4_DMAX}")
-    n, nt = complex_series_p3(MOD4_DMAX)
-    nr = real_series_p3(MOD4_DMAX)
-    for d in range(1, MOD4_DMAX + 1):
-        want = 1 if d % 2 else 0
-        report.check_equal(f"N^C_{d} mod 4", want, n[d] % 4)
-        want_nt = 1 if d % 2 else {2: 1, 4: 2}.get(d, 0)
-        report.check_equal(f"Ntilde^C_{d} mod 4", want_nt, nt[d] % 4)
-        report.check_equal(f"N^R_{d} mod 4", want, nr[d] % 4)
-        if d % 2 == 0:
-            report.check_equal(f"N^R_{d}", 0, nr[d])
-    return report
-
-
 def _base_vectors(top: int, step: int, target: int) -> Iterator[list[int]]:
     """Multisets of entries top, top - step, ... >= 2 with sum of (entry - 1) = target."""
 
@@ -148,28 +118,3 @@ def real_codim_vectors(n: int, d: int) -> Iterator[CodimVector]:
     """All dimension-balanced odd codimension vectors for (n, d), entries in {3, 5, ..., 2n-1}."""
     for base in _base_vectors(2 * n - 1, 2, n * (d + 1) - 2):
         yield CodimVector.from_entries(base)
-
-
-def parity_report(
-    n: int,
-    d_list: tuple[int, ...] | list[int],
-    ctx: RealEvalContext | None = None,
-) -> CheckReport:
-    """Check that every dimension-balanced real invariant is odd (hence nonzero).
-
-    Exhaustive over the base vectors (entries >= 3) for each odd degree in
-    ``d_list``, plus divisor-padded variants with one and two entries equal
-    to 1; padding by further 1s only multiplies values by the odd degree d,
-    which preserves oddness.
-    """
-    if ctx is None:
-        ctx = RealEvalContext()
-    report = CheckReport(f"parity, n={n}")
-    for d in d_list:
-        if d % 2 == 0:
-            raise ValueError("parity checks apply to odd degrees only")
-        for base in real_codim_vectors(n, d):
-            for cv in (base, base.add(1), base.add(1, times=2)):
-                value = eval_real(RealKey(n=n, d=d, insertions=cv), ctx)
-                report.add(f"n={n} d={d} <{cv}>", value % 2 == 1, "odd nonzero", value)
-    return report

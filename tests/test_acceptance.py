@@ -17,14 +17,13 @@ from gwcount import (
     RealEvalContext,
     RealKey,
     complex_series_p3,
-    congruence_mod4_report,
     enumerate_splits,
     eval_complex,
     eval_real,
-    parity_report,
     theorem12_residual,
 )
-from gwcount.checks import cross_dim_report, divisor_report, theorem12_samples
+from gwcount.checks import (congruence_mod4_report, cross_dim_report, divisor_report,
+                            parity_report, theorem12_samples)
 from gwcount.cli import main
 from gwcount.tables import table2_rows
 

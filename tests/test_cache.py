@@ -424,12 +424,24 @@ def test_parse_matches_the_per_entry_reference(lines):
         assert CacheStore.parse(text).records == want
 
 
-@pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
-def test_parse_splits_records_at_newlines_only(brk):
-    # str.splitlines would read these as two records; only "\n" ends a line.
+@pytest.mark.parametrize(
+    "brk", ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
+def test_parse_splits_records_at_newlines_only(brk, tmp_path):
+    # str.splitlines would read these as two records, and a text-mode read
+    # would turn "\r" and "\r\n" into "\n"; only "\n" ends a line.  So a
+    # break in one record, or in place of every "\n", fails on load as in parse.
     line = f"gw1|C|N=3|d=1|c=3,3|v=1{brk}gw1|R|n=2|d=1|c=3|v=1"
-    with pytest.raises(CacheFormatError, match=r"^line 2: malformed record "):
-        CacheStore.parse(f"{HEADER}\n{line}\n")
+    one_record = f"{HEADER}\n{line}\n"
+    for text, message in ((one_record, r"^line 2: malformed record "),
+                          (one_record.replace("\n", brk), r"^unsupported cache header: ")):
+        with pytest.raises(CacheFormatError, match=message) as parsed:
+            CacheStore.parse(text)
+        if brk.isascii():
+            path = tmp_path / "store.gwc"
+            path.write_bytes(text.encode("ascii"))
+            with pytest.raises(CacheFormatError) as loaded:
+                CacheStore.load(path)
+            assert str(loaded.value) == str(parsed.value)
 
 
 def test_parse_reads_a_missing_final_newline_and_rejects_blank_lines():

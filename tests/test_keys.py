@@ -35,6 +35,10 @@ def test_codim_vector_accessors():
     assert cv.total_codim == 13
     assert cv.min_codim == 2
     assert cv.max_codim == 5
+    with pytest.raises(ValueError, match="no minimum"):
+        CodimVector().min_codim
+    with pytest.raises(ValueError, match="no maximum"):
+        CodimVector().max_codim
     assert cv.multiplicity(3) == 2
     assert cv.multiplicity(9) == 0
     assert cv.multiplicity(5) == 1 and cv.multiplicity(4) == 0

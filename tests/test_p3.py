@@ -4,12 +4,8 @@ from math import comb
 
 import pytest
 
-from gwcount import (
-    complex_series_p3,
-    congruence_mod4_report,
-    parity_report,
-    real_series_p3,
-)
+from gwcount import complex_series_p3, real_series_p3
+from gwcount.checks import congruence_mod4_report, parity_report
 from gwcount.p3 import complex_codim_vectors, real_codim_vectors
 
 from golden import COMPLEX_P3_N, COMPLEX_P3_NTILDE, TABLE1

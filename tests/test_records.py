@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from gwcount import CheckReport, CheckResult, CodimVector, ComplexKey, RealKey, TableRow
+from gwcount import CodimVector, ComplexKey, RealKey, TableRow
+from gwcount.checks import CheckReport, CheckResult
 
 CV = CodimVector.of(2, 3, 3)
 

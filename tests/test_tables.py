@@ -23,6 +23,7 @@ def test_table1_single_engine_variants(engines):
     closed = table1_rows(9, engine="closed")
     general = table1_rows(9, engine="general", ctx=rctx)
     assert [(r.d, r.value) for r in closed] == [(r.d, r.value) for r in general]
+    assert table1_rows(9, engine="general") == general  # a cold context of its own
 
 
 def test_table1_validation():
@@ -80,6 +81,7 @@ def test_table2_row_order_descends_lexicographically(engines):
     assert d1_rows == ["5^1 3^0", "5^0 3^2"]
     d3_rows = [r.signature for r in rows if r.d == 3]
     assert d3_rows == ["5^2 3^1", "5^1 3^3", "5^0 3^5"]
+    assert table2_rows("p5") == rows  # a cold context of its own
     for space, n, golden in (("p5", 3, TABLE2_P5), ("p7", 4, TABLE2_P7)):
         order = [(r.d, r.signature) for r in table2_rows(space, ctx=rctx)]
         expected = [
