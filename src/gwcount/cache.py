@@ -14,21 +14,21 @@ from the codes, so a load/save round trip is byte-identical, and a save
 replaces the file atomically.  The store only ever replays values into engine
 memos; it never changes what an engine would compute.
 
-``stored_value`` answers one query from the file text alone.  Like warming,
-it trusts the stored value; it checks the whole file's syntax against the
-strict grammar of canonical lines, and that the key's line occurs once and
-belongs to a key the engine memoizes (``is_memo_key``, which asks the
-engine's own rule function).  Anything else is a miss, answered from one
-read, one parse and at most one render.  ``parse`` checks the whole text
-once: against the canonical grammar, or else against the record grammar
-``_RECORDS``, which also accepts leading zeros in every number and a ``-`` on
-the dimension, degree and value, and stops before the first malformed line.
-Any other spelling (a ``+``, a space, an underscore, another line break) is
-malformed, as are codimensions no vector holds.  The full parse checks sort
+``stored_value`` answers one query from the file text alone.  Like warming, it
+trusts the stored value; it checks that the whole text is canonical, and that
+the key's line occurs once and belongs to a key the engine memoizes
+(``is_memo_key``, which asks the engine's own rule function).  Anything else is
+a miss, answered from one read, one parse and at most one render.  The
+canonical check is one flat match, which reads a codimension list as one run of
+digits and commas, and one search for the empty entries and leading zeros that
+the run lets through.  ``parse`` makes it too, or else matches the record
+grammar ``_RECORDS``, which also accepts leading zeros in every number and a
+``-`` on the dimension, degree and value, and stops before the first malformed
+line.  Any other spelling (a ``+``, a space, an underscore, another line break)
+is malformed, as are codimensions no vector holds.  The full parse checks sort
 order and conflicts, in file order, and accepts unmemoized keys; ``gw cache
-verify`` rejects them.  A store parsed from canonical text keeps each
-record's line, and a render reuses it while the record holds the value it
-was read with; it spells every other record afresh.
+verify`` rejects them.  A store parsed from canonical text keeps each record's
+line for a render to reuse while the record holds the value it was read with.
 """
 
 from __future__ import annotations
@@ -58,10 +58,10 @@ DIMTAGS = {"C": "N", "R": "n"}
 # Kind -> key type (its first field is the dimension) and engine rule function.
 _ENGINES = {"C": (ComplexKey, complex_rules), "R": (RealKey, real_rules)}
 _INT = "(?:[1-9][0-9]*|0)"  # no leading zeros; the common case is tried first
-# A file of canonically spelled records; sort order is not part of the grammar.
+# With ``_canonical``'s search, a file of canonically spelled records; sort order aside.
 _CANONICAL_FILE = re.compile(
     rf"{re.escape(HEADER)}\n(?:gw1\|(?:C\|N|R\|n)={_INT}\|d={_INT}"
-    rf"\|c=(?:{_INT}(?:,{_INT})*)?\|v=(?:-?[1-9][0-9]*|0)\n)*")
+    r"\|c=(?!0[0-9]|,)[0-9,]*(?<!,)\|v=(?:-?[1-9][0-9]*|0)\n)*")
 # The header and the longest run of records after it that the full parse
 # reads, each a whole line; ``match`` ends before the first malformed line.
 # The signs let ``gw cache verify`` see and name records outside the key domain.
@@ -112,6 +112,11 @@ def read_text(path: str | os.PathLike[str]) -> str:
         raise CacheFormatError(f"non-ASCII byte at offset {exc.start}") from None
 
 
+def _canonical(text: str) -> bool:
+    """True for canonical text; commas occur only in its codimension lists."""
+    return _CANONICAL_FILE.fullmatch(text) is not None and not re.search(r",(?:,|0[0-9])", text)
+
+
 def stored_value(text: str, key: ComplexKey | RealKey) -> int | None:
     """The value of the key's one canonical line in ``text``, or None.
 
@@ -125,7 +130,7 @@ def stored_value(text: str, key: ComplexKey | RealKey) -> int | None:
         return None
     prefix = "\n" + record_line(kind, dim, d, cv.expand(), "")
     at = text.find(prefix)
-    if at < 0 or text.find(prefix, at + 1) >= 0 or not _CANONICAL_FILE.fullmatch(text):
+    if at < 0 or text.find(prefix, at + 1) >= 0 or not _canonical(text):
         return None
     at += len(prefix)
     return int(text[at:text.index("\n", at)])
@@ -233,7 +238,7 @@ class CacheStore:
                 f"unsupported cache header: {lines[0]!r}" if lines else "empty cache file"
             )
         store = cls()
-        canonical = _CANONICAL_FILE.fullmatch(text) is not None
+        canonical = _canonical(text)
         # lines[:good] are the header and the records the grammar reads.
         good = len(lines) if canonical else text.count("\n", 0, _RECORDS.match(text).end()) + 1
         class_bit = _ClassBits().__getitem__

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import random
 import re
 from itertools import combinations_with_replacement
 
@@ -20,7 +21,8 @@ from gwcount import (
     eval_complex,
     eval_real,
 )
-from gwcount.cache import HEADER, is_memo_key, record_line
+from gwcount.cache import (_CANONICAL_FILE, HEADER, _canonical, is_memo_key, record_line,
+                           stored_value)
 from gwcount.keys import B, MAX_CODIM, MAX_HELD_INSERTIONS
 
 
@@ -451,6 +453,79 @@ def test_parse_reads_a_missing_final_newline_and_rejects_blank_lines():
         CacheStore.parse(f"{HEADER}\n\ngw1|C|N=3|d=1|c=3,3|v=1\n")
     with pytest.raises(CacheFormatError, match=r"^line 3: malformed record ''$"):
         CacheStore.parse(f"{HEADER}\ngw1|C|N=3|d=1|c=3,3|v=1\n\n")
+
+
+# The canonical grammar as one nested match, each codimension entry its own
+# repeat of a group: the language that ``_canonical`` must accept exactly.
+_INT = "(?:[1-9][0-9]*|0)"
+_CANONICAL_REFERENCE = re.compile(
+    rf"{re.escape(HEADER)}\n(?:gw1\|(?:C\|N|R\|n)={_INT}\|d={_INT}"
+    rf"\|c=(?:{_INT}(?:,{_INT})*)?\|v=(?:-?[1-9][0-9]*|0)\n)*")
+
+
+def _random_canonical_line(rng):
+    kind = rng.choice("CR")
+    entries = sorted(rng.choices(range(13), k=rng.randrange(6)))
+    return record_line(kind, rng.randrange(13), rng.randrange(13), tuple(entries),
+                       rng.randrange(-12, 13))
+
+
+def test_canonical_check_matches_the_nested_reference_on_mutated_stores():
+    rng = random.Random(20131016)
+    alphabet = "0123456789,,,00|=-\nCRNncdvgw#"
+    verdicts = {True: 0, False: 0}
+    searched = 0  # texts that only the exclusion search rejects
+    for _ in range(20_000):
+        text = list("".join(f"{line}\n" for line in [
+            HEADER, *(_random_canonical_line(rng) for _ in range(rng.randrange(1, 4)))]))
+        for _ in range(rng.randint(0, 3)):  # a quarter stay canonical
+            at = rng.randrange(len(text) + 1)
+            op = rng.random()
+            if op < 0.4:
+                text.insert(at, rng.choice(alphabet))
+            elif at < len(text):
+                if op < 0.7:
+                    del text[at]
+                else:
+                    text[at] = rng.choice(alphabet)
+        text = "".join(text)
+        want = _CANONICAL_REFERENCE.fullmatch(text) is not None
+        assert _canonical(text) == want, text
+        verdicts[want] += 1
+        searched += not want and _CANONICAL_FILE.fullmatch(text) is not None
+    assert min(verdicts.values()) > 4_000 and searched > 50, (verdicts, searched)
+
+
+# Spellings of one field of ``_LINE``; the exclusion search alone rejects the
+# two near-misses marked True.
+_LINE = "gw1|C|N=3|d=1|c=3|v=1"
+_NEAR_MISSES = {
+    "c=,3": False, "c=3,": False, "c=3,,3": True, "c=03": False, "c=3,03": True,
+    "v=-0": False, "v=00": False, "d=03": False, "N=03": False, "C|n=": False, "R|N=": False,
+}
+_SPELLINGS = ["c=", "c=0", "c=0,3", "v=0", "v=-7", "d=0"]
+
+
+def _respelled(spelling):
+    field = spelling[:spelling.index("=") + 1]
+    if "|" in field:
+        return _LINE.replace("C|N=", field)
+    return re.sub(rf"(?<=\|){re.escape(field)}[^|]*", spelling, _LINE)
+
+
+@pytest.mark.parametrize("spelling", [*_NEAR_MISSES, *_SPELLINGS])
+def test_canonical_check_rejects_each_near_miss_and_no_legitimate_spelling(spelling):
+    # A line for the queried key comes first, so that a hit can fail only on the check.
+    key = _rkey(2, 5, 3, 3, 3, 3, 3)
+    line = _respelled(spelling)
+    assert line.count(spelling) == 1 and line != _LINE
+    text = f"{HEADER}\ngw1|R|n=2|d=5|c=3,3,3,3,3|v=5\n{line}\n"
+    accepted = spelling in _SPELLINGS
+    assert (_CANONICAL_REFERENCE.fullmatch(text) is not None) == accepted
+    assert _canonical(text) == accepted
+    assert (_CANONICAL_FILE.fullmatch(text) is not None) == (
+        accepted or _NEAR_MISSES[spelling])
+    assert stored_value(text, key) == (5 if accepted else None)
 
 
 def _multisets(codims, kmax):

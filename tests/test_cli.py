@@ -403,17 +403,29 @@ def test_cache_miss_rewrites_the_file_canonically(tmp_path, capsys):
     assert path.read_text() == cold.render()
 
 
-def test_cache_miss_respells_a_non_canonical_record(tmp_path, capsys):
+def _respell_and_query_a_dropped_record(tmp_path, capsys, respelled):
+    """Respell the d = 5 record, drop the d = 7 one, then query d = 7: the miss
+    must print its value and write the canonical bytes again."""
     path = tmp_path / "store.txt"
     run(capsys, *_real_argv(5, path))
     run(capsys, *_real_argv(7, path))
     canonical = path.read_text()
     dropped = "gw1|R|n=2|d=7|c=3,3,3,3,3,3,3|v=-85\n"
-    edited = canonical.replace("|d=5|c=3,3,3,3,3|", "|d=05|c=3,3,3,3,3|").replace(dropped, "")
-    assert "|d=05|" in edited and dropped not in edited
+    edited = canonical.replace("|d=5|c=3,3,3,3,3|", respelled).replace(dropped, "")
+    assert respelled in edited and dropped not in edited
     path.write_text(edited)
     assert run(capsys, *_real_argv(7, path))[:2] == (0, "-85\n")
     assert path.read_text() == canonical
+
+
+def test_cache_miss_respells_a_non_canonical_record(tmp_path, capsys):
+    _respell_and_query_a_dropped_record(tmp_path, capsys, "|d=05|c=3,3,3,3,3|")
+
+
+def test_cache_miss_respells_a_leading_zero_after_a_comma(tmp_path, capsys):
+    # The flat codimension run of the canonical pattern accepts ",03"; only
+    # the exclusion search sends this text to the full record grammar.
+    _respell_and_query_a_dropped_record(tmp_path, capsys, "|d=5|c=3,03,3,3,3|")
 
 
 def test_cache_query_creates_a_missing_file(tmp_path, capsys):
