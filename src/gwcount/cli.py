@@ -300,11 +300,11 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse_args(argv)
     digits = getattr(sys, "get_int_max_str_digits", lambda: None)()  # None before 3.10.7
-    if digits is not None:  # exact values convert at any size, for this call only
+    if digits is not None:  # exact arguments and values convert at any size, for this call only
         sys.set_int_max_str_digits(0)
     try:
+        args = _parse_args(argv)
         return COMMANDS[args.command][2](args)
     except (CacheError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,12 +31,12 @@ receiver slot H^e (canonically a maximal one) and an exchange partner H^c
           d2 * <H^a, H^c, I, H^f>_{d1} * <H^{N-f}, J, H^e>_{d2}
         - d1 * <H^a, I, H^f>_{d1} * <H^{N-f}, J, H^c, H^e>_{d2}
 
-Each product of the relation carries one H^1 of its own; the divisor axiom
-peels it as the weight d2 or d1, as in Kontsevich and Manin's form of the
-recursion.  The sum is evaluated only at the one (d1, f) per split and term
-that balances the left factor (``keys.degeneration_terms(N, d, splits, 1,
-terms)``): every other (d1, f) gives 0 by rule 2, and f = 0 or f = N by
-rule 4.  Every split sum of both engines runs through the one product loop,
+Each product of the relation carries one H^1 of its own, which stays in its
+term; the driver peels it by the divisor axiom as the weight d2 or d1, as in
+Kontsevich and Manin's form of the recursion.  The sum is evaluated only at
+the one (d1, f) per split and term that balances the left factor
+(``keys.degeneration_terms(N, d, splits, 1, terms)``): every other (d1, f)
+gives 0 by rule 2, and f = 0 or f = N by rule 4.  Every split sum of both engines runs through the one product loop,
 ``product_sum``, which looks up each factor through the driver.
 
 All arithmetic is exact; only the results of step 7 are memoized, keyed on
@@ -231,25 +231,22 @@ def wdvv_step(
     total = d * ctx.evaluate(N, d, S.add_all((a + c, e)))
     total += ctx.evaluate(N, d, S.add_all((a, c, e + 1)))
     total -= d * ctx.evaluate(N, d, S.add_all((a, c + e)))
-    terms = ((1, (a, c), (e,)), (-1, (a,), (c, e)))
+    terms = ((1, (a, c), (e, 1)), (-1, (a, 1), (c, e)))
     factors = degeneration_terms(N, d, enumerate_splits(S, 1), 1, terms)
-    return total + product_sum(ctx, N, ctx, N, factors, weighted=True)
+    return total + product_sum(ctx, N, ctx, N, factors)
 
 
 def product_sum(lctx: EvalContext, ldim: int, rctx: EvalContext, rdim: int,
-                factors: Iterable[tuple[int, int, int, Triple, Triple]], weighted: bool) -> int:
-    """Sum of w * <left>_{d1} * <right>_{d2} (times d2 if w > 0, else d1, if
-    ``weighted``) over the ``factors`` of ``degeneration_terms``, whose left and
-    right are plain (code, k, total_codim) triples: <left> in ``lctx`` on
-    ``ldim`` and, if it is nonzero, <right> in ``rctx`` on ``rdim``; each
-    factor is one ``evaluate`` call, which counts it and types its core.
+                factors: Iterable[tuple[int, int, int, Triple, Triple]]) -> int:
+    """Sum of w * <left>_{d1} * <right>_{d2} over the ``factors`` of
+    ``degeneration_terms``, whose left and right are plain (code, k,
+    total_codim) triples: <left> in ``lctx`` on ``ldim`` and, if it is nonzero,
+    <right> in ``rctx`` on ``rdim``; each factor is one ``evaluate`` call, which
+    counts it, types its core and peels its H^1 entries (a term's weight d1 or d2).
     """
     total = 0
     for w, d1, d2, left, right in factors:
         t = lctx.evaluate(ldim, d1, left)
         if t:
-            u = rctx.evaluate(rdim, d2, right)
-            if weighted:
-                u *= d2 if w > 0 else d1
-            total += w * t * u
+            total += w * t * rctx.evaluate(rdim, d2, right)
     return total

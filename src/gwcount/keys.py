@@ -3,10 +3,10 @@
 Provides the canonical multiset of insertion codimensions (``CodimVector``,
 one integer code beside its insertion count and total codimension), the two
 invariant key types, the weighted splittings of an insertion multiset and
-the one solved degeneration sum over them,
-``degeneration_terms(N, d, splits, weight, terms)``, whose factors are plain
-triples, each a split plus one per-step code delta.  Everything here is pure
-and exact: values are Python ints, keys are immutable and hashable.
+the one solved degeneration sum over them, ``degeneration_terms``.  Splits and
+factors are plain (code, k, total_codim) triples: a factor is its split plus
+a per-step code delta, whose H^1, if any, the driver peels as a weight d1 or
+d2.  All is pure and exact: values are Python ints, keys are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -176,6 +176,8 @@ class ComplexKey(frozen_record("ComplexKey", "N d insertions")):
     __slots__ = ()
 
     def __new__(cls, N: int, d: int, insertions: CodimVector) -> "ComplexKey":
+        if type(N) is not int or type(d) is not int:  # a float or bool would poison the memo
+            raise ValueError(f"N and d must be ints, got N={N!r}, d={d!r}")
         if N < 1:
             raise ValueError(f"complex target needs N >= 1, got N={N}")
         if N >= MAX_CODIM:
@@ -198,6 +200,8 @@ class RealKey(frozen_record("RealKey", "n d insertions phi")):
     __slots__ = ()
 
     def __new__(cls, n: int, d: int, insertions: CodimVector, phi: str = "tau") -> "RealKey":
+        if type(n) is not int or type(d) is not int:
+            raise ValueError(f"n and d must be ints, got n={n!r}, d={d!r}")
         if n < 2:
             raise ValueError(f"real target needs n >= 2, got n={n}")
         if 2 * n - 1 >= MAX_CODIM:
@@ -216,7 +220,7 @@ class RealKey(frozen_record("RealKey", "n d insertions phi")):
 def degeneration_terms(
     N: int,
     d: int,
-    splits: Iterable[tuple[CodimVector, CodimVector, int]],
+    splits: Iterable[tuple[Triple, Triple, int]],
     weight: int,
     terms: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...],
 ) -> Iterator[tuple[int, int, int, Triple, Triple]]:
@@ -248,14 +252,14 @@ def degeneration_terms(
 
 def enumerate_splits(
     cv: CodimVector, per_element_weight: int = 1
-) -> Iterator[tuple[CodimVector, CodimVector, int]]:
-    """All splittings of a multiset into an ordered pair (I, J) of sub-multisets.
+) -> Iterator[tuple[Triple, Triple, int]]:
+    """All splittings of a multiset into an ordered pair (I, J) of plain triples.
 
     Splittings of labeled insertions collapse class-by-class: choosing i of
     the m copies of codimension c contributes a factor C(m, i), and each
     element routed into I additionally carries ``per_element_weight``.  The
     yielded weight is the product over classes of C(m_c, i_c) * w^{i_c}, so
-    the weights of all splits sum to (1 + w)^k.
+    the weights of all splits sum to (1 + w)^k.  I and J are (code, k, total_codim).
     """
     code, k, total = cv[0], cv.k, cv.total_codim  # properties traced by bench/tracing.py
     # (I's code, k, total, weight) per split so far; the newest class varies fastest.
@@ -266,5 +270,4 @@ def enumerate_splits(
         splits = [(icode + ccode, ik + i, itotal + ci, weight * wi)
                   for icode, ik, itotal, weight in splits for ccode, i, ci, wi in choices]
     for icode, ik, itotal, weight in splits:
-        yield (_new(CodimVector, (icode, ik, itotal)),
-               _new(CodimVector, (code - icode, k - ik, total - itotal)), weight)
+        yield (icode, ik, itotal), (code - icode, k - ik, total - itotal), weight

@@ -32,12 +32,12 @@ weighted 2 per element routed into I:
         - d1 * <c_1 - 1, I, 2i>^C_{d1} * <c_2, J, j>_{d2}
 
 where <...>^C are complex invariants of P^{2n-1} evaluated by the shared
-complex engine.  This sum and the one in ``theorem12_residual`` are
-evaluated only at the one (d1, 2i) per split and term that balances the
-complex factor (``keys.degeneration_terms(N, d, splits, 2, terms)``, with
-splits weighted 2 per element in I), by the one product loop ``product_sum``,
-which looks up every factor through ``EvalContext.evaluate``.  Only step-6
-results are memoized, keyed on (n, d, core insertions).
+complex engine.  Each weight d2 or d1 is an H^1 that stays in the real or
+complex factor of its term, and the driver peels it.  This sum and the one in
+``theorem12_residual`` are evaluated only at the one (d1, 2i) per split and
+term that balances the complex factor (``degeneration_terms(N, d, splits, 2,
+terms)``), by the one product loop ``product_sum``.  Only step-6 results are
+memoized, keyed on (n, d, core insertions).
 """
 
 from __future__ import annotations
@@ -130,9 +130,9 @@ def recursion_step(
     rest = cv.remove(c1).remove(c2)
     N = 2 * n - 1
     total = d * ctx.evaluate(n, d, rest.add(c1 + c2 - 1))
-    terms = ((1, (c1 - 1, c2), ()), (-1, (c1 - 1,), (c2,)))
+    terms = ((1, (c1 - 1, c2), (1,)), (-1, (c1 - 1, 1), (c2,)))
     factors = degeneration_terms(N, d, enumerate_splits(rest, 2), 2, terms)
-    return total + product_sum(ctx.complex_ctx, N, ctx, n, factors, weighted=True)
+    return total + product_sum(ctx.complex_ctx, N, ctx, n, factors)
 
 
 def theorem12_residual(
@@ -170,4 +170,4 @@ def theorem12_residual(
     N = 2 * n - 1
     terms = ((1, (2 * c, c1), (c2,)), (-1, (2 * c, c2), (c1,)))
     factors = degeneration_terms(N, d, enumerate_splits(rest, 2), 2, terms)
-    return lhs - product_sum(ctx.complex_ctx, N, ctx, n, factors, weighted=False)
+    return lhs - product_sum(ctx.complex_ctx, N, ctx, n, factors)

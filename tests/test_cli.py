@@ -168,6 +168,17 @@ def test_a_stored_value_past_the_digit_limit_round_trips(capsys, tmp_path, digit
     assert path.read_text() == text and _unchanged(digit_limit)
 
 
+def test_arguments_past_the_digit_limit_parse(capsys, digit_limit):
+    # Integer arguments of 5,000 digits are read as keys, which are 0 here.
+    big = "9" * 5000
+    assert run(capsys, "complex", "--dim", "3", "--d", big, "--codims", "2") == (0, "0\n", "")
+    argv = ("complex", "--dim", "3", "--d", "1", "--codims", f"3,{big}")
+    assert run(capsys, *argv) == (0, "0\n", "") and _unchanged(digit_limit)
+    with pytest.raises(SystemExit):  # a usage error still restores the caller's limit
+        main(["complex", "--dim", "3", "--d", "x", "--codims", "2"])
+    assert _unchanged(digit_limit)
+
+
 def test_json_query_output(capsys):
     code, out, _ = run(capsys, "real", "--n", "2", "--d", "3",
                        "--codims", "3,3,3", "--json")

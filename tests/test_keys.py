@@ -13,7 +13,7 @@ from gwcount import (
     eval_complex,
 )
 from gwcount.complex_engine import complex_rules
-from gwcount.keys import B, MAX_CODIM, MAX_HELD_INSERTIONS, MAX_INSERTIONS
+from gwcount.keys import B, MAX_CODIM, MAX_HELD_INSERTIONS, MAX_INSERTIONS, _new
 from gwcount.real_engine import real_rules
 
 
@@ -138,6 +138,15 @@ def test_key_validation():
     RealKey(n=2, d=1, insertions=ins, phi="eta")
 
 
+@pytest.mark.parametrize("dim, d", [(2.0, 1), (2, 1.0), (True, 1), (2, True)])
+def test_keys_reject_a_dimension_or_degree_that_is_not_an_int(dim, d):
+    # (2, 3.0, code) would equal the memo key (2, 3, code) and render as d=3.0.
+    with pytest.raises(ValueError, match="must be ints"):
+        ComplexKey(N=dim, d=d, insertions=CodimVector.of(3))
+    with pytest.raises(ValueError, match="must be ints"):
+        RealKey(n=dim, d=d, insertions=CodimVector.of(3))
+
+
 def test_enumerate_splits_weight_sums():
     for entries in ([3], [3, 3], [3, 3, 5], [2, 3, 3, 5, 5], []):
         cv = CodimVector.from_entries(entries)
@@ -152,16 +161,16 @@ def test_enumerate_splits_weight_sums():
 
 def test_enumerate_splits_parts_recombine():
     cv = CodimVector.of(2, 3, 3, 5)
-    for i_part, j_part, weight in enumerate_splits(cv, 2):
+    for i_part, j_part, weight in enumerate_splits(cv, 2):  # plain (code, k, total) triples
         assert weight > 0
-        merged = i_part
-        for c, m in j_part.pairs:
+        merged = _new(CodimVector, i_part)
+        for c, m in _new(CodimVector, j_part).pairs:
             merged = merged.add(c, times=m)
-        assert merged == cv
+        assert tuple(merged) == tuple(cv)
 
 
 def test_enumerate_splits_involution_symmetry():
     cv = CodimVector.of(3, 3, 5, 5, 5)
-    seen = {(i.pairs, j.pairs): w for i, j, w in enumerate_splits(cv, 1)}
+    seen = {(i, j): w for i, j, w in enumerate_splits(cv, 1)}  # (code, k, total) triples
     for (ip, jp), w in seen.items():
         assert seen[(jp, ip)] == w

@@ -33,7 +33,7 @@ from gwcount import (
     eval_real,
 )
 from gwcount.complex_engine import wdvv_step
-from gwcount.keys import B, degeneration_terms, enumerate_splits
+from gwcount.keys import B, _new, degeneration_terms, enumerate_splits
 from gwcount.real_engine import recursion_step
 
 from test_complex_engine import _random_pivot_rule
@@ -194,9 +194,9 @@ def test_degeneration_terms_match_a_plain_loop(case):
                 for x in range(1, N):
                     if weight * d1 >= d or x % weight:
                         continue
-                    left = I.add_all(left_extra + (x,))
+                    left = _new(CodimVector, I).add_all(left_extra + (x,))
                     if (N + 1) * d1 + N - 3 + left.k - left.total_codim == 0:  # balanced
-                        right = J.add_all(right_extra + (N - x,))
+                        right = _new(CodimVector, J).add_all(right_extra + (N - x,))
                         expected.append((sign * w, d1, d - weight * d1, left, right))
     got = list(degeneration_terms(N, d, enumerate_splits(S, weight), weight, terms))
     # Tuples of the vectors, so that the stored k and total codimension match too.

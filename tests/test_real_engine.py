@@ -17,7 +17,7 @@ from gwcount import (
 from gwcount.checks import theorem12_samples
 from gwcount.p3 import real_codim_vectors
 from gwcount.real_engine import recursion_step
-from gwcount.tables import table2_rows
+from gwcount.tables import table1_rows, table2_rows
 
 from golden import TABLE1, TABLE2_P5, TABLE2_P7
 
@@ -271,3 +271,12 @@ def test_engine_counters_of_table2_p5():
     assert _counters(ctx.complex_ctx) == (1_716, 1_454, 66, 66)
     assert _counters(ctx) == (296, 231, 23, 23)
     assert (ctx.complex_ctx.max_depth, ctx.max_depth) == (3, 1)
+
+
+def test_engine_counters_of_table1_to_61():
+    # The rows of `gw table1 --dmax 61 --engine both`: deep P^3 keys of one class.
+    ctx = RealEvalContext()
+    table1_rows(61, engine="both", ctx=ctx)
+    assert _counters(ctx.complex_ctx) == (6_095, 5_692, 58, 58)
+    assert _counters(ctx) == (991, 870, 30, 30)
+    assert (ctx.complex_ctx.max_depth, ctx.max_depth) == (2, 1)
