@@ -5,37 +5,42 @@ Each record is one line::
     gw1|C|N=<int>|d=<int>|c=<c1,c2,...>|v=<decimal>
     gw1|R|n=<int>|d=<int>|c=<c1,c2,...>|v=<decimal>
 
-preceded by the header line ``#gw-cache v1``.  In memory there is one dict
-per kind, keyed exactly like the engine memos by (dimension, degree, packed
-code of the codimensions), so warming is a ``dict.update`` and ``absorb``
-counts the records the engines added; both take the complex and the real
-context.  Files are sorted by (kind, dimension, degree, codimensions), decoded
-from the codes, so a load/save round trip is byte-identical, and a save
-replaces the file atomically.  The store only ever replays values into engine
-memos; it never changes what an engine would compute.
+preceded by the header line ``#gw-cache v1``.  In memory records are keyed
+exactly like the engine memos by (dimension, degree, packed code of the
+codimensions); ``warm`` and ``absorb`` take the complex and the real context.
+Files are sorted by (kind, dimension, degree, codimensions), so a load/save
+round trip is byte-identical, and a save replaces the file atomically.  The
+store only replays values into engine memos; it never changes what an engine
+computes.  A store is trusted input: only ``gw cache verify`` checks a value.
 
-``stored_value`` answers one query from the file text alone.  Like warming, it
-trusts the stored value; it checks that the whole text is canonical, and that
-the key's line occurs once and belongs to a key the engine memoizes
-(``is_memo_key``, which asks the engine's own rule function).  Anything else is
-a miss, answered from one read, one parse and at most one render.  The
-canonical check is one flat match, which reads a codimension list as one run of
-digits and commas, and one search for the empty entries and leading zeros that
-the run lets through.  ``parse`` makes it too, or else matches the record
-grammar ``_RECORDS``, which also accepts leading zeros in every number and a
-``-`` on the dimension, degree and value, and stops before the first malformed
-line.  Any other spelling (a ``+``, a space, an underscore, another line break)
-is malformed, as are codimensions no vector holds.  The full parse checks sort
-order and conflicts, in file order, and accepts unmemoized keys; ``gw cache
-verify`` rejects them.  A store parsed from canonical text keeps each record's
-line for a render to reuse while the record holds the value it was read with.
+``stored_value`` answers one query from the file text alone: the whole text
+must be canonical, and the key's line must occur once and belong to a key the
+engine memoizes (``is_memo_key``, which asks the engine's own rule function).
+Anything else is a miss, answered from one read, one parse and at most one
+render.  The canonical check is one flat match, which reads a codimension list
+as one run of digits and commas, and one search for the empty entries and
+leading zeros that the run lets through.
+
+``parse`` checks every line.  A canonical text of short lines whose sorted
+lists hold single digits, in strictly increasing file order, is kept as its
+lines (``_index``): a warmed memo converts a value when its engine reads it,
+and a render merges new lines in.  Any other text is decoded record by record
+by the grammar ``_RECORDS``, which also accepts leading zeros in every number
+and a ``-`` on the dimension, degree and value and stops before the first
+malformed line; a canonical one is then kept as lines too.  Any other spelling
+(a ``+``, a space, an underscore, another line break) is malformed, as are
+codimensions no vector holds.  The full parse checks sort order and conflicts
+in file order and accepts unmemoized keys; ``gw cache verify`` rejects them.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import sys
+from bisect import bisect
 from collections.abc import Iterable
+from operator import lt
 
 from .complex_engine import ComplexEvalContext, MemoKey, complex_rules
 from .keys import (B, MASK, MAX_CODIM, MAX_HELD_INSERTIONS, CodimVector, ComplexKey, RealKey,
@@ -62,6 +67,17 @@ _INT = "(?:[1-9][0-9]*|0)"  # no leading zeros; the common case is tried first
 _CANONICAL_FILE = re.compile(
     rf"{re.escape(HEADER)}\n(?:gw1\|(?:C\|N|R\|n)={_INT}\|d={_INT}"
     r"\|c=(?!0[0-9]|,)[0-9,]*(?<!,)\|v=(?:-?[1-9][0-9]*|0)\n)*")
+# The empty entries and leading zeros that _CANONICAL_FILE's codimension run lets through.
+_NOT_CANONICAL = re.compile(r",(?:,|0[0-9])")
+# The patterns of ``_index``, which ``re`` compiles on first use, so that a hit skips them:
+# a canonical record line of at most MAX_HELD_INSERTIONS single-digit codimensions, its
+# groups its text before "|v=", kind, dimension, degree, codimensions and value, and one
+# search per first entry a of a descending pair "a,b" of single digits.
+_SMALL_RECORD = (rf"\n(gw1\|(C\|N|R\|n)=({_INT})\|d=({_INT})\|c=((?:[0-9](?:,[0-9])"
+                 rf"{{0,{MAX_HELD_INSERTIONS - 1}}})?))\|v=(-?[1-9][0-9]*|0)(?=\n)")
+_DESCENTS = [f"{a},[0-{a - 1}]" for a in range(1, 10)]
+# Every digit as 0: a sorted list whose last entry has several digits ends in "00|v=".
+_ZEROS = str.maketrans("123456789", "0" * 9)
 # The header and the longest run of records after it that the full parse
 # reads, each a whole line; ``match`` ends before the first malformed line.
 # The signs let ``gw cache verify`` see and name records outside the key domain.
@@ -114,7 +130,7 @@ def read_text(path: str | os.PathLike[str]) -> str:
 
 def _canonical(text: str) -> bool:
     """True for canonical text; commas occur only in its codimension lists."""
-    return _CANONICAL_FILE.fullmatch(text) is not None and not re.search(r",(?:,|0[0-9])", text)
+    return _CANONICAL_FILE.fullmatch(text) is not None and not _NOT_CANONICAL.search(text)
 
 
 def stored_value(text: str, key: ComplexKey | RealKey) -> int | None:
@@ -140,19 +156,31 @@ class CacheStore:
     """In-memory record set with deterministic text serialization."""
 
     def __init__(self) -> None:
-        self.records: dict[str, dict[MemoKey, int]] = {"C": {}, "R": {}}
-        # Memo key -> file-order row of each record read from canonical text.
-        self._rows: dict[str, dict[MemoKey, tuple]] = {"C": {}, "R": {}}
+        self._records: dict[str, dict[MemoKey, int]] = {"C": {}, "R": {}}
+        # Kept lines of a canonical text, undecoded: line before "|v=" -> value text, in
+        # file order; ``_records`` then holds only the records added since.
+        self._kept: dict[str, str] = {}
+
+    @property
+    def records(self) -> dict[str, dict[MemoKey, int]]:
+        """Every record by kind, keyed like the engine memos; decodes kept lines once."""
+        if self._kept:
+            lines, self._kept = [*map("|v=".join, self._kept.items())], {}
+            self._decode(lines)
+        return self._records
 
     def __len__(self) -> int:
-        return len(self.records["C"]) + len(self.records["R"])
+        return len(self._kept) + len(self._records["C"]) + len(self._records["R"])
 
     def _merge(self, kind: str, items: Iterable[tuple[MemoKey, int]]) -> int:
         """Add ``items`` to the records of ``kind``; returns how many were new."""
-        records = self.records[kind]
+        records = self._records[kind]
         before = len(records)
         for memo_key, value in items:
-            existing = records.setdefault(memo_key, value)
+            if self._kept and (text := self._kept.get(_prefix(kind, memo_key))) is not None:
+                existing = int(text)
+            else:
+                existing = records.setdefault(memo_key, value)
             if existing != value:
                 dim, d, code = memo_key
                 raise CacheIntegrityError(
@@ -171,46 +199,38 @@ class CacheStore:
     # -- engine memo interchange ------------------------------------------
 
     def warm(self, cctx: ComplexEvalContext, rctx: RealEvalContext) -> None:
-        """Replay stored records into engine memos (idempotent)."""
-        cctx.memo.update(self.records["C"])
-        rctx.memo.update(self.records["R"])
+        """Replay stored records into engine memos (idempotent); kept lines are read
+        through a ``_Lookup`` memo."""
+        for kind, ctx in (("C", cctx), ("R", rctx)):
+            if self._kept:
+                ctx.memo = _Lookup(ctx.memo)
+                ctx.memo.kind, ctx.memo.kept = kind, self._kept
+            ctx.memo.update(self._records[kind])
 
     def absorb(self, cctx: ComplexEvalContext, rctx: RealEvalContext) -> int:
-        """Merge engine memos into the store; returns the number of new records."""
-        return self._merge("C", cctx.memo.items()) + self._merge("R", rctx.memo.items())
+        """Merge the values the engines computed (``solved``) into the store; returns the
+        number of new records."""
+        return self._merge("C", cctx.solved.items()) + self._merge("R", rctx.solved.items())
 
     # -- serialization -----------------------------------------------------
-
-    def _file_order(self) -> list[tuple[str, int, int, tuple[int, ...], str, int]]:
-        """Rows (kind, dim, d, key, line, value) in file order; the key holds the class
-        bit ``1 << B*c`` of each entry c.  A record still holding the value it was read
-        with reuses its canonical line."""
-        rows = []
-        for kind, records in self.records.items():
-            kept = self._rows[kind]
-            for memo_key, value in records.items():
-                row = kept.get(memo_key)
-                if row is None or row[5] != value:
-                    dim, d, code = memo_key
-                    key, body = (), ""
-                    while code:
-                        c = ((code & -code).bit_length() - 1) // B
-                        m = code >> B * c & MASK
-                        code ^= m << B * c
-                        key += (1 << B * c,) * m
-                        body += f"{c}," * m
-                    line = f"gw1|{kind}|{DIMTAGS[kind]}={dim}|d={d}|c={body[:-1]}|v={value}"
-                    row = kind, dim, d, key, line, value
-                rows.append(row)
-        return sorted(rows)  # (kind, dim, d, key) is unique, so no line is compared
 
     def sorted_records(self) -> list[tuple[str, int, int, tuple[int, ...], int]]:
         """(kind, dim, d, codims, value) of every record, in file order."""
         return [(kind, dim, d, tuple((bit.bit_length() - 1) // B for bit in key), value)
-                for kind, dim, d, key, _, value in self._file_order()]
+                for kind, dim, d, key, _, value in _file_order(self.records)]
 
     def render(self) -> str:
-        return "\n".join([HEADER, *[row[4] for row in self._file_order()], ""])
+        """The kept lines with the line of each record added since merged in."""
+        kept = [*map("|v=".join, self._kept.items())]
+        rows, lines, at = _file_order(self._records), [HEADER], 0
+        # A bisect decodes about log2(len(kept)) kept lines; more rows decode each line once.
+        many = len(rows) * len(kept).bit_length() > len(kept)
+        keys = [*map(_line_order, kept)] if many else kept
+        for row in rows:
+            end = bisect(keys, row[:4], at, key=None if many else _line_order)
+            lines += [*kept[at:end], row[4]]
+            at = end
+        return "\n".join([*lines, *kept[at:], ""])
 
     def save(self, path: str | os.PathLike[str]) -> None:
         """Write the store to ``path`` through a temp file in the same directory."""
@@ -237,12 +257,26 @@ class CacheStore:
             raise CacheFormatError(
                 f"unsupported cache header: {lines[0]!r}" if lines else "empty cache file"
             )
-        store = cls()
+        store, short = cls(), _short(lines)
+        store._kept = short and _index(text, len(lines) - 1) or {}
+        if store._kept:
+            return store
         canonical = _canonical(text)
         # lines[:good] are the header and the records the grammar reads.
         good = len(lines) if canonical else text.count("\n", 0, _RECORDS.match(text).end()) + 1
-        class_bit = _ClassBits().__getitem__
-        for lineno, line in enumerate(lines[1:good], start=2):
+        rows = store._decode(lines[1:good])
+        if good < len(lines):
+            raise CacheFormatError(f"line {good + 1}: malformed record {lines[good]!r}")
+        if canonical and short:  # its lines are those a render writes: keep them
+            store._kept = dict(row[4].split("|v=") for row in sorted(rows))  # one per key
+            store._records = {"C": {}, "R": {}}
+        return store
+
+    def _decode(self, lines: list[str]) -> list[tuple[str, int, int, tuple[int, ...], str]]:
+        """Add the records of ``lines``, file lines 2, 3, ..., checking each one; returns
+        the rows (kind, dim, d, class bits, line) that ``_file_order`` sorts lines by."""
+        class_bit, rows = _ClassBits().__getitem__, []
+        for lineno, line in enumerate(lines, start=2):
             _, kind, dim, d, body, value = line.split("|")
             body = body[2:]
             try:
@@ -256,13 +290,89 @@ class CacheStore:
             except ValueError as exc:  # also an int too long to convert
                 raise CacheFormatError(f"line {lineno}: {exc}") from None
             memo_key = dim, d, code
-            if store.records[kind].setdefault(memo_key, value) != value:
-                store._merge(kind, ((memo_key, value),))  # raises, naming the conflict
-            if canonical:
-                store._rows[kind][memo_key] = kind, dim, d, tuple(entries), line, value
-        if good < len(lines):
-            raise CacheFormatError(f"line {good + 1}: malformed record {lines[good]!r}")
-        return store
+            if self._records[kind].setdefault(memo_key, value) != value:
+                self._merge(kind, ((memo_key, value),))  # raises, naming the conflict
+            rows.append((kind, dim, d, tuple(entries), line))
+        return rows
+
+
+def _index(text: str, records: int) -> dict[str, str] | None:
+    """Line before "|v=" -> value text of each of the ``records`` record lines of
+    ``text``, if each is canonical with a sorted list of at most MAX_HELD_INSERTIONS
+    single-digit codimensions, and file order strictly increases; else None."""
+    if "00|v=" in text.translate(_ZEROS):  # the stores of P^N, N >= 10, fail fast
+        return None
+    rows = re.findall(_SMALL_RECORD, text)
+    if not rows or len(rows) != records:
+        return None
+    heads, kinds, dims, degrees, bodies, values = zip(*rows)
+    # File order: a number sorts by its length first, a list of single digits as a string.
+    keys = [*zip(kinds, map(len, dims), dims, map(len, degrees), degrees, bodies)]
+    bodies = "|".join(bodies)
+    if not all(map(lt, keys, keys[1:])) or any(re.search(pair, bodies) for pair in _DESCENTS):
+        return None
+    return dict(zip(heads, values))
+
+
+def _short(lines: list[str]) -> bool:
+    """True when no line is longer than the default or the current int/str digit limit, so
+    that a kept value converts when read, also after a caller restores the default."""
+    longest = max(map(len, lines))
+    limits = (getattr(sys.int_info, "default_max_str_digits", 0),  # 0: no limit, as
+              getattr(sys, "get_int_max_str_digits", int)())  # before 3.10.7
+    return all(not limit or longest <= limit for limit in limits)
+
+
+def _file_order(records: dict[str, dict[MemoKey, int]]
+                ) -> list[tuple[str, int, int, tuple[int, ...], str, int]]:
+    """Rows (kind, dim, d, key, line, value) of ``records`` in file order; the key holds
+    the class bit ``1 << B*c`` of each entry c."""
+    rows = []
+    for kind, by_key in records.items():
+        for (dim, d, code), value in by_key.items():
+            key, body = _spelled(code)
+            line = f"gw1|{kind}|{DIMTAGS[kind]}={dim}|d={d}|c={body}|v={value}"
+            rows.append((kind, dim, d, key, line, value))
+    return sorted(rows)  # (kind, dim, d, key) is unique, so no line is compared
+
+
+def _spelled(code: int) -> tuple[tuple[int, ...], str]:
+    """The class bits of a packed code's entries and their list in a record line, one class
+    at a time."""
+    key, body = (), ""
+    while code:
+        c = ((code & -code).bit_length() - 1) // B
+        m = code >> B * c & MASK
+        code ^= m << B * c
+        key += (1 << B * c,) * m
+        body += f"{c}," * m
+    return key, body[:-1]
+
+
+def _prefix(kind: str, memo_key: MemoKey) -> str:
+    """The line of a memo key's record before "|v="."""
+    dim, d, code = memo_key
+    return f"gw1|{kind}|{DIMTAGS[kind]}={dim}|d={d}|c={_spelled(code)[1]}"
+
+
+def _line_order(line: str) -> tuple[str, int, int, tuple[int, ...]]:
+    """What ``_file_order`` sorts a record line by."""
+    _, kind, dim, d, body, _ = line.split("|")
+    codims = body[2:].split(",") if body != "c=" else ()
+    return kind, int(dim[2:]), int(d[2:]), (*map(_CLASS_BIT, codims),)
+
+
+class _Lookup(dict):
+    """An engine memo that reads a key it lacks from a store's kept lines, converting
+    a value only when the engine asks for it."""
+
+    __slots__ = ("kind", "kept")
+
+    def get(self, memo_key: MemoKey, default: int | None = None) -> int | None:
+        value = dict.get(self, memo_key)
+        if value is None and (text := self.kept.get(_prefix(self.kind, memo_key))) is not None:
+            value = self[memo_key] = int(text)
+        return default if value is None else value
 
 
 class _ClassBits(dict):
@@ -270,3 +380,6 @@ class _ClassBits(dict):
 
     def __missing__(self, spelling: str) -> int:
         return self.setdefault(spelling, 1 << B * min(int(spelling), MAX_CODIM + 1))
+
+
+_CLASS_BIT = _ClassBits().__getitem__  # of the canonical spellings of kept lines

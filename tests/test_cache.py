@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import random
 import re
+import sys
 from itertools import combinations_with_replacement
 
 import pytest
@@ -23,7 +24,7 @@ from gwcount import (
 )
 from gwcount.cache import (_CANONICAL_FILE, HEADER, _canonical, is_memo_key, record_line,
                            stored_value)
-from gwcount.keys import B, MAX_CODIM, MAX_HELD_INSERTIONS
+from gwcount.keys import B, MAX_CODIM, MAX_HELD_INSERTIONS, expand_code
 
 
 def _ckey(N, d, *cs):
@@ -256,6 +257,11 @@ def test_absorb_detects_engine_cache_conflicts():
     store.records["C"][memo_key] += 1
     with pytest.raises(CacheIntegrityError):
         store.absorb(cctx, RealEvalContext(cctx))
+    # and so must a store that keeps the lines of the corrupted text undecoded
+    kept = CacheStore.parse(store.render())
+    assert kept._kept
+    with pytest.raises(CacheIntegrityError, match="^conflicting values for C "):
+        kept.absorb(cctx, RealEvalContext(cctx))
 
 
 def test_load_keys_records_like_the_engine_memos(tmp_path):
@@ -424,6 +430,144 @@ def test_parse_matches_the_per_entry_reference(lines):
         assert str(got.value) == str(exc)
     else:
         assert CacheStore.parse(text).records == want
+
+
+# Canonical record lines, so that only file order, a repeated key, a list out
+# of order and entries of more than one digit keep a text from the index.
+canonical_records = st.tuples(
+    st.sampled_from("CR"), st.sampled_from([2, 3, 10]),
+    st.sampled_from([0, 1, 2, 3, 9, 10, 11]),
+    st.lists(st.integers(0, 4), max_size=6).map(sorted).map(tuple),
+    st.integers(-(10**6), 10**6),
+)
+# Codimension lists of which a text holds at most one each.
+_WIDE_CODIMS = st.lists(st.sampled_from([2, 3, 9, 10, 12, 1024]), min_size=1, max_size=3)
+_RARE_CODIMS = [(5, 3, 3, 3), (1025,), (3,) * MAX_HELD_INSERTIONS,
+                (3,) * (MAX_HELD_INSERTIONS + 1)]
+
+
+def _text(records):
+    return "".join(f"{line}\n" for line in [HEADER, *(record_line(*r) for r in records)])
+
+
+@st.composite
+def canonical_texts(draw):
+    records = draw(st.lists(canonical_records, max_size=8, unique_by=lambda r: r[:4]))
+    sometimes = st.integers(0, 3).map(lambda i: i == 0)
+    if draw(sometimes):
+        records.append(("C", 3, 1, tuple(sorted(draw(_WIDE_CODIMS))), 1))
+    if draw(sometimes):
+        records.append(("R", 2, 1, draw(st.sampled_from(_RARE_CODIMS)), 1))
+    records = sorted(set(records))
+    if records and draw(sometimes):  # a line again, next to itself, maybe another value
+        at = draw(st.integers(0, len(records) - 1))
+        records.insert(at + 1, (*records[at][:4], records[at][4] + draw(st.sampled_from([0, 1]))))
+    if draw(sometimes):
+        records = draw(st.permutations(records))
+    return _text(records)
+
+
+# Balanced keys of both engines, stored or not; each drawn memo key is queried too.
+_QUERIES = [("C", 3, 2, (3, 3, 3, 3)), ("C", 2, 2, (2, 2, 2, 2, 2)),
+            ("C", 3, 3, (2, 2, 3, 3, 3, 3, 3)), ("R", 2, 3, (3, 3, 3)), ("R", 2, 5, (3,) * 5)]
+
+
+def _warmed_run(store, queries):
+    """Values, counters, records added and rendered text of ``queries`` in a context
+    pair warmed from ``store``."""
+    cctx = ComplexEvalContext()
+    rctx = RealEvalContext(cctx)
+    store.warm(cctx, rctx)
+    values = [eval_complex(_ckey(dim, d, *entries), cctx) if kind == "C"
+              else eval_real(_rkey(dim, d, *entries), rctx) for kind, dim, d, entries in queries]
+    counters = [{name: ctx.stats()[name] for name in ("calls", "memo_hits", "deep_evals")}
+                for ctx in (cctx, rctx)]
+    return values, counters, store.absorb(cctx, rctx), store.render()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(canonical_texts())
+@example(_text([("C", 2, 2, (2, 2, 2, 2, 2), 7), ("C", 3, 2, (3, 3, 3, 3), -4),
+                ("R", 2, 3, (3, 3, 3), 5), ("R", 3, 1, (), 0)]))
+@example(_text([("C", 3, 2, (3, 3, 3, 3), -4), ("C", 2, 2, (2, 2, 2, 2, 2), 7)]))
+@example(_text([("C", 3, 2, (3, 3, 3, 3), -4), ("C", 3, 2, (3, 3, 3, 3), -4)]))
+@example(_text([("C", 3, 2, (3, 3, 3, 3), -4), ("C", 3, 2, (3, 3, 3, 3), -3)]))
+@example(_text([("C", 3, 2, (3, 3, 3, 3), 1), ("C", 3, 2, (5, 3, 3, 3), 1)]))
+@example(_text([("C", 3, 1, (9,), 1), ("C", 3, 1, (10,), 1), ("C", 3, 2, (3, 3, 3, 3), 1)]))
+@example(_text([("C", 3, 1, (3,) * MAX_HELD_INSERTIONS, 1), ("R", 2, 3, (3, 3, 3), 5)]))
+@example(_text([("R", 2, 1, (3,) * (MAX_HELD_INSERTIONS + 1), 1)]))
+@example(_text([("R", 2, 1, (1024,), 1), ("R", 2, 1, (1025,), 1)]))
+@example(_text([("C", 3, 10, (), 2), ("C", 3, 9, (), 1)]))  # in order only as strings
+@example(_text([("R", 10, 1, (3,), 2), ("R", 2, 1, (3,), 1)]))
+def test_indexed_parse_matches_the_per_entry_reference(text):
+    try:
+        want = _reference_parse(text)
+    except (CacheFormatError, CacheIntegrityError) as exc:
+        with pytest.raises(type(exc)) as got:
+            CacheStore.parse(text)
+        assert str(got.value) == str(exc)
+        return
+    reference = CacheStore()
+    for kind, records in want.items():
+        reference.records[kind].update(records)
+    store = CacheStore.parse(text)
+    assert (len(store), store.render()) == (len(reference), reference.render())
+    queries = _QUERIES + [(kind, dim, d, expand_code(code)) for kind in "CR"
+                          for dim, d, code in want[kind] if len(expand_code(code)) <= 8
+                          and is_memo_key(kind, dim, d, CodimVector.of(*expand_code(code)))]
+    assert _warmed_run(store, queries) == _warmed_run(reference, queries)
+    assert (store.records, store.stats()) == (reference.records, reference.stats())
+
+
+def test_parse_decodes_no_record_of_a_sorted_canonical_text(monkeypatch):
+    # Every other text is decoded as it is parsed; a canonical one is then kept as
+    # lines too, so that its render writes them again.
+    decoded = []
+    decode = CacheStore._decode
+    monkeypatch.setattr(CacheStore, "_decode",
+                        lambda store, lines: decoded.append(len(lines)) or decode(store, lines))
+    records = [("C", 3, 1, (3, 3), 1), ("C", 3, 2, (3, 3, 3, 3), 0), ("C", 3, 10, (), 2),
+               ("R", 2, 5, (3, 3, 3, 3, 3), 5)]
+    assert CacheStore.parse(_text(records))._kept and decoded == []
+    wide = [("C", 3, 1, (3, 9), 1), ("C", 3, 1, (3, 10), 1)]
+    for text, kept in ((_text(records[::-1]), 4), (_text(records + records[-1:]), 4),
+                       (_text(wide), 2), (_text(wide[::-1]), 2),
+                       (_text(records).removesuffix("\n"), 0),
+                       (_text(records).replace("d=2|", "d=02|"), 0)):
+        assert len(CacheStore.parse(text)._kept) == kept and decoded.pop(), text
+
+
+def test_a_value_past_the_digit_limit_fails_a_parse_unless_the_limit_is_lifted(digit_limit):
+    # Library code keeps Python's int/str limit; a parse checks every value against
+    # it, also one on a line that no lookup reads, and keeps it when lifted.
+    text = (f"{HEADER}\ngw1|C|N=3|d=2|c=2,2,2,2,2,2,2,2|v=1\n"
+            f"gw1|C|N=3|d=3|c=2,2,2,2,2,2,2,2,2,2,2|v={'9' * 5000}\n")
+    if digit_limit is not None:
+        with pytest.raises(CacheFormatError, match=r"^line 3: "):
+            CacheStore.parse(text)
+        sys.set_int_max_str_digits(0)
+    store = CacheStore.parse(text)
+    cctx = ComplexEvalContext()
+    store.warm(cctx, RealEvalContext(cctx))
+    assert eval_complex(_ckey(3, 2, *[2] * 8), cctx) == 1
+    assert store.render() == text
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_a_value_parsed_under_a_lifted_digit_limit_is_read_under_the_default(digit_limit, swap):
+    # A value that needs a lifted int/str limit is converted as the text is parsed,
+    # whether the text is in file order or not, so that it is read after the default
+    # limit is restored as at the time of the parse.
+    if digit_limit is None:
+        pytest.skip("this Python has no int/str digit limit")
+    lines = ["gw1|C|N=3|d=1|c=3,3|v=1", f"gw1|C|N=3|d=2|c={','.join('2' * 8)}|v={'9' * 5000}"]
+    sys.set_int_max_str_digits(0)
+    want = int("9" * 5000)
+    store = CacheStore.parse("\n".join([HEADER, *(lines[::-1] if swap else lines), ""]))
+    sys.set_int_max_str_digits(digit_limit)
+    cctx = ComplexEvalContext()
+    store.warm(cctx, RealEvalContext(cctx))
+    assert eval_complex(_ckey(3, 2, *[2] * 8), cctx) == want
 
 
 @pytest.mark.parametrize(

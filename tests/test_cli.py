@@ -124,18 +124,6 @@ def test_divisor_entries_at_degree_zero_are_not_stripped(capsys):
     assert not is_memo_key("C", 3, 0, CodimVector.of(1, 1, 1))
 
 
-@pytest.fixture
-def digit_limit():
-    """Python's default cap on int/str conversion (3.10.7+; None before), restored after."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield None
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    yield sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(saved)
-
-
 def _unchanged(limit):
     return limit is None or sys.get_int_max_str_digits() == limit
 
