@@ -24,13 +24,14 @@ leading zeros that the run lets through.
 ``parse`` checks every line.  A canonical text of short lines whose sorted
 lists hold single digits, in strictly increasing file order, is kept as its
 lines (``_index``): a warmed memo converts a value when its engine reads it,
-and a render merges new lines in.  Any other text is decoded record by record
-by the grammar ``_RECORDS``, which also accepts leading zeros in every number
-and a ``-`` on the dimension, degree and value and stops before the first
-malformed line; a canonical one is then kept as lines too.  Any other spelling
-(a ``+``, a space, an underscore, another line break) is malformed, as are
-codimensions no vector holds.  The full parse checks sort order and conflicts
-in file order and accepts unmemoized keys; ``gw cache verify`` rejects them.
+and a render bisects them for each new line's place.  Any other text is decoded
+record by record by the grammar ``_RECORDS``, which also accepts leading zeros
+in every number and a ``-`` on the dimension, degree and value and stops before
+the first malformed line; a canonical one is then kept as lines too.  Any other
+spelling (a ``+``, a space, an underscore, another line break) is malformed, as
+are codimensions no vector holds.  The full parse checks sort order and
+conflicts in file order and accepts unmemoized keys; ``gw cache verify``
+rejects them.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def stored_value(text: str, key: ComplexKey | RealKey) -> int | None:
     dim, d, cv = key[0], key.d, key.insertions
     if not is_memo_key(kind, dim, d, cv):
         return None
-    prefix = "\n" + record_line(kind, dim, d, cv.expand(), "")
+    prefix = f"\n{_spelled(kind, (dim, d, cv[0]))[1]}|v="
     at = text.find(prefix)
     if at < 0 or text.find(prefix, at + 1) >= 0 or not _canonical(text):
         return None
@@ -177,7 +178,7 @@ class CacheStore:
         records = self._records[kind]
         before = len(records)
         for memo_key, value in items:
-            if self._kept and (text := self._kept.get(_prefix(kind, memo_key))) is not None:
+            if self._kept and (text := self._kept.get(_spelled(kind, memo_key)[1])) is not None:
                 existing = int(text)
             else:
                 existing = records.setdefault(memo_key, value)
@@ -215,20 +216,18 @@ class CacheStore:
     # -- serialization -----------------------------------------------------
 
     def sorted_records(self) -> list[tuple[str, int, int, tuple[int, ...], int]]:
-        """(kind, dim, d, codims, value) of every record, in file order."""
-        return [(kind, dim, d, tuple((bit.bit_length() - 1) // B for bit in key), value)
-                for kind, dim, d, key, _, value in _file_order(self.records)]
+        """(kind, dim, d, codims, value) of every record in file order, codims ascending."""
+        return [(kind, dim, d, codims, value)
+                for kind, dim, d, codims, _, value in _file_order(self.records)]
 
     def render(self) -> str:
-        """The kept lines with the line of each record added since merged in."""
+        """The kept lines with the line of each record added since merged in, each placed by
+        bisection, which decodes about log2(len(kept)) kept lines."""
         kept = [*map("|v=".join, self._kept.items())]
         rows, lines, at = _file_order(self._records), [HEADER], 0
-        # A bisect decodes about log2(len(kept)) kept lines; more rows decode each line once.
-        many = len(rows) * len(kept).bit_length() > len(kept)
-        keys = [*map(_line_order, kept)] if many else kept
         for row in rows:
-            end = bisect(keys, row[:4], at, key=None if many else _line_order)
-            lines += [*kept[at:end], row[4]]
+            end = bisect(kept, row[:4], at, key=_line_order)
+            lines += [*kept[at:end], f"{row[4]}|v={row[5]}"]
             at = end
         return "\n".join([*lines, *kept[at:], ""])
 
@@ -273,8 +272,8 @@ class CacheStore:
         return store
 
     def _decode(self, lines: list[str]) -> list[tuple[str, int, int, tuple[int, ...], str]]:
-        """Add the records of ``lines``, file lines 2, 3, ..., checking each one; returns
-        the rows (kind, dim, d, class bits, line) that ``_file_order`` sorts lines by."""
+        """Add the records of ``lines``, file lines 2, 3, ..., checking each one; returns the
+        rows (kind, dim, d, class bits, line), which sort as their codimensions would."""
         class_bit, rows = _ClassBits().__getitem__, []
         for lineno, line in enumerate(lines, start=2):
             _, kind, dim, d, body, value = line.split("|")
@@ -325,41 +324,32 @@ def _short(lines: list[str]) -> bool:
 
 def _file_order(records: dict[str, dict[MemoKey, int]]
                 ) -> list[tuple[str, int, int, tuple[int, ...], str, int]]:
-    """Rows (kind, dim, d, key, line, value) of ``records`` in file order; the key holds
-    the class bit ``1 << B*c`` of each entry c."""
-    rows = []
-    for kind, by_key in records.items():
-        for (dim, d, code), value in by_key.items():
-            key, body = _spelled(code)
-            line = f"gw1|{kind}|{DIMTAGS[kind]}={dim}|d={d}|c={body}|v={value}"
-            rows.append((kind, dim, d, key, line, value))
-    return sorted(rows)  # (kind, dim, d, key) is unique, so no line is compared
+    """Rows (kind, dim, d, codims, prefix, value) of ``records`` in file order, which sorts
+    by the codimension tuple within each (kind, dim, d); the prefix is the line before "|v="."""
+    # (kind, dim, d, codims) is unique, so no prefix is compared.
+    return sorted((kind, *key[:2], *_spelled(kind, key), value)
+                  for kind, by_key in records.items() for key, value in by_key.items())
 
 
-def _spelled(code: int) -> tuple[tuple[int, ...], str]:
-    """The class bits of a packed code's entries and their list in a record line, one class
-    at a time."""
-    key, body = (), ""
+def _spelled(kind: str, memo_key: MemoKey) -> tuple[tuple[int, ...], str]:
+    """The codimensions of a memo key's record, ascending, and its line before "|v="; the
+    packed code is decoded one class at a time."""
+    dim, d, code = memo_key
+    codims, body = (), ""
     while code:
         c = ((code & -code).bit_length() - 1) // B
         m = code >> B * c & MASK
         code ^= m << B * c
-        key += (1 << B * c,) * m
+        codims += (c,) * m
         body += f"{c}," * m
-    return key, body[:-1]
-
-
-def _prefix(kind: str, memo_key: MemoKey) -> str:
-    """The line of a memo key's record before "|v="."""
-    dim, d, code = memo_key
-    return f"gw1|{kind}|{DIMTAGS[kind]}={dim}|d={d}|c={_spelled(code)[1]}"
+    return codims, f"gw1|{kind}|{DIMTAGS[kind]}={dim}|d={d}|c={body[:-1]}"
 
 
 def _line_order(line: str) -> tuple[str, int, int, tuple[int, ...]]:
-    """What ``_file_order`` sorts a record line by."""
+    """What ``_file_order`` sorts a record line by: its codimensions as a tuple of ints."""
     _, kind, dim, d, body, _ = line.split("|")
     codims = body[2:].split(",") if body != "c=" else ()
-    return kind, int(dim[2:]), int(d[2:]), (*map(_CLASS_BIT, codims),)
+    return kind, int(dim[2:]), int(d[2:]), (*map(int, codims),)
 
 
 class _Lookup(dict):
@@ -370,7 +360,7 @@ class _Lookup(dict):
 
     def get(self, memo_key: MemoKey, default: int | None = None) -> int | None:
         value = dict.get(self, memo_key)
-        if value is None and (text := self.kept.get(_prefix(self.kind, memo_key))) is not None:
+        if value is None and (text := self.kept.get(_spelled(self.kind, memo_key)[1])) is not None:
             value = self[memo_key] = int(text)
         return default if value is None else value
 
@@ -381,5 +371,3 @@ class _ClassBits(dict):
     def __missing__(self, spelling: str) -> int:
         return self.setdefault(spelling, 1 << B * min(int(spelling), MAX_CODIM + 1))
 
-
-_CLASS_BIT = _ClassBits().__getitem__  # of the canonical spellings of kept lines
