@@ -44,7 +44,7 @@ from collections.abc import Iterable
 from operator import lt
 
 from .complex_engine import ComplexEvalContext, MemoKey, complex_rules
-from .keys import (B, MASK, MAX_CODIM, MAX_HELD_INSERTIONS, CodimVector, ComplexKey, RealKey,
+from .keys import (B, MAX_CODIM, MAX_HELD_INSERTIONS, CodimVector, ComplexKey, RealKey, _classes,
                    expand_code)
 from .real_engine import RealEvalContext, real_rules
 
@@ -332,14 +332,11 @@ def _file_order(records: dict[str, dict[MemoKey, int]]
 
 
 def _spelled(kind: str, memo_key: MemoKey) -> tuple[tuple[int, ...], str]:
-    """The codimensions of a memo key's record, ascending, and its line before "|v="; the
-    packed code is decoded one class at a time."""
+    """The codimensions of a memo key's record, ascending, and its line before "|v="; both
+    are built a class at a time (``keys._classes``), as joining entries takes far longer."""
     dim, d, code = memo_key
     codims, body = (), ""
-    while code:
-        c = ((code & -code).bit_length() - 1) // B
-        m = code >> B * c & MASK
-        code ^= m << B * c
+    for c, m in _classes(code):
         codims += (c,) * m
         body += f"{c}," * m
     return codims, f"gw1|{kind}|{DIMTAGS[kind]}={dim}|d={d}|c={body[:-1]}"

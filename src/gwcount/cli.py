@@ -19,9 +19,10 @@ every store here is read, whose full parse also accepts leading zeros and a
 save`` rewrites the file in canonical form, and ``gw cache verify``, the only
 check of stored values, recomputes every record cold, naming the first wrong
 or unmemoized one.  Output is deterministic: identical invocations produce
-byte-identical output.  Exit codes: 0 success, 1 failed checks, engine
-disagreement, a bad or unreadable cache or a key too deep to evaluate, 2 usage
-errors.
+byte-identical output.  Handlers raise on every error, and ``main`` alone
+prints its ``error:`` line and maps it to an exit code.  Exit codes: 0 success,
+1 failed checks, engine disagreement, a bad or unreadable cache or a key too
+deep to evaluate, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -181,15 +182,9 @@ def _add_table1(p: argparse.ArgumentParser) -> None:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     if args.dmax > args.limit:
-        print(f"error: --dmax {args.dmax} exceeds --limit {args.limit}",
-              file=sys.stderr)
-        return 2
-    try:  # a disagreement leaves the with body, so the store is not saved
-        with _engines(args) as (_, rctx):
-            rows = table1_rows(args.dmax, engine=args.engine, ctx=rctx)
-    except EngineDisagreement as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--dmax {args.dmax} exceeds --limit {args.limit}")
+    with _engines(args) as (_, rctx):  # a disagreement leaves this body, so nothing is saved
+        rows = table1_rows(args.dmax, engine=args.engine, ctx=rctx)
     sys.stdout.write(format_rows(rows, args.format))
     return 0
 
@@ -231,8 +226,7 @@ def _add_cache(p: argparse.ArgumentParser) -> None:
 def cmd_cache(args: argparse.Namespace) -> int:
     path = _cache_path(args)
     if not path:
-        print("error: cache path required (--cache or GW_CACHE)", file=sys.stderr)
-        return 2
+        raise ValueError("cache path required (--cache or GW_CACHE)")
     if args.action == "save":  # canonical rewrite; creates an empty store if absent
         store = _open_store(path)
         store.save(path)
@@ -267,9 +261,7 @@ def _verify(store: CacheStore) -> int:
                    else eval_real(RealKey(n=dim, d=d, insertions=cv), rctx))
             problem = f"recomputed {got}" if got != value else None
         if problem:
-            print(f"error: bad record {record_line(kind, dim, d, entries, value)}: "
-                  f"{problem}", file=sys.stderr)
-            return 1
+            raise CacheError(f"bad record {record_line(kind, dim, d, entries, value)}: {problem}")
     print(f"ok: {len(store)} records verified")
     return 0
 
@@ -306,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(argv)
         return COMMANDS[args.command][2](args)
-    except (CacheError, OSError) as exc:
+    except (CacheError, EngineDisagreement, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:

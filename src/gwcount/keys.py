@@ -1,7 +1,8 @@
 """Shared exact-arithmetic core for the curve-counting engines.
 
 Provides the canonical multiset of insertion codimensions (``CodimVector``,
-one integer code beside its insertion count and total codimension), the two
+one integer code beside its insertion count and total codimension, whose
+classes every decoder here and in ``cache`` walks through ``_classes``), the two
 invariant key types, the weighted splittings of an insertion multiset and
 the one solved degeneration sum over them, ``degeneration_terms``.  Splits and
 factors are plain (code, k, total_codim) triples: a factor is its split plus
@@ -35,16 +36,21 @@ _new = tuple.__new__  # _new(CodimVector, (code, k, total_codim)) skips the sums
 Triple = tuple[int, int, int]  # (code, k, total_codim), the fields of a CodimVector
 
 
+def _classes(code: int) -> Iterator[tuple[int, int]]:
+    """(c, m) for each class c present m times in a packed code, ascending, by jumps."""
+    while code:
+        c = ((code & -code).bit_length() - 1) // B
+        m = code >> B * c & MASK
+        code ^= m << B * c
+        yield c, m
+
+
 def expand_code(code: int) -> tuple[int, ...]:
     """The entries of a packed code in ascending order, with repetition."""
-    out: list[int] = []
-    c = 0
-    while code:
-        if code & MASK:
-            out += [c] * (code & MASK)
-        code >>= B
-        c += 1
-    return tuple(out)
+    out: tuple[int, ...] = ()
+    for c, m in _classes(code):
+        out += (c,) * m
+    return out
 
 
 class CodimVector(tuple):
@@ -69,9 +75,7 @@ class CodimVector(tuple):
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Sorted (codim, multiplicity) pairs with positive multiplicities."""
-        code = self[0]
-        return tuple((c, m) for c in range(code.bit_length() // B + 1)
-                     if (m := code >> B * c & MASK))
+        return tuple(_classes(self[0]))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CodimVector) and self[0] == other[0]

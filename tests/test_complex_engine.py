@@ -86,6 +86,15 @@ def test_degree_one_matches_schubert_oracle_p5():
     assert C(ctx, 5, 1, 3, 4, 4) == 1
 
 
+def test_degree_one_matches_schubert_oracle_at_high_dimension():
+    # Lines through a point and two codimension-N/2 linear spaces of P^1023, and
+    # lines meeting four codimension-128 linear spaces of P^255.
+    ctx = ComplexEvalContext()
+    for N, combo, expect in ((1023, (1023, 512, 512), 1), (255, (128,) * 4, 128)):
+        assert schubert_line_count(N, list(combo)) == expect
+        assert C(ctx, N, 1, *combo) == expect, (N, combo)
+
+
 def test_rule_overflow():
     ctx = ComplexEvalContext()
     assert C(ctx, 3, 1, 4, 2, 1, 1) == 0  # balanced but one entry exceeds N

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+from collections import Counter
 from itertools import product
 from math import comb
 
@@ -33,7 +34,7 @@ from gwcount import (
     eval_real,
 )
 from gwcount.complex_engine import wdvv_step
-from gwcount.keys import B, _new, degeneration_terms, enumerate_splits
+from gwcount.keys import MAX_CODIM, B, _new, degeneration_terms, enumerate_splits
 from gwcount.real_engine import recursion_step
 
 from test_complex_engine import _random_pivot_rule
@@ -125,6 +126,8 @@ vector_ops = st.one_of(
 
 
 def _check_vector(cv: CodimVector, entries: list[int]) -> None:
+    assert cv.expand() == tuple(sorted(entries))
+    assert cv.pairs == tuple(sorted(Counter(entries).items()))
     reference = CodimVector.from_entries(cv.expand())
     assert reference == CodimVector.from_entries(entries)
     assert cv.pairs == reference.pairs
@@ -142,6 +145,8 @@ def _check_vector(cv: CodimVector, entries: list[int]) -> None:
 @given(start=st.lists(codims, max_size=5), ops=st.lists(vector_ops, max_size=12))
 @example(start=[3, 5], ops=[("add_all", (4, 4, 3)), ("remove", 4, 2), ("add", 5, 2),
                             ("remove", 7, 1), ("remove", 3, 2), ("add_all", ())])
+@example(start=[MAX_CODIM, 0, 2], ops=[("add", 0, 2), ("add_all", (MAX_CODIM, 1)),
+                                      ("remove", MAX_CODIM, 2), ("add", MAX_CODIM, 3)])
 def test_codim_vector_keeps_k_and_total_in_step(start, ops):
     entries = list(start)
     cv = CodimVector.from_entries(entries)
