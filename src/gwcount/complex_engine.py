@@ -33,11 +33,12 @@ receiver slot H^e (canonically a maximal one) and an exchange partner H^c
 
 Each product of the relation carries one H^1 of its own, which stays in its
 term; the driver peels it by the divisor axiom as the weight d2 or d1, as in
-Kontsevich and Manin's form of the recursion.  The sum is evaluated only at
-the one (d1, f) per split and term that balances the left factor
-(``keys.degeneration_terms(N, d, splits, 1, terms)``): every other (d1, f)
-gives 0 by rule 2, and f = 0 or f = N by rule 4.  Every split sum of both engines runs through the one product loop,
-``product_sum``, which looks up each factor through the driver.
+Kontsevich and Manin's form of the recursion.  Every split sum of both
+engines runs through one loop, ``product_sum(lctx, rctx, rdim, N, d, splits,
+weight, terms)``, here with weight 1.  It evaluates the sum only at the one
+(d1, f) per split and term that balances the left factor: every other
+(d1, f) gives 0 by rule 2, and f = 0 or f = N by rule 4.  At d = 1 no degree
+split exists, so it draws no split.
 
 All arithmetic is exact; only the results of step 7 are memoized, keyed on
 the core (the cheap structural rules are recomputed on the fly), so the memo
@@ -65,8 +66,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from .keys import (B, MASK, CodimVector, ComplexKey, Triple, _new, degeneration_terms,
-                   enumerate_splits)
+from .keys import B, MASK, CodimVector, ComplexKey, Triple, _new, enumerate_splits
 
 __all__ = [
     "ComplexEvalContext",
@@ -232,21 +232,38 @@ def wdvv_step(
     total += ctx.evaluate(N, d, S.add_all((a, c, e + 1)))
     total -= d * ctx.evaluate(N, d, S.add_all((a, c + e)))
     terms = ((1, (a, c), (e, 1)), (-1, (a, 1), (c, e)))
-    factors = degeneration_terms(N, d, enumerate_splits(S, 1), 1, terms)
-    return total + product_sum(ctx, N, ctx, N, factors)
+    return total + product_sum(ctx, ctx, N, N, d, enumerate_splits(S, 1), 1, terms)
 
 
-def product_sum(lctx: EvalContext, ldim: int, rctx: EvalContext, rdim: int,
-                factors: Iterable[tuple[int, int, int, Triple, Triple]]) -> int:
-    """Sum of w * <left>_{d1} * <right>_{d2} over the ``factors`` of
-    ``degeneration_terms``, whose left and right are plain (code, k,
-    total_codim) triples: <left> in ``lctx`` on ``ldim`` and, if it is nonzero,
-    <right> in ``rctx`` on ``rdim``; each factor is one ``evaluate`` call, which
-    counts it, types its core and peels its H^1 entries (a term's weight d1 or d2).
+def product_sum(lctx: EvalContext, rctx: EvalContext, rdim: int, N: int, d: int,
+                splits: Iterable[tuple[Triple, Triple, int]], weight: int,
+                terms: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]) -> int:
+    """The degeneration sum over a diagonal of P^N: sum of sign * w *
+    <I + left_extra + H^x>_{d1} * <J + right_extra + H^(N-x)>_{d2}.
+
+    It runs over splits (I, J, w), ``terms`` (sign, left_extra, right_extra),
+    degrees weight*d1 + d2 = d with d1, d2 >= 1 and diagonal classes 0 < x < N,
+    x a multiple of ``weight`` (1 for a complex sum, 2 for a real one).  With
+    L = I + left_extra, the left factor <L, H^x>_{d1} is balanced only at
+    (-d1, x) = divmod(N - 2 + k(L) - sum(L), N + 1), so each split and term is
+    solved once.  The left factor is looked up in ``lctx`` on P^N and, if it is
+    nonzero, the right one in ``rctx`` on ``rdim``, each as a plain (code, k,
+    total_codim) triple through one ``evaluate`` call, which counts it, types
+    its core and peels its H^1 entries (a term's weight d1 or d2).  When
+    d <= weight no degree split exists, and no split is drawn.
     """
+    if d <= weight:
+        return 0
+    solved = [(sign, N - 2 + len(lx) - sum(lx), sum([1 << B * c for c in lx]), len(lx) + 1,
+               sum(lx), sum([1 << B * c for c in rx]), len(rx) + 1, sum(rx) + N)
+              for sign, lx, rx in terms]
     total = 0
-    for w, d1, d2, left, right in factors:
-        t = lctx.evaluate(ldim, d1, left)
-        if t:
-            total += w * t * rctx.evaluate(rdim, d2, right)
+    for (icode, ik, itotal), (jcode, jk, jtotal), w in splits:
+        for sign, shift, lcode, lk, lt, rcode, rk, rt in solved:
+            q, x = divmod(shift + ik - itotal, N + 1)
+            if 0 < -weight * q < d and 0 < x < N and x % weight == 0:
+                t = lctx.evaluate(N, -q, (icode + lcode + (1 << B * x), ik + lk, itotal + lt + x))
+                if t:
+                    right = (jcode + rcode + (1 << B * (N - x)), jk + rk, jtotal + rt - x)
+                    total += sign * w * t * rctx.evaluate(rdim, d + weight * q, right)
     return total

@@ -3,11 +3,11 @@
 Provides the canonical multiset of insertion codimensions (``CodimVector``,
 one integer code beside its insertion count and total codimension, whose
 classes every decoder here and in ``cache`` walks through ``_classes``), the two
-invariant key types, the weighted splittings of an insertion multiset and
-the one solved degeneration sum over them, ``degeneration_terms``.  Splits and
-factors are plain (code, k, total_codim) triples: a factor is its split plus
-a per-step code delta, whose H^1, if any, the driver peels as a weight d1 or
-d2.  All is pure and exact: values are Python ints, keys are immutable and hashable.
+invariant key types and the weighted splittings of an insertion multiset,
+``enumerate_splits``, whose plain (code, k, total_codim) triples the one
+split-sum loop, ``complex_engine.product_sum``, turns into factors by adding
+integers.  All is pure and exact: values are Python ints, keys are immutable
+and hashable.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "CodimVector",
     "ComplexKey",
     "RealKey",
-    "degeneration_terms",
     "enumerate_splits",
     "expand_code",
 ]
@@ -59,7 +58,7 @@ class CodimVector(tuple):
     Stored as (code, k, total_codim) with code = sum of m_c * 2^(B*c), one
     B-bit digit per codimension c, so permuted insertion lists compare and
     hash equal, and ``add``, ``add_all``, ``remove`` and the factors of
-    ``degeneration_terms`` are integer additions.  No digit may carry: vectors
+    ``complex_engine.product_sum`` are integer additions.  No digit may carry: vectors
     are built from at most MAX_INSERTIONS = 2^B - 3 entries, each <= MAX_CODIM;
     a step adds one and the divisor suite one more, up to MAX_HELD_INSERTIONS.
     """
@@ -219,39 +218,6 @@ class RealKey(frozen_record("RealKey", "n d insertions phi")):
         if insertions.multiplicity(0):
             raise ValueError("real insertions must have codimension >= 1")
         return super().__new__(cls, n, d, insertions, phi)
-
-
-def degeneration_terms(
-    N: int,
-    d: int,
-    splits: Iterable[tuple[Triple, Triple, int]],
-    weight: int,
-    terms: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...],
-) -> Iterator[tuple[int, int, int, Triple, Triple]]:
-    """The terms of a degeneration sum on P^N whose left factor can be nonzero.
-
-    The sum runs over splits (I, J, w), ``terms`` (sign, left_extra,
-    right_extra), degrees weight*d1 + d2 = d with d1, d2 >= 1 and diagonal
-    classes H^x x H^(N-x) with 0 < x < N a multiple of ``weight`` (1 for a
-    complex sum, 2 for a real one).  With L = I + left_extra, the left factor
-    <L, H^x>_{d1} is balanced only at (-d1, x) = divmod(N - 2 + k(L) - sum(L),
-    N + 1), so each split and term yields at most once:
-    (sign * w, d1, d2, I + left_extra + H^x, J + right_extra + H^(N-x)).
-    Each factor is a plain (code, k, total_codim) triple: its split plus a
-    per-step code delta and its H^x or H^(N-x).
-    """
-    solved = [(sign, N - 2 + len(lx) - sum(lx), sum([1 << B * c for c in lx]), len(lx) + 1,
-               sum(lx), sum([1 << B * c for c in rx]), len(rx) + 1, sum(rx) + N)
-              for sign, lx, rx in terms]
-    bit = [1 << B * x for x in range(N + 1)]  # bit[x] is the code of H^x
-    for (icode, ik, itotal), (jcode, jk, jtotal), w in splits:
-        gap = ik - itotal
-        for sign, shift, lcode, lk, lt, rcode, rk, rt in solved:
-            q, x = divmod(shift + gap, N + 1)
-            if 0 < -weight * q < d and 0 < x < N and x % weight == 0:
-                yield (sign * w, -q, d + weight * q,
-                       (icode + lcode + bit[x], ik + lk, itotal + lt + x),
-                       (jcode + rcode + bit[N - x], jk + rk, jtotal + rt - x))
 
 
 def enumerate_splits(

@@ -34,10 +34,11 @@ weighted 2 per element routed into I:
 where <...>^C are complex invariants of P^{2n-1} evaluated by the shared
 complex engine.  Each weight d2 or d1 is an H^1 that stays in the real or
 complex factor of its term, and the driver peels it.  This sum and the one in
-``theorem12_residual`` are evaluated only at the one (d1, 2i) per split and
-term that balances the complex factor (``degeneration_terms(N, d, splits, 2,
-terms)``), by the one product loop ``product_sum``.  Only step-6 results are
-memoized, keyed on (n, d, core insertions).
+``theorem12_residual`` run through the split-sum loop of both engines,
+``complex_engine.product_sum``, with weight 2: it evaluates them only at the
+one (d1, 2i) per split and term that balances the complex factor, and at
+d = 1 it draws no split.  Only step-6 results are memoized, keyed on (n, d,
+core insertions).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from .complex_engine import ComplexEvalContext, EvalContext, product_sum
-from .keys import B, MASK, MAX_CODIM, CodimVector, RealKey, degeneration_terms, enumerate_splits
+from .keys import B, MASK, MAX_CODIM, CodimVector, RealKey, enumerate_splits
 
 __all__ = [
     "RealEvalContext",
@@ -131,8 +132,7 @@ def recursion_step(
     N = 2 * n - 1
     total = d * ctx.evaluate(n, d, rest.add(c1 + c2 - 1))
     terms = ((1, (c1 - 1, c2), (1,)), (-1, (c1 - 1, 1), (c2,)))
-    factors = degeneration_terms(N, d, enumerate_splits(rest, 2), 2, terms)
-    return total + product_sum(ctx.complex_ctx, N, ctx, n, factors)
+    return total + product_sum(ctx.complex_ctx, ctx, n, N, d, enumerate_splits(rest, 2), 2, terms)
 
 
 def theorem12_residual(
@@ -169,5 +169,4 @@ def theorem12_residual(
     lhs -= ctx.evaluate(n, d, rest.add_all((c1 + 2 * c, c2)))
     N = 2 * n - 1
     terms = ((1, (2 * c, c1), (c2,)), (-1, (2 * c, c2), (c1,)))
-    factors = degeneration_terms(N, d, enumerate_splits(rest, 2), 2, terms)
-    return lhs - product_sum(ctx.complex_ctx, N, ctx, n, factors)
+    return lhs - product_sum(ctx.complex_ctx, ctx, n, N, d, enumerate_splits(rest, 2), 2, terms)

@@ -19,15 +19,32 @@ from gwcount import (
     eval_complex,
     eval_real,
 )
-from gwcount.complex_engine import MAX_NESTING, wdvv_step
-from gwcount.keys import degeneration_terms, enumerate_splits
+from gwcount import complex_engine, real_engine
+from gwcount.complex_engine import MAX_NESTING, product_sum, wdvv_step
+from gwcount.keys import enumerate_splits
 from gwcount.p3 import complex_codim_vectors, real_series_p3
 
-from golden import COMPLEX_P3_N, COMPLEX_P3_NTILDE, KONTSEVICH_P2, SCHUBERT_P3_LINES
+from golden import COMPLEX_P3_N, COMPLEX_P3_NTILDE, KONTSEVICH_P2, SCHUBERT_P3_LINES, TABLE2_P5
 
 
 def C(ctx, N, d, *cs):
     return eval_complex(ComplexKey(N=N, d=d, insertions=CodimVector.of(*cs)), ctx)
+
+
+class Recorder:
+    """A stand-in context: ``evaluate`` logs each lookup as (dim, d, cv) and
+    returns ``value`` of it, a fixed function that is 0 for some lookups."""
+
+    def __init__(self) -> None:
+        self.log: list = []
+
+    @staticmethod
+    def value(dim: int, d: int, cv) -> int:
+        return (cv[0] + cv[1] + d) % 5 - 2
+
+    def evaluate(self, dim: int, d: int, cv) -> int:
+        self.log.append((dim, d, cv))
+        return self.value(dim, d, cv)
 
 
 # -- independent degree-1 oracle: Schubert calculus on the Grassmannian of
@@ -93,6 +110,25 @@ def test_degree_one_matches_schubert_oracle_at_high_dimension():
     for N, combo, expect in ((1023, (1023, 512, 512), 1), (255, (128,) * 4, 128)):
         assert schubert_line_count(N, list(combo)) == expect
         assert C(ctx, N, 1, *combo) == expect, (N, combo)
+
+
+def test_a_step_that_cannot_split_its_degree_draws_no_split(monkeypatch):
+    # A degree-1 step has no degrees d1, d2 >= 1 to split into, complex
+    # (d1 + d2 = 1) or real (2 * d1 + d2 = 1), so its split sum draws nothing.
+    drawn = []
+    for module in (complex_engine, real_engine):
+        def counted(cv, weight, inner=module.enumerate_splits):
+            for split in inner(cv, weight):
+                drawn.append(split)
+                yield split
+
+        monkeypatch.setattr(module, "enumerate_splits", counted)
+    cctx, rctx = ComplexEvalContext(), RealEvalContext()
+    assert C(cctx, 15, 1, *[8] * 4) == schubert_line_count(15, [8] * 4) == 8
+    assert eval_real(RealKey(n=3, d=1, insertions=CodimVector.of(3, 3)), rctx) \
+        == TABLE2_P5[(1, (0, 2))] == 1
+    assert cctx.deep_evals and rctx.deep_evals  # both ran steps
+    assert drawn == []
 
 
 def test_rule_overflow():
@@ -328,9 +364,9 @@ def test_the_rules_see_only_typed_cores(monkeypatch):
                      RealEvalContext()) == 1
     assert len(seen) == 40
     assert all(type(cv) is CodimVector and not (d and cv.multiplicity(1)) for d, cv in seen)
-    S, terms = CodimVector.of(5, 3, 3), ((1, (4, 5), ()), (-1, (4,), (5,)))
-    factors = list(degeneration_terms(5, 7, enumerate_splits(S, 2), 2, terms))
-    assert factors and all(type(left) is type(right) is tuple for *_, left, right in factors)
+    S, terms, ctx = CodimVector.of(5, 3, 3), ((1, (4, 5), ()), (-1, (4,), (5,))), Recorder()
+    product_sum(ctx, ctx, 3, 5, 7, enumerate_splits(S, 2), 2, terms)
+    assert ctx.log and all(type(cv) is tuple for *_, cv in ctx.log)
 
 
 @pytest.mark.parametrize("N, d, twos, depth", [(3, 10, 40, 20), (5, 4, 26, 18)])

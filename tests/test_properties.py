@@ -6,9 +6,10 @@ slots the pivot or designation picked.  Random keys under random choices
 reach solved values that the hand-picked samples do not.  The divisor axiom
 is checked through one explicit step, because evaluation itself peels
 divisors by that axiom.  ``CodimVector`` keeps its stored insertion count and
-total codimension in step with its pairs under every operation.  The solved
-degeneration sum yields exactly the balanced terms that a plain loop over
-every degree and diagonal class finds, and the splits come in the order
+total codimension in step with its pairs under every operation.  The one
+split-sum loop looks up exactly the balanced factors that a plain loop over
+every degree and diagonal class finds, each right factor only after a
+nonzero left one, and returns the same sum; the splits come in the order
 ``itertools.product`` gives them.
 """
 
@@ -33,11 +34,11 @@ from gwcount import (
     eval_complex,
     eval_real,
 )
-from gwcount.complex_engine import wdvv_step
-from gwcount.keys import MAX_CODIM, B, _new, degeneration_terms, enumerate_splits
+from gwcount.complex_engine import product_sum, wdvv_step
+from gwcount.keys import MAX_CODIM, B, _new, enumerate_splits
 from gwcount.real_engine import recursion_step
 
-from test_complex_engine import _random_pivot_rule
+from test_complex_engine import Recorder, _random_pivot_rule
 from test_real_engine import _random_designation_rule
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, database=None)
@@ -190,9 +191,10 @@ def degeneration_sums(draw):
 @given(case=degeneration_sums())
 @example(case=(3, 5, CodimVector.of(3, 1), 1, ((1, (2, 3), (3,)), (-1, (2,), (3, 3)))))
 @example(case=(5, 7, CodimVector.of(5, 3, 3), 2, ((1, (4, 5), ()), (-1, (4,), (5,)))))
-def test_degeneration_terms_match_a_plain_loop(case):
+def test_product_sum_matches_a_plain_loop(case):
     N, d, S, weight, terms = case
-    expected = []
+    rdim = N + 1  # no left factor is looked up on it, so the log tells the sides apart
+    expected, expected_sum = [], 0
     for I, J, w in enumerate_splits(S, weight):
         for sign, left_extra, right_extra in terms:
             for d1 in range(1, d):
@@ -201,12 +203,18 @@ def test_degeneration_terms_match_a_plain_loop(case):
                         continue
                     left = _new(CodimVector, I).add_all(left_extra + (x,))
                     if (N + 1) * d1 + N - 3 + left.k - left.total_codim == 0:  # balanced
-                        right = _new(CodimVector, J).add_all(right_extra + (N - x,))
-                        expected.append((sign * w, d1, d - weight * d1, left, right))
-    got = list(degeneration_terms(N, d, enumerate_splits(S, weight), weight, terms))
+                        expected.append((N, d1, tuple(left)))
+                        t = Recorder.value(N, d1, left)
+                        if t:  # the right factor is looked up only after a nonzero left one
+                            d2 = d - weight * d1
+                            right = _new(CodimVector, J).add_all(right_extra + (N - x,))
+                            expected.append((rdim, d2, tuple(right)))
+                            expected_sum += sign * w * t * Recorder.value(rdim, d2, right)
+    ctx = Recorder()
+    got = product_sum(ctx, ctx, rdim, N, d, enumerate_splits(S, weight), weight, terms)
     # Tuples of the vectors, so that the stored k and total codimension match too.
-    assert [(*t[:3], tuple(t[3]), tuple(t[4])) for t in got] == \
-        [(*t[:3], tuple(t[3]), tuple(t[4])) for t in expected]
+    assert [(dim, degree, tuple(cv)) for dim, degree, cv in ctx.log] == expected
+    assert got == expected_sum
 
 
 def _splits_by_product(cv: CodimVector, per_element_weight: int):
