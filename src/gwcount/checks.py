@@ -216,7 +216,7 @@ def divisor_report(rctx: RealEvalContext | None = None) -> CheckReport:
         dim, d = rng.choice(targets)
         cv = rng.choice([cv for cv in vectors(dim, d) if cv.k >= slots])
         lhs = step(dim, d, cv.add(1), rule(cv), ctx)
-        report.check_equal(f"{label}={dim} d={d} <{cv}>+1", d * ctx.evaluate(dim, d, cv), lhs)
+        report.check_equal(f"{label}={dim} d={d} <{cv}>+1", d * ctx.evaluate(dim, d, *cv), lhs)
     return report
 
 

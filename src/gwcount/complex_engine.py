@@ -34,9 +34,10 @@ receiver slot H^e (canonically a maximal one) and an exchange partner H^c
 Each product of the relation carries one H^1 of its own, which stays in its
 term; the driver peels it by the divisor axiom as the weight d2 or d1, as in
 Kontsevich and Manin's form of the recursion.  Every split sum of both
-engines runs through one loop, ``product_sum(lctx, rctx, rdim, N, d, splits,
-weight, terms)``, here with weight 1.  It evaluates the sum only at the one
-(d1, f) per split and term that balances the left factor: every other
+engines runs through one loop, ``product_sum(lctx, rctx, rdim, N, d, S,
+splits, weight, terms)``, here with weight 1.  A split is its part I alone,
+and J = S - I is read off S's fields.  The loop evaluates the sum only at the
+one (d1, f) per split and term that balances the left factor: every other
 (d1, f) gives 0 by rule 2, and f = 0 or f = N by rule 4.  At d = 1 no degree
 split exists, so it draws no split.
 
@@ -66,7 +67,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from .keys import B, MASK, CodimVector, ComplexKey, Triple, _new, enumerate_splits
+from .keys import B, MASK, CodimVector, ComplexKey, _new, enumerate_splits
 
 __all__ = [
     "ComplexEvalContext",
@@ -92,8 +93,9 @@ def canonical_pivot(cv: CodimVector) -> tuple[int, int, int]:
     """
     if cv.k < 3:
         raise ValueError(f"a pivot needs 3 insertions, got {cv.k}")
-    e = cv.expand()
-    return e[0], e[-2], e[-1]
+    e = (cv[0].bit_length() - 1) // B
+    c = ((cv[0] - (1 << B * e)).bit_length() - 1) // B  # one e removed, so c may equal e
+    return ((cv[0] & -cv[0]).bit_length() - 1) // B, c, e
 
 
 def complex_rules(N: int, d: int, cv: CodimVector) -> int | None:
@@ -116,9 +118,9 @@ class EvalContext:
     """Memo table, counters and the evaluation driver of both engines.
 
     A subclass supplies its recursion ``step`` and its pure ``rules``.  Only
-    ``evaluate`` reads a key's shape: it takes any (code, k, total_codim)
-    triple, strips its m divisor entries if d >= 1 and hands ``rules`` the core
-    left, typed as a ``CodimVector``; ``rules`` returns the core's value or
+    ``evaluate`` reads a key's shape: it takes its code, k and total_codim as
+    three ints, strips its m divisor entries if d >= 1 and hands ``rules`` the
+    core left, typed as a ``CodimVector``; ``rules`` returns the core's value or
     None (it needs a step), and the key's value is d^m times the core's.
     ``solved`` holds the values of this context's own steps, all cores;
     ``memo`` holds them and any warmed ones.  Counting happens only in
@@ -136,15 +138,15 @@ class EvalContext:
         self.hits = self.ends = self.deep_evals = 0
         self.depth = self.max_depth = 0
 
-    def evaluate(self, dim: int, d: int, cv: Triple) -> int:
-        """<cv>_d in one call: a divisor peel is the factor d^m, not a call."""
-        m = (cv[0] >> B) & MASK if d else 0  # the divisor axiom needs d >= 1
-        code = cv[0] - (m << B)
+    def evaluate(self, dim: int, d: int, code: int, k: int, total: int) -> int:
+        """<(code, k, total)>_d in one call: a divisor peel is the factor d^m, not a call."""
+        m = (code >> B) & MASK if d else 0  # the divisor axiom needs d >= 1
+        code -= m << B
         value = self.solved.get((dim, d, code))
-        if value is not None:  # every solved key is a core: cv is it plus m divisor entries
+        if value is not None:  # every solved key is a core: the key is it plus m divisor entries
             self.hits += 1
             return d**m * value
-        core = _new(CodimVector, (code, cv[1] - m, cv[2] - m))
+        core = _new(CodimVector, (code, k - m, total - m))
         value = self.rules(dim, d, core)
         if value is not None:
             self.ends += 1
@@ -206,7 +208,7 @@ class ComplexEvalContext(EvalContext):
 
 def eval_complex(key: ComplexKey, ctx: ComplexEvalContext) -> int:
     """Exact value of a complex invariant key (keys validate on construction)."""
-    return ctx.evaluate(key.N, key.d, key.insertions)
+    return ctx.evaluate(key.N, key.d, *key.insertions)
 
 
 def wdvv_step(
@@ -228,42 +230,44 @@ def wdvv_step(
         raise ValueError(f"inadmissible pivot: donor {a1} exceeds receiver {e}")
     S = cv.remove(a1).remove(c).remove(e)
     a = a1 - 1
-    total = d * ctx.evaluate(N, d, S.add_all((a + c, e)))
-    total += ctx.evaluate(N, d, S.add_all((a, c, e + 1)))
-    total -= d * ctx.evaluate(N, d, S.add_all((a, c + e)))
+    total = d * ctx.evaluate(N, d, *S.add_all((a + c, e)))
+    total += ctx.evaluate(N, d, *S.add_all((a, c, e + 1)))
+    total -= d * ctx.evaluate(N, d, *S.add_all((a, c + e)))
     terms = ((1, (a, c), (e, 1)), (-1, (a, 1), (c, e)))
-    return total + product_sum(ctx, ctx, N, N, d, enumerate_splits(S, 1), 1, terms)
+    return total + product_sum(ctx, ctx, N, N, d, S, enumerate_splits(S, 1), 1, terms)
 
 
 def product_sum(lctx: EvalContext, rctx: EvalContext, rdim: int, N: int, d: int,
-                splits: Iterable[tuple[Triple, Triple, int]], weight: int,
+                S: CodimVector, splits: Iterable[tuple[int, ...]], weight: int,
                 terms: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]) -> int:
     """The degeneration sum over a diagonal of P^N: sum of sign * w *
-    <I + left_extra + H^x>_{d1} * <J + right_extra + H^(N-x)>_{d2}.
+    <I + left_extra + H^x>_{d1} * <S - I + right_extra + H^(N-x)>_{d2}.
 
-    It runs over splits (I, J, w), ``terms`` (sign, left_extra, right_extra),
-    degrees weight*d1 + d2 = d with d1, d2 >= 1 and diagonal classes 0 < x < N,
+    It runs over the splits (I's code, k, total_codim, w) of S from
+    ``enumerate_splits``, ``terms`` (sign, left_extra, right_extra), degrees
+    weight*d1 + d2 = d with d1, d2 >= 1 and diagonal classes 0 < x < N,
     x a multiple of ``weight`` (1 for a complex sum, 2 for a real one).  With
     L = I + left_extra, the left factor <L, H^x>_{d1} is balanced only at
     (-d1, x) = divmod(N - 2 + k(L) - sum(L), N + 1), so each split and term is
     solved once.  The left factor is looked up in ``lctx`` on P^N and, if it is
-    nonzero, the right one in ``rctx`` on ``rdim``, each as a plain (code, k,
-    total_codim) triple through one ``evaluate`` call, which counts it, types
-    its core and peels its H^1 entries (a term's weight d1 or d2).  When
-    d <= weight no degree split exists, and no split is drawn.
+    nonzero, the right one, whose fields are S's less I's, in ``rctx`` on
+    ``rdim``, each by one ``evaluate(dim, d, code, k, total)`` call, which
+    counts it, types its core and peels its H^1 entries (a term's weight d1 or
+    d2).  When d <= weight no degree split exists, and no split is drawn.
     """
     if d <= weight:
         return 0
     solved = [(sign, N - 2 + len(lx) - sum(lx), sum([1 << B * c for c in lx]), len(lx) + 1,
-               sum(lx), sum([1 << B * c for c in rx]), len(rx) + 1, sum(rx) + N)
-              for sign, lx, rx in terms]
+               sum(lx), S[0] + sum([1 << B * c for c in rx]), S[1] + len(rx) + 1,
+               S[2] + sum(rx) + N) for sign, lx, rx in terms]
     total = 0
-    for (icode, ik, itotal), (jcode, jk, jtotal), w in splits:
+    for icode, ik, itotal, w in splits:
         for sign, shift, lcode, lk, lt, rcode, rk, rt in solved:
             q, x = divmod(shift + ik - itotal, N + 1)
             if 0 < -weight * q < d and 0 < x < N and x % weight == 0:
-                t = lctx.evaluate(N, -q, (icode + lcode + (1 << B * x), ik + lk, itotal + lt + x))
-                if t:
-                    right = (jcode + rcode + (1 << B * (N - x)), jk + rk, jtotal + rt - x)
-                    total += sign * w * t * rctx.evaluate(rdim, d + weight * q, right)
+                t = lctx.evaluate(N, -q, icode + lcode + (1 << B * x), ik + lk, itotal + lt + x)
+                if t:  # the right factor: S - I, right_extra and H^(N-x)
+                    total += sign * w * t * rctx.evaluate(
+                        rdim, d + weight * q, rcode - icode + (1 << B * (N - x)), rk - ik,
+                        rt - itotal - x)
     return total

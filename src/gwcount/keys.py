@@ -4,8 +4,9 @@ Provides the canonical multiset of insertion codimensions (``CodimVector``,
 one integer code beside its insertion count and total codimension, whose
 classes every decoder here and in ``cache`` walks through ``_classes``), the two
 invariant key types and the weighted splittings of an insertion multiset,
-``enumerate_splits``, whose plain (code, k, total_codim) triples the one
-split-sum loop, ``complex_engine.product_sum``, turns into factors by adding
+``enumerate_splits``, each a flat (code, k, total_codim, weight) tuple of its
+left part alone.  The one split-sum loop, ``complex_engine.product_sum``,
+turns a left part and its complement into factors by adding and subtracting
 integers.  All is pure and exact: values are Python ints, keys are immutable
 and hashable.
 """
@@ -32,7 +33,6 @@ MAX_HELD_INSERTIONS = MASK  # the most insertions any vector, memo key or cache 
 MAX_CODIM = 1024
 INVOLUTIONS = ("tau", "eta")
 _new = tuple.__new__  # _new(CodimVector, (code, k, total_codim)) skips the sums
-Triple = tuple[int, int, int]  # (code, k, total_codim), the fields of a CodimVector
 
 
 def _classes(code: int) -> Iterator[tuple[int, int]]:
@@ -220,18 +220,17 @@ class RealKey(frozen_record("RealKey", "n d insertions phi")):
         return super().__new__(cls, n, d, insertions, phi)
 
 
-def enumerate_splits(
-    cv: CodimVector, per_element_weight: int = 1
-) -> Iterator[tuple[Triple, Triple, int]]:
-    """All splittings of a multiset into an ordered pair (I, J) of plain triples.
+def enumerate_splits(cv: CodimVector, per_element_weight: int = 1) -> Iterator[tuple[int, ...]]:
+    """All splittings of a multiset into an ordered pair (I, J = cv - I).
 
     Splittings of labeled insertions collapse class-by-class: choosing i of
     the m copies of codimension c contributes a factor C(m, i), and each
-    element routed into I additionally carries ``per_element_weight``.  The
-    yielded weight is the product over classes of C(m_c, i_c) * w^{i_c}, so
-    the weights of all splits sum to (1 + w)^k.  I and J are (code, k, total_codim).
+    element routed into I additionally carries ``per_element_weight``.  Each
+    split is the flat tuple (I's code, k, total_codim, weight), the weight the
+    product over classes of C(m_c, i_c) * w^{i_c}, so the weights of all
+    splits sum to (1 + w)^k.  J is never built: subtract I's fields from cv's.
     """
-    code, k, total = cv[0], cv.k, cv.total_codim  # properties traced by bench/tracing.py
+    cv.k, cv.total_codim  # unused, but bench/tracing.py counts these property calls
     # (I's code, k, total, weight) per split so far; the newest class varies fastest.
     splits = [(0, 0, 0, 1)]
     for c, m in cv.pairs:
@@ -239,5 +238,4 @@ def enumerate_splits(
                    for i in range(m + 1)]
         splits = [(icode + ccode, ik + i, itotal + ci, weight * wi)
                   for icode, ik, itotal, weight in splits for ccode, i, ci, wi in choices]
-    for icode, ik, itotal, weight in splits:
-        yield (icode, ik, itotal), (code - icode, k - ik, total - itotal), weight
+    return iter(splits)

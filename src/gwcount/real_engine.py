@@ -35,10 +35,10 @@ where <...>^C are complex invariants of P^{2n-1} evaluated by the shared
 complex engine.  Each weight d2 or d1 is an H^1 that stays in the real or
 complex factor of its term, and the driver peels it.  This sum and the one in
 ``theorem12_residual`` run through the split-sum loop of both engines,
-``complex_engine.product_sum``, with weight 2: it evaluates them only at the
-one (d1, 2i) per split and term that balances the complex factor, and at
-d = 1 it draws no split.  Only step-6 results are memoized, keyed on (n, d,
-core insertions).
+``complex_engine.product_sum``, with weight 2 and S = rest: it reads J =
+rest - I off rest's fields, evaluates only the one (d1, 2i) per split and
+term that balances the complex factor, and at d = 1 draws no split.  Only
+step-6 results are memoized, keyed on (n, d, core insertions).
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def canonical_designation(cv: CodimVector) -> tuple[int, int]:
     """Default designated pair: the largest entry, then the largest remaining."""
     if cv.k < 2:
         raise ValueError(f"a designated pair needs 2 insertions, got {cv.k}")
-    e = cv.expand()
-    return e[-1], e[-2]
+    c1 = (cv[0].bit_length() - 1) // B
+    return c1, ((cv[0] - (1 << B * c1)).bit_length() - 1) // B  # one c1 removed: c2 may equal c1
 
 
 def real_rules(n: int, d: int, cv: CodimVector) -> int | None:
@@ -111,7 +111,7 @@ class RealEvalContext(EvalContext):
 
 def eval_real(key: RealKey, ctx: RealEvalContext) -> int:
     """Exact value of a real invariant key (keys validate on construction)."""
-    return ctx.evaluate(key.n, key.d, key.insertions)
+    return ctx.evaluate(key.n, key.d, *key.insertions)
 
 
 def recursion_step(
@@ -130,9 +130,10 @@ def recursion_step(
     c1, c2 = designation
     rest = cv.remove(c1).remove(c2)
     N = 2 * n - 1
-    total = d * ctx.evaluate(n, d, rest.add(c1 + c2 - 1))
+    total = d * ctx.evaluate(n, d, *rest.add(c1 + c2 - 1))
     terms = ((1, (c1 - 1, c2), (1,)), (-1, (c1 - 1, 1), (c2,)))
-    return total + product_sum(ctx.complex_ctx, ctx, n, N, d, enumerate_splits(rest, 2), 2, terms)
+    splits = enumerate_splits(rest, 2)
+    return total + product_sum(ctx.complex_ctx, ctx, n, N, d, rest, splits, 2, terms)
 
 
 def theorem12_residual(
@@ -165,8 +166,9 @@ def theorem12_residual(
         raise ValueError(f"need 1 <= c <= {MAX_CODIM} and two insertions to transfer between")
     c1, c2 = c_list[:2]
     rest = cv.remove(c1).remove(c2)
-    lhs = ctx.evaluate(n, d, rest.add_all((c1, c2 + 2 * c)))
-    lhs -= ctx.evaluate(n, d, rest.add_all((c1 + 2 * c, c2)))
+    lhs = ctx.evaluate(n, d, *rest.add_all((c1, c2 + 2 * c)))
+    lhs -= ctx.evaluate(n, d, *rest.add_all((c1 + 2 * c, c2)))
     N = 2 * n - 1
     terms = ((1, (2 * c, c1), (c2,)), (-1, (2 * c, c2), (c1,)))
-    return lhs - product_sum(ctx.complex_ctx, ctx, n, N, d, enumerate_splits(rest, 2), 2, terms)
+    splits = enumerate_splits(rest, 2)
+    return lhs - product_sum(ctx.complex_ctx, ctx, n, N, d, rest, splits, 2, terms)

@@ -181,7 +181,7 @@ def test_criterion_7_structural_suites(tmp_path, capsys):
         for raw in ((3, 3, 3), (2, 3, 5, 5), (3,) * 6):
             cv = CodimVector.from_entries(raw)
             for w in (1, 2):
-                assert sum(wt for _, _, wt in enumerate_splits(cv, w)) == (1 + w) ** cv.k
+                assert sum(wt for *_, wt in enumerate_splits(cv, w)) == (1 + w) ** cv.k
 
         # warm-cache vs cold-cache equality plus save/load round trip
         cold_c = ComplexEvalContext()

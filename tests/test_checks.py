@@ -14,10 +14,9 @@ class _OffPeel:
 
     __slots__ = ()
 
-    def evaluate(self, dim, d, cv):
-        code, k, total = cv  # a CodimVector or a plain factor triple
+    def evaluate(self, dim, d, code, k, total):
         m = (code >> B) & MASK
-        value = super().evaluate(dim, d, (code - (m << B), k - m, total - m))
+        value = super().evaluate(dim, d, code - (m << B), k - m, total - m)
         return (d + (d == 3)) ** m * value
 
 

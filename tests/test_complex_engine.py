@@ -32,8 +32,8 @@ def C(ctx, N, d, *cs):
 
 
 class Recorder:
-    """A stand-in context: ``evaluate`` logs each lookup as (dim, d, cv) and
-    returns ``value`` of it, a fixed function that is 0 for some lookups."""
+    """A stand-in context: ``evaluate`` logs each lookup as (dim, d, (code, k,
+    total)) and returns ``value`` of it, a fixed function that is 0 for some lookups."""
 
     def __init__(self) -> None:
         self.log: list = []
@@ -42,9 +42,9 @@ class Recorder:
     def value(dim: int, d: int, cv) -> int:
         return (cv[0] + cv[1] + d) % 5 - 2
 
-    def evaluate(self, dim: int, d: int, cv) -> int:
-        self.log.append((dim, d, cv))
-        return self.value(dim, d, cv)
+    def evaluate(self, dim: int, d: int, code: int, k: int, total: int) -> int:
+        self.log.append((dim, d, (code, k, total)))
+        return self.value(dim, d, (code, k, total))
 
 
 # -- independent degree-1 oracle: Schubert calculus on the Grassmannian of
@@ -336,7 +336,7 @@ def test_divisor_peel_costs_no_call(engine, dim, d, divisors, core):
 def test_divisor_lookups_of_solved_cores_skip_the_rules(monkeypatch):
     cv, real_cv = CodimVector.of(*[2] * 8), CodimVector.of(*[3] * 5)
     cctx, rctx = ComplexEvalContext(), RealEvalContext()
-    assert cctx.evaluate(3, 2, cv) == 92 and rctx.evaluate(2, 5, real_cv) == 5
+    assert cctx.evaluate(3, 2, *cv) == 92 and rctx.evaluate(2, 5, *real_cv) == 5
 
     def no_rules(*args):
         raise AssertionError("the rules ran for a key with a solved core")
@@ -346,7 +346,7 @@ def test_divisor_lookups_of_solved_cores_skip_the_rules(monkeypatch):
     for ctx, dim, d, key, value in ((cctx, 3, 2, cv.add(1, times=2), 368),
                                     (rctx, 2, 5, real_cv.add(1), 25)):
         before = ctx.stats()
-        assert ctx.evaluate(dim, d, key) == value
+        assert ctx.evaluate(dim, d, *key) == value
         after = ctx.stats()
         assert (after["calls"] - before["calls"], after["memo_hits"] - before["memo_hits"]) == (1, 1)
 
@@ -365,8 +365,8 @@ def test_the_rules_see_only_typed_cores(monkeypatch):
     assert len(seen) == 40
     assert all(type(cv) is CodimVector and not (d and cv.multiplicity(1)) for d, cv in seen)
     S, terms, ctx = CodimVector.of(5, 3, 3), ((1, (4, 5), ()), (-1, (4,), (5,))), Recorder()
-    product_sum(ctx, ctx, 3, 5, 7, enumerate_splits(S, 2), 2, terms)
-    assert ctx.log and all(type(cv) is tuple for *_, cv in ctx.log)
+    product_sum(ctx, ctx, 3, 5, 7, S, enumerate_splits(S, 2), 2, terms)
+    assert ctx.log and all(type(field) is int for *_, cv in ctx.log for field in cv)
 
 
 @pytest.mark.parametrize("N, d, twos, depth", [(3, 10, 40, 20), (5, 4, 26, 18)])

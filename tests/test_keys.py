@@ -156,21 +156,24 @@ def test_enumerate_splits_weight_sums():
             for _, m in cv.pairs:
                 count *= m + 1
             assert len(splits) == count
-            assert sum(weight for _, _, weight in splits) == (1 + w) ** cv.k
+            assert sum(weight for *_, weight in splits) == (1 + w) ** cv.k
 
 
 def test_enumerate_splits_parts_recombine():
+    # Each left part I fits inside the multiset digit by digit, so that its
+    # complement S - I, which the split sum forms by subtracting fields, is one too.
     cv = CodimVector.of(2, 3, 3, 5)
-    for i_part, j_part, weight in enumerate_splits(cv, 2):  # plain (code, k, total) triples
+    for icode, ik, itotal, weight in enumerate_splits(cv, 2):
         assert weight > 0
-        merged = _new(CodimVector, i_part)
-        for c, m in _new(CodimVector, j_part).pairs:
-            merged = merged.add(c, times=m)
-        assert tuple(merged) == tuple(cv)
+        pairs = _new(CodimVector, (icode, ik, itotal)).pairs
+        assert all(0 < m <= cv.multiplicity(c) for c, m in pairs)
+        assert (ik, itotal) == (sum(m for _, m in pairs), sum(c * m for c, m in pairs))
 
 
 def test_enumerate_splits_involution_symmetry():
     cv = CodimVector.of(3, 3, 5, 5, 5)
-    seen = {(i, j): w for i, j, w in enumerate_splits(cv, 1)}  # (code, k, total) triples
-    for (ip, jp), w in seen.items():
-        assert seen[(jp, ip)] == w
+    code, k, total = cv
+    seen = {(icode, ik, itotal): w for icode, ik, itotal, w in enumerate_splits(cv, 1)}
+    assert len(seen) == 12
+    for (icode, ik, itotal), w in seen.items():
+        assert seen[(code - icode, k - ik, total - itotal)] == w  # the complement J = S - I

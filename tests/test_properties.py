@@ -10,7 +10,9 @@ total codimension in step with its pairs under every operation.  The one
 split-sum loop looks up exactly the balanced factors that a plain loop over
 every degree and diagonal class finds, each right factor only after a
 nonzero left one, and returns the same sum; the splits come in the order
-``itertools.product`` gives them.
+``itertools.product`` gives them.  The canonical pivot and designation,
+read from the packed code, are the slots their definitions name in the
+sorted entries.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from gwcount import (
     ComplexKey,
     RealEvalContext,
     RealKey,
+    canonical_designation,
+    canonical_pivot,
     eval_complex,
     eval_real,
 )
@@ -175,6 +179,33 @@ def test_codim_vector_keeps_k_and_total_in_step(start, ops):
             setattr(cv, name, 0)
 
 
+vectors = st.one_of(st.lists(codims, max_size=8).map(CodimVector.from_entries),
+                    balanced_complex_keys().map(lambda key: key.insertions),
+                    balanced_real_keys().map(lambda key: key.insertions))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(cv=vectors)
+@example(cv=CodimVector.of(2, 5, 5))  # a top class twice
+@example(cv=CodimVector.of(5, 5, 5, 3))  # a top class three times
+@example(cv=CodimVector.of(4, 4, 4, 4))  # a single class
+@example(cv=CodimVector.of(1023, 512, 512))  # a code of P^1023, past 16,000 bits
+@example(cv=CodimVector.of(MAX_CODIM, MAX_CODIM, 0))
+def test_canonical_slots_match_their_definition(cv):
+    # The slots are read from the packed code; the definition reads the sorted entries.
+    e = cv.expand()
+    if len(e) >= 3:
+        assert canonical_pivot(cv) == (e[0], e[-2], e[-1])
+    else:
+        with pytest.raises(ValueError, match="a pivot needs 3 insertions"):
+            canonical_pivot(cv)
+    if len(e) >= 2:
+        assert canonical_designation(cv) == (e[-1], e[-2])
+    else:
+        with pytest.raises(ValueError, match="a designated pair needs 2 insertions"):
+            canonical_designation(cv)
+
+
 @st.composite
 def degeneration_sums(draw):
     """(N, d, S, weight, terms) of a complex (weight 1) or real (weight 2) sum."""
@@ -195,7 +226,8 @@ def test_product_sum_matches_a_plain_loop(case):
     N, d, S, weight, terms = case
     rdim = N + 1  # no left factor is looked up on it, so the log tells the sides apart
     expected, expected_sum = [], 0
-    for I, J, w in enumerate_splits(S, weight):
+    for icode, ik, itotal, w in enumerate_splits(S, weight):
+        I, J = (icode, ik, itotal), (S[0] - icode, S[1] - ik, S[2] - itotal)
         for sign, left_extra, right_extra in terms:
             for d1 in range(1, d):
                 for x in range(1, N):
@@ -211,7 +243,7 @@ def test_product_sum_matches_a_plain_loop(case):
                             expected.append((rdim, d2, tuple(right)))
                             expected_sum += sign * w * t * Recorder.value(rdim, d2, right)
     ctx = Recorder()
-    got = product_sum(ctx, ctx, rdim, N, d, enumerate_splits(S, weight), weight, terms)
+    got = product_sum(ctx, ctx, rdim, N, d, S, enumerate_splits(S, weight), weight, terms)
     # Tuples of the vectors, so that the stored k and total codimension match too.
     assert [(dim, degree, tuple(cv)) for dim, degree, cv in ctx.log] == expected
     assert got == expected_sum
@@ -237,5 +269,7 @@ def _splits_by_product(cv: CodimVector, per_element_weight: int):
 def test_enumerate_splits_follows_product_order(classes, weight):
     # Memo order and max_depth follow the order of the splits, not just their set.
     cv = CodimVector(sorted(classes.items()))
-    got = [(tuple(I), tuple(J), w) for I, J, w in enumerate_splits(cv, weight)]
+    code, k, total = cv
+    got = [((icode, ik, itotal), (code - icode, k - ik, total - itotal), w)
+           for icode, ik, itotal, w in enumerate_splits(cv, weight)]
     assert got == [(tuple(I), tuple(J), w) for I, J, w in _splits_by_product(cv, weight)]
