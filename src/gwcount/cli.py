@@ -21,8 +21,8 @@ check of stored values, recomputes every record cold, naming the first wrong
 or unmemoized one.  Output is deterministic: identical invocations produce
 byte-identical output.  Handlers raise on every error, and ``main`` alone
 prints its ``error:`` line and maps it to an exit code.  Exit codes: 0 success,
-1 failed checks, engine disagreement, a bad or unreadable cache or a key too
-deep to evaluate, 2 usage errors.
+1 failed checks, engine disagreement or a bad or unreadable cache, 2 usage
+errors.
 """
 
 from __future__ import annotations
@@ -300,9 +300,6 @@ def main(argv: list[str] | None = None) -> int:
         return COMMANDS[args.command][2](args)
     except (CacheError, EngineDisagreement, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RecursionError:
-        print("error: recursion too deep to evaluate this key", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

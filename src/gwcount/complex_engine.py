@@ -3,8 +3,8 @@
 The invariant <H^{c_1}, ..., H^{c_k}>_d counts rational curves of degree d
 meeting k generic linear subspaces of the given codimensions (when the
 dimension gap vanishes; otherwise it is 0 by convention).  Evaluation applies
-the first matching rule.  The driver (``EvalContext.evaluate``) applies rule 5
-to every key; ``complex_rules`` judges the core it leaves by rules 1-4 and 6:
+the first matching rule.  The driver (``EvalContext.run``) applies rule 5 to
+every key; ``complex_rules`` judges the core it leaves by rules 1-4 and 6:
 
   1. some c_i > N                -> 0 (the class vanishes)
   2. nonzero dimension gap       -> 0
@@ -33,13 +33,13 @@ receiver slot H^e (canonically a maximal one) and an exchange partner H^c
 
 Each product of the relation carries one H^1 of its own, which stays in its
 term; the driver peels it by the divisor axiom as the weight d2 or d1, as in
-Kontsevich and Manin's form of the recursion.  Every split sum of both
-engines runs through one loop, ``product_sum(lctx, rctx, rdim, N, d, S,
-splits, weight, terms)``, here with weight 1.  A split is its part I alone,
-and J = S - I is read off S's fields.  The loop evaluates the sum only at the
-one (d1, f) per split and term that balances the left factor: every other
-(d1, f) gives 0 by rule 2, and f = 0 or f = N by rule 4.  At d = 1 no degree
-split exists, so it draws no split.
+Kontsevich and Manin's form of the recursion.  Every step of both engines
+runs through one loop, ``product_sum(lctx, rctx, rdim, N, d, S, splits,
+weight, terms, explicit)``, here with weight 1 and the three explicit terms
+above.  A split is its part I alone, and J = S - I is read off S's fields.
+The loop evaluates the sum only at the one (d1, f) per split and term that
+balances the left factor: every other (d1, f) gives 0 by rule 2, and f = 0 or
+f = N by rule 4.  At d = 1 no degree split exists, so it draws no split.
 
 All arithmetic is exact; only the results of step 7 are memoized, keyed on
 the core (the cheap structural rules are recomputed on the fly), so the memo
@@ -48,24 +48,17 @@ driver strips the m divisor entries of a key and looks up the rest in
 ``solved``, the values of its own steps.  Each is a core with d >= 1, and H^1
 entries keep the dimension balance, so a hit is exactly a key whose core was
 solved, and its value is d^m times the stored one.  Only a miss runs the
-rules, on the core.  The driver also holds the nesting depth of its own steps;
-``max_depth`` is the deepest it reached, and steps of another engine's
-context do not count.
-
-The driver bounds that nesting, so deep keys need no raised recursion limit.
-A memo miss MAX_NESTING steps deep does not recurse: it names its core to the
-context's outermost step, whose frame solves that core first, from depth 0,
-and then runs its own step again, on memo hits where it had got to.  Each
-step nests four frames, and only real steps nest complex ones, so at most
-2 * 64 * 4 = 512 frames are in use.  For a key that nests past MAX_NESTING
-steps, a lookup aborted at the bound is no call, ``calls`` and ``memo_hits``
-include the retried lookups, and ``max_depth`` reads at most MAX_NESTING;
-``deep_evals`` and the memo do not change.
+rules, on the core.  A step is a generator: it yields each lookup as one
+flat request (ctx, dim, d, code, k, total), is sent its value and returns its
+own.  One loop, ``EvalContext.run``, drives every step; a miss starts its
+core's step while the steps that wait on it stay on a list, so no key recurses
+through Python frames.  ``max_depth`` is the deepest nesting of a context's
+own steps; steps of another engine's context do not count.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Generator, Iterable
 
 from .keys import B, MASK, CodimVector, ComplexKey, _new, enumerate_splits
 
@@ -77,10 +70,8 @@ __all__ = [
     "wdvv_step",
 ]
 
-# Steps a context nests before a miss is solved from its outermost step instead.
-MAX_NESTING = 64
-
 PivotRule = Callable[[CodimVector], tuple[int, int, int]]
+Step = Generator[tuple, int, int]  # yields lookup requests, is sent their values
 # Memo key of both engines: (dimension, degree, packed code of the CodimVector).
 MemoKey = tuple[int, int, int]
 
@@ -110,24 +101,20 @@ def complex_rules(N: int, d: int, cv: CodimVector) -> int | None:
     return 1 if k <= 2 else None
 
 
-class _TooDeep(Exception):
-    """A memo miss MAX_NESTING steps deep: args are its context and its key."""
-
-
 class EvalContext:
     """Memo table, counters and the evaluation driver of both engines.
 
-    A subclass supplies its recursion ``step`` and its pure ``rules``.  Only
-    ``evaluate`` reads a key's shape: it takes its code, k and total_codim as
-    three ints, strips its m divisor entries if d >= 1 and hands ``rules`` the
-    core left, typed as a ``CodimVector``; ``rules`` returns the core's value or
-    None (it needs a step), and the key's value is d^m times the core's.
-    ``solved`` holds the values of this context's own steps, all cores;
-    ``memo`` holds them and any warmed ones.  Counting happens only in
-    ``evaluate``: each lookup ends as a memo hit (``hits``), a structural end
-    (``ends``) or a deep evaluation, and ``calls`` in ``stats`` is their sum.
-    Steps nest at most MAX_NESTING deep, as the module docstring describes.
-    Nothing is locked: one thread uses a context.
+    A subclass supplies its pure ``rules`` and its ``step(dim, d, core)``, a
+    generator of requests (module docstring).  Only ``run`` reads a key's
+    shape: it takes a request's code, k and total_codim as three ints, strips
+    its m divisor entries if d >= 1 and hands ``rules`` the core left, typed
+    as a ``CodimVector``; ``rules`` returns the core's value or None (it needs
+    a step), and the key's value is d^m times the core's.  ``solved`` holds
+    the values of this context's own steps, all cores; ``memo`` holds them and
+    any warmed ones.  Counting happens only in ``run``: each lookup ends as a
+    memo hit (``hits``), a structural end (``ends``) or a deep evaluation, and
+    ``calls`` in ``stats`` is their sum.  Nothing is locked: one thread uses a
+    context.
     """
 
     __slots__ = ("memo", "solved", "hits", "ends", "deep_evals", "depth", "max_depth")
@@ -140,41 +127,50 @@ class EvalContext:
 
     def evaluate(self, dim: int, d: int, code: int, k: int, total: int) -> int:
         """<(code, k, total)>_d in one call: a divisor peel is the factor d^m, not a call."""
-        m = (code >> B) & MASK if d else 0  # the divisor axiom needs d >= 1
-        code -= m << B
-        value = self.solved.get((dim, d, code))
-        if value is not None:  # every solved key is a core: the key is it plus m divisor entries
-            self.hits += 1
-            return d**m * value
-        core = _new(CodimVector, (code, k - m, total - m))
-        value = self.rules(dim, d, core)
-        if value is not None:
-            self.ends += 1
-        elif (value := self.memo.get((dim, d, code))) is not None:
-            self.hits += 1
-        elif self.depth == MAX_NESTING:
-            raise _TooDeep(self, (dim, d, core))
-        else:
-            self.depth += 1
-            self.max_depth = max(self.max_depth, self.depth)
-            pending = [(dim, d, core)]  # cores to solve, last first; only the outermost adds
-            try:
-                while pending:
-                    key = pending[-1]
-                    try:
-                        value = self.step(*key)
-                    except _TooDeep as deeper:
-                        if self.depth > 1 or deeper.args[0] is not self:  # not the outermost
-                            raise
-                        pending.append(deeper.args[1])
+        return self.run(_ask(self, dim, d, code, k, total))
+
+    def run(self, gen: Step) -> int:
+        """Drive ``gen`` to its value; a miss starts its core's step in the request's context."""
+        new, cv_type, b, mask = _new, CodimVector, B, MASK
+        suspended = []  # (waiting generator, started step's context, memo key, d, m)
+        value = None
+        try:
+            while True:
+                try:
+                    ctx, dim, d, code, k, total = gen.send(value)
+                except StopIteration as done:
+                    if not suspended:
+                        return done.value
+                    gen, ctx, key, d, m = suspended.pop()
+                    ctx.memo[key] = ctx.solved[key] = value = done.value
+                    ctx.deep_evals += 1
+                    ctx.depth -= 1
+                    value *= d**m
+                    continue
+                m = (code >> b) & mask if d else 0  # the divisor axiom needs d >= 1
+                code -= m << b
+                key = (dim, d, code)
+                value = ctx.solved.get(key)
+                if value is not None:  # a solved key is a core: the key is it plus m divisors
+                    ctx.hits += 1
+                else:
+                    core = new(cv_type, (code, k - m, total - m))
+                    value = ctx.rules(dim, d, core)
+                    if value is not None:
+                        ctx.ends += 1
+                    elif (value := ctx.memo.get(key)) is not None:
+                        ctx.hits += 1
+                    else:
+                        step = ctx.step(dim, d, core)  # before the push: a raise leaves none
+                        suspended.append((gen, ctx, key, d, m))
+                        gen, value = step, None
+                        ctx.depth += 1
+                        ctx.max_depth = max(ctx.max_depth, ctx.depth)
                         continue
-                    memo_key = (key[0], key[1], key[2][0])
-                    self.memo[memo_key] = self.solved[memo_key] = value
-                    self.deep_evals += 1
-                    pending.pop()
-            finally:
-                self.depth -= 1
-        return d**m * value
+                value *= d**m
+        finally:
+            for _, ctx, *_ in suspended:
+                ctx.depth -= 1
 
     def stats(self) -> dict[str, int]:
         return {
@@ -202,7 +198,7 @@ class ComplexEvalContext(EvalContext):
         super().__init__()
         self.pivot_rule = pivot_rule or canonical_pivot
 
-    def step(self, N: int, d: int, cv: CodimVector) -> int:
+    def step(self, N: int, d: int, cv: CodimVector) -> Step:
         return wdvv_step(N, d, cv, self.pivot_rule(cv), self)
 
 
@@ -217,31 +213,32 @@ def wdvv_step(
     cv: CodimVector,
     pivot: tuple[int, int, int],
     ctx: ComplexEvalContext,
-) -> int:
+) -> Step:
     """One solved step of the exchange relation with an explicit pivot.
 
     ``pivot`` = (a+1, c, e) must name slots present in ``cv``; requires
     a+1 <= e so that the k-preserving term strictly spreads the codimension
     profile and the recursion terminates.  Exposed separately so tests can
-    re-evaluate keys under arbitrary admissible pivots.
+    run keys under arbitrary admissible pivots, through ``ctx.run``.
     """
     a1, c, e = pivot
     if a1 > e:
         raise ValueError(f"inadmissible pivot: donor {a1} exceeds receiver {e}")
     S = cv.remove(a1).remove(c).remove(e)
     a = a1 - 1
-    total = d * ctx.evaluate(N, d, *S.add_all((a + c, e)))
-    total += ctx.evaluate(N, d, *S.add_all((a, c, e + 1)))
-    total -= d * ctx.evaluate(N, d, *S.add_all((a, c + e)))
+    explicit = ((d, S.add_all((a + c, e))), (1, S.add_all((a, c, e + 1))),
+                (-d, S.add_all((a, c + e))))
     terms = ((1, (a, c), (e, 1)), (-1, (a, 1), (c, e)))
-    return total + product_sum(ctx, ctx, N, N, d, S, enumerate_splits(S, 1), 1, terms)
+    return product_sum(ctx, ctx, N, N, d, S, enumerate_splits(S, 1), 1, terms, explicit)
 
 
 def product_sum(lctx: EvalContext, rctx: EvalContext, rdim: int, N: int, d: int,
                 S: CodimVector, splits: Iterable[tuple[int, ...]], weight: int,
-                terms: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]) -> int:
-    """The degeneration sum over a diagonal of P^N: sum of sign * w *
-    <I + left_extra + H^x>_{d1} * <S - I + right_extra + H^(N-x)>_{d2}.
+                terms: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...],
+                explicit: Iterable[tuple[int, CodimVector]]) -> Step:
+    """A step: sum of c * <v>_d over ``explicit`` (c, v) pairs, looked up in
+    ``rctx`` on ``rdim``, plus the degeneration sum over a diagonal of P^N: sum
+    of sign * w * <I + left_extra + H^x>_{d1} * <S - I + right_extra + H^(N-x)>_{d2}.
 
     It runs over the splits (I's code, k, total_codim, w) of S from
     ``enumerate_splits``, ``terms`` (sign, left_extra, right_extra), degrees
@@ -251,23 +248,30 @@ def product_sum(lctx: EvalContext, rctx: EvalContext, rdim: int, N: int, d: int,
     (-d1, x) = divmod(N - 2 + k(L) - sum(L), N + 1), so each split and term is
     solved once.  The left factor is looked up in ``lctx`` on P^N and, if it is
     nonzero, the right one, whose fields are S's less I's, in ``rctx`` on
-    ``rdim``, each by one ``evaluate(dim, d, code, k, total)`` call, which
-    counts it, types its core and peels its H^1 entries (a term's weight d1 or
-    d2).  When d <= weight no degree split exists, and no split is drawn.
+    ``rdim``, each as one request; the driver counts it, types its core and
+    peels its H^1 entries (a term's weight d1 or d2).  When d <= weight no
+    degree split exists, and no split is drawn.
     """
+    total = 0
+    for coefficient, (code, k, codim) in explicit:
+        total += coefficient * (yield rctx, rdim, d, code, k, codim)
     if d <= weight:
-        return 0
+        return total
     solved = [(sign, N - 2 + len(lx) - sum(lx), sum([1 << B * c for c in lx]), len(lx) + 1,
                sum(lx), S[0] + sum([1 << B * c for c in rx]), S[1] + len(rx) + 1,
                S[2] + sum(rx) + N) for sign, lx, rx in terms]
-    total = 0
     for icode, ik, itotal, w in splits:
         for sign, shift, lcode, lk, lt, rcode, rk, rt in solved:
             q, x = divmod(shift + ik - itotal, N + 1)
             if 0 < -weight * q < d and 0 < x < N and x % weight == 0:
-                t = lctx.evaluate(N, -q, icode + lcode + (1 << B * x), ik + lk, itotal + lt + x)
+                t = yield lctx, N, -q, icode + lcode + (1 << B * x), ik + lk, itotal + lt + x
                 if t:  # the right factor: S - I, right_extra and H^(N-x)
-                    total += sign * w * t * rctx.evaluate(
-                        rdim, d + weight * q, rcode - icode + (1 << B * (N - x)), rk - ik,
-                        rt - itotal - x)
+                    total += sign * w * t * (yield rctx, rdim, d + weight * q,
+                                             rcode - icode + (1 << B * (N - x)), rk - ik,
+                                             rt - itotal - x)
     return total
+
+
+def _ask(*request: object) -> Step:
+    """A generator of the one lookup ``request``, whose value is the lookup's."""
+    return (yield request)

@@ -6,9 +6,8 @@ c_i = 2n-1), normalized so that the line through a point and its conjugate
 counts as +1.  The value is identical for both standard anti-holomorphic
 involutions on P^{2n-1}, so the ``phi`` tag on keys never enters evaluation.
 
-Evaluation applies the first matching rule.  The driver
-(``EvalContext.evaluate``) applies rule 4 to every key; ``real_rules`` judges
-the core it leaves by rules 1-3 and 5:
+Evaluation applies the first matching rule.  The driver applies rule 4 to
+every key; ``real_rules`` judges the core it leaves by rules 1-3 and 5:
 
   1. d even, or some c_i even     -> 0 (conjugation-odd configurations cancel)
   2. some c_i > 2n-1              -> 0
@@ -33,19 +32,21 @@ weighted 2 per element routed into I:
 
 where <...>^C are complex invariants of P^{2n-1} evaluated by the shared
 complex engine.  Each weight d2 or d1 is an H^1 that stays in the real or
-complex factor of its term, and the driver peels it.  This sum and the one in
+complex factor of its term, and the driver peels it.  Step 6 and
 ``theorem12_residual`` run through the split-sum loop of both engines,
-``complex_engine.product_sum``, with weight 2 and S = rest: it reads J =
-rest - I off rest's fields, evaluates only the one (d1, 2i) per split and
-term that balances the complex factor, and at d = 1 draws no split.  Only
-step-6 results are memoized, keyed on (n, d, core insertions).
+``complex_engine.product_sum``, with weight 2, S = rest and their other
+lookups as its explicit terms: it reads J = rest - I off rest's fields,
+evaluates only the one (d1, 2i) per split and term that balances the complex
+factor, and at d = 1 draws no split.  ``EvalContext.run`` drives the real
+steps and the complex ones they start in one loop.  Only step-6 results are
+memoized, keyed on (n, d, core insertions).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from .complex_engine import ComplexEvalContext, EvalContext, product_sum
+from .complex_engine import ComplexEvalContext, EvalContext, Step, product_sum
 from .keys import B, MASK, MAX_CODIM, CodimVector, RealKey, enumerate_splits
 
 __all__ = [
@@ -105,7 +106,7 @@ class RealEvalContext(EvalContext):
         self.complex_ctx = complex_ctx if complex_ctx is not None else ComplexEvalContext()
         self.designation_rule = designation_rule or canonical_designation
 
-    def step(self, n: int, d: int, cv: CodimVector) -> int:
+    def step(self, n: int, d: int, cv: CodimVector) -> Step:
         return recursion_step(n, d, cv, self.designation_rule(cv), self)
 
 
@@ -120,20 +121,18 @@ def recursion_step(
     cv: CodimVector,
     designation: tuple[int, int],
     ctx: RealEvalContext,
-) -> int:
+) -> Step:
     """One unfolding of the real recursion with an explicit designated pair.
 
     ``designation`` = (c_1, c_2) must name slots present in ``cv``.  Exposed
     separately so tests can re-evaluate keys under arbitrary designations,
-    including pairs involving divisor entries.
+    including pairs involving divisor entries, through ``ctx.run``.
     """
     c1, c2 = designation
     rest = cv.remove(c1).remove(c2)
-    N = 2 * n - 1
-    total = d * ctx.evaluate(n, d, *rest.add(c1 + c2 - 1))
     terms = ((1, (c1 - 1, c2), (1,)), (-1, (c1 - 1, 1), (c2,)))
-    splits = enumerate_splits(rest, 2)
-    return total + product_sum(ctx.complex_ctx, ctx, n, N, d, rest, splits, 2, terms)
+    return product_sum(ctx.complex_ctx, ctx, n, 2 * n - 1, d, rest, enumerate_splits(rest, 2), 2,
+                       terms, ((d, rest.add(c1 + c2 - 1)),))
 
 
 def theorem12_residual(
@@ -166,9 +165,7 @@ def theorem12_residual(
         raise ValueError(f"need 1 <= c <= {MAX_CODIM} and two insertions to transfer between")
     c1, c2 = c_list[:2]
     rest = cv.remove(c1).remove(c2)
-    lhs = ctx.evaluate(n, d, *rest.add_all((c1, c2 + 2 * c)))
-    lhs -= ctx.evaluate(n, d, *rest.add_all((c1 + 2 * c, c2)))
-    N = 2 * n - 1
-    terms = ((1, (2 * c, c1), (c2,)), (-1, (2 * c, c2), (c1,)))
+    lhs = ((1, rest.add_all((c1, c2 + 2 * c))), (-1, rest.add_all((c1 + 2 * c, c2))))
+    terms = ((-1, (2 * c, c1), (c2,)), (1, (2 * c, c2), (c1,)))  # subtracted from lhs
     splits = enumerate_splits(rest, 2)
-    return lhs - product_sum(ctx.complex_ctx, ctx, n, N, d, rest, splits, 2, terms)
+    return ctx.run(product_sum(ctx.complex_ctx, ctx, n, 2 * n - 1, d, rest, splits, 2, terms, lhs))

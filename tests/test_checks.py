@@ -9,15 +9,29 @@ from gwcount.keys import B, MASK
 from gwcount.p3 import complex_codim_vectors, real_codim_vectors
 
 
+def _off_peel(step):
+    """``step`` with each request's H^1 entries stripped and its answer multiplied
+    by (d + (d == 3))^m instead of the driver's d^m."""
+    value = None
+    try:
+        while True:
+            ctx, dim, d, code, k, total = step.send(value)
+            m = (code >> B) & MASK
+            value = (d + (d == 3)) ** m * (yield ctx, dim, d, code - (m << B), k - m, total - m)
+    except StopIteration as done:
+        return done.value
+
+
 class _OffPeel:
-    """A driver whose divisor peel is (d + (d == 3))^m instead of d^m."""
+    """A context whose steps, and whatever it runs, peel divisors wrongly."""
 
     __slots__ = ()
 
-    def evaluate(self, dim, d, code, k, total):
-        m = (code >> B) & MASK
-        value = super().evaluate(dim, d, code - (m << B), k - m, total - m)
-        return (d + (d == 3)) ** m * value
+    def run(self, step):
+        return super().run(_off_peel(step))
+
+    def step(self, dim, d, cv):
+        return _off_peel(super().step(dim, d, cv))
 
 
 class _OffComplex(_OffPeel, ComplexEvalContext):

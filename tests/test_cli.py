@@ -96,21 +96,6 @@ def test_an_entry_above_the_top_is_zero_without_packing_it(capsys, argv):
     assert (code, out, err) == (0, "0\n", "")
 
 
-@pytest.mark.parametrize("engine, argv", [
-    ("eval_complex", ("complex", "--dim", "3", "--d", "1", "--codims", "3,3")),
-    ("eval_real", ("real", "--n", "2", "--d", "1", "--codims", "3")),
-])
-def test_recursion_error_is_a_clean_exit(capsys, monkeypatch, engine, argv):
-    def too_deep(key, ctx):
-        raise RecursionError("maximum recursion depth exceeded")
-
-    monkeypatch.setattr(cli, engine, too_deep)
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
-
-
 def test_complex_query_on_p1(capsys):
     code, out, err = run(capsys, "complex", "--dim", "1", "--d", "1", "--codims", "1,1,1")
     assert (code, out, err) == (0, "1\n", "")

@@ -20,7 +20,7 @@ from gwcount import (
     eval_real,
 )
 from gwcount import complex_engine, real_engine
-from gwcount.complex_engine import MAX_NESTING, product_sum, wdvv_step
+from gwcount.complex_engine import product_sum, wdvv_step
 from gwcount.keys import enumerate_splits
 from gwcount.p3 import complex_codim_vectors, real_series_p3
 
@@ -32,8 +32,9 @@ def C(ctx, N, d, *cs):
 
 
 class Recorder:
-    """A stand-in context: ``evaluate`` logs each lookup as (dim, d, (code, k,
-    total)) and returns ``value`` of it, a fixed function that is 0 for some lookups."""
+    """A stand-in context: ``run`` drives a step, and ``evaluate`` logs each of
+    its lookups as (dim, d, (code, k, total)) and answers ``value`` of it, a
+    fixed function that is 0 for some lookups."""
 
     def __init__(self) -> None:
         self.log: list = []
@@ -45,6 +46,16 @@ class Recorder:
     def evaluate(self, dim: int, d: int, code: int, k: int, total: int) -> int:
         self.log.append((dim, d, (code, k, total)))
         return self.value(dim, d, (code, k, total))
+
+    def run(self, step) -> int:
+        value = None
+        try:
+            while True:
+                ctx, *request = step.send(value)
+                assert ctx is self
+                value = self.evaluate(*request)
+        except StopIteration as done:
+            return done.value
 
 
 # -- independent degree-1 oracle: Schubert calculus on the Grassmannian of
@@ -106,10 +117,14 @@ def test_degree_one_matches_schubert_oracle_p5():
 def test_degree_one_matches_schubert_oracle_at_high_dimension():
     # Lines through a point and two codimension-N/2 linear spaces of P^1023, and
     # lines meeting four codimension-128 linear spaces of P^255.
-    ctx = ComplexEvalContext()
     for N, combo, expect in ((1023, (1023, 512, 512), 1), (255, (128,) * 4, 128)):
+        ctx = ComplexEvalContext()
         assert schubert_line_count(N, list(combo)) == expect
         assert C(ctx, N, 1, *combo) == expect, (N, combo)
+    # The last key nests 128 steps, one per codimension the donor gives up.
+    stats = ctx.stats()
+    assert (stats["calls"], stats["memo_hits"], stats["deep_evals"], stats["max_depth"]) == (
+        6_622, 64, 2_207, 128)
 
 
 def test_a_step_that_cannot_split_its_degree_draws_no_split(monkeypatch):
@@ -365,7 +380,7 @@ def test_the_rules_see_only_typed_cores(monkeypatch):
     assert len(seen) == 40
     assert all(type(cv) is CodimVector and not (d and cv.multiplicity(1)) for d, cv in seen)
     S, terms, ctx = CodimVector.of(5, 3, 3), ((1, (4, 5), ()), (-1, (4,), (5,))), Recorder()
-    product_sum(ctx, ctx, 3, 5, 7, S, enumerate_splits(S, 2), 2, terms)
+    ctx.run(product_sum(ctx, ctx, 3, 5, 7, S, enumerate_splits(S, 2), 2, terms, ()))
     assert ctx.log and all(type(field) is int for *_, cv in ctx.log for field in cv)
 
 
@@ -377,38 +392,50 @@ def test_max_depth_of_deep_keys(N, d, twos, depth):
 
 
 def test_a_raising_pivot_rule_leaves_the_depth_at_zero():
-    key = ComplexKey(N=3, d=3, insertions=CodimVector.of(*[2] * 12))
-    fresh = ComplexEvalContext()
-    eval_complex(key, fresh)
-    raised = []
+    # The rule raises on its first call, before any step runs, or on its
+    # fourth, while two real steps and one complex step wait on the driver.
+    for engine, raise_at, depths in (("complex", 1, [0]), ("real", 4, [2, 1])):
+        depths_at_raise = []
 
-    def pivot(cv):
-        if not raised:
-            raised.append(cv)
-            raise LookupError("no pivot")
-        return canonical_pivot(cv)
+        def pivot(cv):
+            if len(depths_at_raise) + 1 == raise_at:
+                depths_at_raise.append([c.depth for c in contexts])
+                raise LookupError("no pivot")
+            depths_at_raise.append(None)
+            return canonical_pivot(cv)
 
-    ctx = ComplexEvalContext(pivot)
-    with pytest.raises(LookupError):
-        eval_complex(key, ctx)
-    assert ctx.depth == 0 and not ctx.memo
-    assert eval_complex(key, ctx) == eval_complex(key, fresh)
-    assert ctx.max_depth == fresh.max_depth > 1
+        if engine == "complex":
+            key, evaluate = ComplexKey(N=3, d=3, insertions=CodimVector.of(*[2] * 12)), eval_complex
+            fresh, ctx = ComplexEvalContext(), ComplexEvalContext(pivot)
+            contexts, fresh_contexts = [ctx], [fresh]
+        else:
+            key, evaluate = RealKey(n=2, d=9, insertions=CodimVector.of(*[3] * 9)), eval_real
+            fresh, ctx = RealEvalContext(), RealEvalContext(ComplexEvalContext(pivot))
+            contexts, fresh_contexts = [ctx, ctx.complex_ctx], [fresh, fresh.complex_ctx]
+        value = evaluate(key, fresh)
+        with pytest.raises(LookupError):
+            evaluate(key, ctx)
+        assert depths_at_raise[-1] == depths, engine
+        assert all(c.depth == 0 for c in contexts), engine
+        assert bool(ctx.memo) == (raise_at > 1)  # steps that returned before the raise keep theirs
+        assert evaluate(key, ctx) == value
+        assert [c.max_depth for c in contexts] == [c.max_depth for c in fresh_contexts], engine
+        assert all(c.max_depth > 1 for c in contexts), engine
 
 
-def test_keys_nested_past_max_nesting_evaluate_under_a_low_recursion_limit(monkeypatch):
+def _frame_depth() -> int:
+    """The number of Python frames under the caller's, its own included."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_no_step_recurses_under_a_low_recursion_limit(monkeypatch):
     # <3^200>_100 on P^3 nests 99 complex steps and the real count of degree
-    # 141 nests 70 real steps; both need more than 400 frames without the bound.
+    # 141 nests 70 real steps. One loop drives every step, so each runs at
+    # the same Python frame depth, and both keys fit a recursion limit of 100.
     limits = set()
-
-    def pivot(cv):
-        limits.add(sys.getrecursionlimit())
-        return canonical_pivot(cv)
-
-    def designation(cv):
-        limits.add(sys.getrecursionlimit())
-        return canonical_designation(cv)
-
     ends = {ComplexEvalContext: 0, RealEvalContext: 0}  # int results of each class's rules
     for cls in ends:
         def rules(*args, inner=cls.rules, cls=cls):
@@ -428,36 +455,46 @@ def test_keys_nested_past_max_nesting_evaluate_under_a_low_recursion_limit(monke
                 "real": (-1) ** 70 * real_series_p3(141)[141]}
 
     def run(kind):
+        depths = set()  # the frame depth of every pivot and designation call
+
+        def recorded(rule):
+            def slots(cv):
+                limits.add(sys.getrecursionlimit())
+                depths.add(_frame_depth())
+                return rule(cv)
+            return slots
+
+        pivot = recorded(canonical_pivot)
         if kind == "complex":
             ctx = ComplexEvalContext(pivot)
-            return eval_complex(complex_key, ctx), ctx
-        ctx = RealEvalContext(ComplexEvalContext(pivot), designation)
-        return eval_real(real_key, ctx), ctx
+            return eval_complex(complex_key, ctx), ctx, depths
+        ctx = RealEvalContext(ComplexEvalContext(pivot), recorded(canonical_designation))
+        return eval_real(real_key, ctx), ctx, depths
 
     saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(400)
+    sys.setrecursionlimit(100)
     try:
-        value, cctx = run("complex")
-        assert value == expected["complex"]
-        assert (cctx.deep_evals, len(cctx.memo), cctx.max_depth) == (198, 198, MAX_NESTING)
-        # A lookup aborted at the bound is not a call; its retry is.
-        assert_counts_add_up(cctx, ends[ComplexEvalContext], 59_467)
+        value, cctx, depths = run("complex")
+        assert value == expected["complex"] and len(depths) == 1
+        assert (cctx.deep_evals, len(cctx.memo), cctx.max_depth, cctx.depth) == (198, 198, 99, 0)
+        assert_counts_add_up(cctx, ends[ComplexEvalContext], 58_814)
         ends[ComplexEvalContext] = 0
-        value, rctx = run("real")
-        assert value == expected["real"]
-        assert (rctx.deep_evals, len(rctx.memo), rctx.depth) == (70, 70, 0)
+        value, rctx, depths = run("real")
+        assert value == expected["real"] and len(depths) == 1
+        assert (rctx.deep_evals, len(rctx.memo), rctx.max_depth, rctx.depth) == (70, 70, 70, 0)
         assert (rctx.complex_ctx.deep_evals, len(rctx.complex_ctx.memo)) == (138, 138)
-        assert_counts_add_up(rctx, ends[RealEvalContext], 5_106)
-        assert_counts_add_up(rctx.complex_ctx, ends[ComplexEvalContext], 33_879)
+        assert_counts_add_up(rctx, ends[RealEvalContext], 5_041)
+        assert_counts_add_up(rctx.complex_ctx, ends[ComplexEvalContext], 33_815)
 
         results = {}
-        threads = [threading.Thread(target=lambda kind=kind: results.update({kind: run(kind)[0]}))
+        threads = [threading.Thread(target=lambda kind=kind: results.update({kind: run(kind)}))
                    for kind in expected]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(60)
-        assert results == expected
-        assert limits == {400}
+        assert {kind: value for kind, (value, _, _) in results.items()} == expected
+        assert all(len(depths) == 1 for _, _, depths in results.values())
+        assert limits == {100}
     finally:
         sys.setrecursionlimit(saved)

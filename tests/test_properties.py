@@ -7,9 +7,10 @@ reach solved values that the hand-picked samples do not.  The divisor axiom
 is checked through one explicit step, because evaluation itself peels
 divisors by that axiom.  ``CodimVector`` keeps its stored insertion count and
 total codimension in step with its pairs under every operation.  The one
-split-sum loop looks up exactly the balanced factors that a plain loop over
-every degree and diagonal class finds, each right factor only after a
-nonzero left one, and returns the same sum; the splits come in the order
+split-sum loop looks up a step's explicit terms first and then exactly the
+balanced factors that a plain loop over every degree and diagonal class
+finds, each right factor only after a nonzero left one, and returns the same
+sum; the splits come in the order
 ``itertools.product`` gives them.  The canonical pivot and designation,
 read from the packed code, are the slots their definitions name in the
 sorted entries.
@@ -109,7 +110,7 @@ def test_divisor_axiom_through_one_wdvv_step(key):
     pivot = (donor, 1, S.remove(donor).max_codim)
     ctx = ComplexEvalContext()
     expected = key.d * eval_complex(ComplexKey(N=key.N, d=key.d, insertions=S), ctx)
-    assert wdvv_step(key.N, key.d, S.add(1), pivot, ctx) == expected
+    assert ctx.run(wdvv_step(key.N, key.d, S.add(1), pivot, ctx)) == expected
 
 
 @PROPERTY_SETTINGS
@@ -119,7 +120,7 @@ def test_divisor_axiom_through_one_recursion_step(key):
     S = _without_divisors(key.insertions)
     ctx = RealEvalContext()
     expected = key.d * eval_real(RealKey(n=key.n, d=key.d, insertions=S), ctx)
-    assert recursion_step(key.n, key.d, S.add(1), (S.max_codim, 1), ctx) == expected
+    assert ctx.run(recursion_step(key.n, key.d, S.add(1), (S.max_codim, 1), ctx)) == expected
 
 
 codims = st.integers(0, 6)
@@ -208,24 +209,32 @@ def test_canonical_slots_match_their_definition(cv):
 
 @st.composite
 def degeneration_sums(draw):
-    """(N, d, S, weight, terms) of a complex (weight 1) or real (weight 2) sum."""
+    """(N, d, S, weight, terms, explicit) of a complex (weight 1) or real (weight 2) step."""
     N = draw(st.integers(2, 7))
     weight = draw(st.sampled_from((1, 2) if N % 2 else (1,)))
     d = draw(st.integers(1, 9))
     S = CodimVector.from_entries(draw(st.lists(st.integers(1, N), max_size=5)))
     extras = st.lists(st.integers(0, N), max_size=2).map(tuple)
     terms = ((1, draw(extras), draw(extras)), (-1, draw(extras), draw(extras)))
-    return N, d, S, weight, terms
+    explicit = tuple((coefficient, S.add_all(extra)) for coefficient, extra in draw(
+        st.lists(st.tuples(st.integers(-d, d), extras), max_size=3)))
+    return N, d, S, weight, terms, explicit
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(case=degeneration_sums())
-@example(case=(3, 5, CodimVector.of(3, 1), 1, ((1, (2, 3), (3,)), (-1, (2,), (3, 3)))))
-@example(case=(5, 7, CodimVector.of(5, 3, 3), 2, ((1, (4, 5), ()), (-1, (4,), (5,)))))
+@example(case=(3, 5, CodimVector.of(3, 1), 1, ((1, (2, 3), (3,)), (-1, (2,), (3, 3))),
+               ((5, CodimVector.of(3, 3, 1)), (-5, CodimVector.of(3, 1, 1)))))
+@example(case=(5, 7, CodimVector.of(5, 3, 3), 2, ((1, (4, 5), ()), (-1, (4,), (5,))), ()))
+@example(case=(5, 1, CodimVector.of(5, 3), 2, ((1, (4, 5), ()), (-1, (4,), (5,))),
+               ((1, CodimVector.of(5, 3, 3)),)))
 def test_product_sum_matches_a_plain_loop(case):
-    N, d, S, weight, terms = case
+    N, d, S, weight, terms, explicit = case
     rdim = N + 1  # no left factor is looked up on it, so the log tells the sides apart
     expected, expected_sum = [], 0
+    for coefficient, cv in explicit:  # first, and even when no degree split exists
+        expected.append((rdim, d, tuple(cv)))
+        expected_sum += coefficient * Recorder.value(rdim, d, cv)
     for icode, ik, itotal, w in enumerate_splits(S, weight):
         I, J = (icode, ik, itotal), (S[0] - icode, S[1] - ik, S[2] - itotal)
         for sign, left_extra, right_extra in terms:
@@ -243,7 +252,8 @@ def test_product_sum_matches_a_plain_loop(case):
                             expected.append((rdim, d2, tuple(right)))
                             expected_sum += sign * w * t * Recorder.value(rdim, d2, right)
     ctx = Recorder()
-    got = product_sum(ctx, ctx, rdim, N, d, S, enumerate_splits(S, weight), weight, terms)
+    got = ctx.run(product_sum(ctx, ctx, rdim, N, d, S, enumerate_splits(S, weight), weight, terms,
+                              explicit))
     # Tuples of the vectors, so that the stored k and total codimension match too.
     assert [(dim, degree, tuple(cv)) for dim, degree, cv in ctx.log] == expected
     assert got == expected_sum
