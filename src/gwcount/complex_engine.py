@@ -31,15 +31,20 @@ receiver slot H^e (canonically a maximal one) and an exchange partner H^c
           d2 * <H^a, H^c, I, H^f>_{d1} * <H^{N-f}, J, H^e>_{d2}
         - d1 * <H^a, I, H^f>_{d1} * <H^{N-f}, J, H^c, H^e>_{d2}
 
-Each product of the relation carries one H^1 of its own, which stays in its
-term; the driver peels it by the divisor axiom as the weight d2 or d1, as in
-Kontsevich and Manin's form of the recursion.  Every step of both engines
-runs through one loop, ``product_sum(lctx, rctx, rdim, N, d, S, splits,
-weight, terms, explicit)``, here with weight 1 and the three explicit terms
-above.  A split is its part I alone, and J = S - I is read off S's fields.
-The loop evaluates the sum only at the one (d1, f) per split and term that
-balances the left factor: every other (d1, f) gives 0 by rule 2, and f = 0 or
-f = N by rule 4.  At d = 1 no degree split exists, so it draws no split.
+as in Kontsevich and Manin's form of the recursion.  Both products are one
+function F(K) = <H^a, K, H^f>_{d1} * <H^{N-f}, T - K, H^e>_{d2} of a split K
+of T = S + H^c, at K = I + H^c and at K = I, so step 7 sums over the splits
+of T once.  With i of the M copies of H^c in T in K, w its weight as a split
+of T and u = w * i / M that of K - H^c over S, the first product weighs F(K)
+by d2 * u and the second by d1 * (w - u), as C(M-1, i-1) + C(M-1, i) =
+C(M, i); d2 = d - d1 makes the coefficient d * u - d1 * w.  Each split of T
+comes from a product (i >= 1 or i < M), so each factor is looked up once.
+Every step of both engines runs through one loop, ``product_sum(lctx, rctx,
+rdim, N, d, R, splits, weight, h, explicit)``, here with weight 1, R = T +
+H^e, h = a, the splits ``_fold`` weighs and the three explicit terms above.
+The loop evaluates the sum only at the one (d1, f) per split that balances
+the left factor: every other (d1, f) gives 0 by rule 2, and f = 0 or f = N
+by rule 4.  At d = 1 no degree split exists, so it draws no split.
 
 All arithmetic is exact; only the results of step 7 are memoized, keyed on
 the core (the cheap structural rules are recomputed on the fly), so the memo
@@ -224,51 +229,52 @@ def wdvv_step(
     a1, c, e = pivot
     if a1 > e:
         raise ValueError(f"inadmissible pivot: donor {a1} exceeds receiver {e}")
-    S = cv.remove(a1).remove(c).remove(e)
-    a = a1 - 1
+    R, a = cv.remove(a1), a1 - 1
+    T = R.remove(e)
+    S = T.remove(c)
     explicit = ((d, S.add_all((a + c, e))), (1, S.add_all((a, c, e + 1))),
                 (-d, S.add_all((a, c + e))))
-    terms = ((1, (a, c), (e, 1)), (-1, (a, 1), (c, e)))
-    return product_sum(ctx, ctx, N, N, d, S, enumerate_splits(S, 1), 1, terms, explicit)
+    splits = _fold(enumerate_splits(T, 1), d, c, T.multiplicity(c), 1)
+    return product_sum(ctx, ctx, N, N, d, R, splits, 1, a, explicit)
+
+
+def _fold(splits: Iterable[tuple[int, ...]], d: int, c: int, M: int, weight: int) -> list:
+    """The splits (code, k, total_codim, w) of T, which holds M copies of H^c,
+    each with a step's coefficient d * u - d1 * w as the pair (d * u, w), u =
+    w * i / (weight * M) for i copies in K; none when d <= weight."""
+    if d <= weight:
+        return []
+    bc, wM = B * c, weight * M
+    return [(code, k, total, d * (w * (code >> bc & MASK) // wM), w)
+            for code, k, total, w in splits]
 
 
 def product_sum(lctx: EvalContext, rctx: EvalContext, rdim: int, N: int, d: int,
-                S: CodimVector, splits: Iterable[tuple[int, ...]], weight: int,
-                terms: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...],
+                R: CodimVector, splits: Iterable[tuple[int, ...]], weight: int, h: int,
                 explicit: Iterable[tuple[int, CodimVector]]) -> Step:
     """A step: sum of c * <v>_d over ``explicit`` (c, v) pairs, looked up in
-    ``rctx`` on ``rdim``, plus the degeneration sum over a diagonal of P^N: sum
-    of sign * w * <I + left_extra + H^x>_{d1} * <S - I + right_extra + H^(N-x)>_{d2}.
-
-    It runs over the splits (I's code, k, total_codim, w) of S from
-    ``enumerate_splits``, ``terms`` (sign, left_extra, right_extra), degrees
-    weight*d1 + d2 = d with d1, d2 >= 1 and diagonal classes 0 < x < N,
-    x a multiple of ``weight`` (1 for a complex sum, 2 for a real one).  With
-    L = I + left_extra, the left factor <L, H^x>_{d1} is balanced only at
-    (-d1, x) = divmod(N - 2 + k(L) - sum(L), N + 1), so each split and term is
-    solved once.  The left factor is looked up in ``lctx`` on P^N and, if it is
-    nonzero, the right one, whose fields are S's less I's, in ``rctx`` on
-    ``rdim``, each as one request; the driver counts it, types its core and
-    peels its H^1 entries (a term's weight d1 or d2).  When d <= weight no
-    degree split exists, and no split is drawn.
+    ``rctx`` on ``rdim``, plus the folded degeneration sum over a diagonal of
+    P^N: sum of (a - b * d1) * <H^h, K, H^x>_{d1} * <R - K, H^(N-x)>_{d2} over
+    ``splits`` (K's code, k, total_codim, a, b) of a part of R, degrees
+    weight*d1 + d2 = d with d1, d2 >= 1 and classes 0 < x < N, x a multiple
+    of ``weight`` (1 for a complex sum, 2 for a real one).  The left factor is
+    balanced only at (-d1, x) = divmod(N - 1 - h + k(K) - sum(K), N + 1), so
+    each split is solved once.  It is looked up in ``lctx`` on P^N and, if it
+    is nonzero, the right one, whose fields are R's less K's, in ``rctx`` on
+    ``rdim``; the driver counts each request, types its core and peels H^1s.
     """
     total = 0
     for coefficient, (code, k, codim) in explicit:
         total += coefficient * (yield rctx, rdim, d, code, k, codim)
-    if d <= weight:
-        return total
-    solved = [(sign, N - 2 + len(lx) - sum(lx), sum([1 << B * c for c in lx]), len(lx) + 1,
-               sum(lx), S[0] + sum([1 << B * c for c in rx]), S[1] + len(rx) + 1,
-               S[2] + sum(rx) + N) for sign, lx, rx in terms]
-    for icode, ik, itotal, w in splits:
-        for sign, shift, lcode, lk, lt, rcode, rk, rt in solved:
-            q, x = divmod(shift + ik - itotal, N + 1)
-            if 0 < -weight * q < d and 0 < x < N and x % weight == 0:
-                t = yield lctx, N, -q, icode + lcode + (1 << B * x), ik + lk, itotal + lt + x
-                if t:  # the right factor: S - I, right_extra and H^(N-x)
-                    total += sign * w * t * (yield rctx, rdim, d + weight * q,
-                                             rcode - icode + (1 << B * (N - x)), rk - ik,
-                                             rt - itotal - x)
+    shift, lcode, rcode, rk, rt = N - 1 - h, 1 << B * h, R[0], R[1] + 1, R[2] + N
+    for kcode, kk, ktotal, a, b in splits:
+        q, x = divmod(shift + kk - ktotal, N + 1)
+        if 0 < -weight * q < d and 0 < x < N and x % weight == 0:
+            t = yield lctx, N, -q, kcode + lcode + (1 << B * x), kk + 2, ktotal + h + x
+            if t:  # the right factor: R - K and H^(N-x)
+                total += (a + b * q) * t * (yield rctx, rdim, d + weight * q,
+                                            rcode - kcode + (1 << B * (N - x)), rk - kk,
+                                            rt - ktotal - x)
     return total
 
 

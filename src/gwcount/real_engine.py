@@ -31,22 +31,22 @@ weighted 2 per element routed into I:
         - d1 * <c_1 - 1, I, 2i>^C_{d1} * <c_2, J, j>_{d2}
 
 where <...>^C are complex invariants of P^{2n-1} evaluated by the shared
-complex engine.  Each weight d2 or d1 is an H^1 that stays in the real or
-complex factor of its term, and the driver peels it.  Step 6 and
-``theorem12_residual`` run through the split-sum loop of both engines,
-``complex_engine.product_sum``, with weight 2, S = rest and their other
-lookups as its explicit terms: it reads J = rest - I off rest's fields,
-evaluates only the one (d1, 2i) per split and term that balances the complex
-factor, and at d = 1 draws no split.  ``EvalContext.run`` drives the real
-steps and the complex ones they start in one loop.  Only step-6 results are
-memoized, keyed on (n, d, core insertions).
+complex engine.  Step 6 folds its products as step 7 does, over the splits K
+of T = rest + c_2 with i of the M copies of c_2 in K: d2 = d - 2 * d1 makes
+the coefficient d * u - d1 * w, u = w * i / (2M).  Step 6 and
+``theorem12_residual`` run through ``complex_engine.product_sum`` with weight
+2 and their other lookups as its explicit terms; it evaluates only the one
+(d1, 2i) per split that balances the complex factor, and at d = 1 neither
+draws a split.  ``EvalContext.run`` drives the real steps and the complex
+ones they start in one loop.  Only step-6 results are memoized, keyed on
+(n, d, core insertions).
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from .complex_engine import ComplexEvalContext, EvalContext, Step, product_sum
+from .complex_engine import ComplexEvalContext, EvalContext, Step, _fold, product_sum
 from .keys import B, MASK, MAX_CODIM, CodimVector, RealKey, enumerate_splits
 
 __all__ = [
@@ -129,10 +129,10 @@ def recursion_step(
     including pairs involving divisor entries, through ``ctx.run``.
     """
     c1, c2 = designation
-    rest = cv.remove(c1).remove(c2)
-    terms = ((1, (c1 - 1, c2), (1,)), (-1, (c1 - 1, 1), (c2,)))
-    return product_sum(ctx.complex_ctx, ctx, n, 2 * n - 1, d, rest, enumerate_splits(rest, 2), 2,
-                       terms, ((d, rest.add(c1 + c2 - 1)),))
+    T = cv.remove(c1)
+    splits = _fold(enumerate_splits(T, 2), d, c2, T.multiplicity(c2), 2)
+    return product_sum(ctx.complex_ctx, ctx, n, 2 * n - 1, d, T, splits, 2, c1 - 1,
+                       ((d, T.remove(c2).add(c1 + c2 - 1)),))
 
 
 def theorem12_residual(
@@ -155,6 +155,11 @@ def theorem12_residual(
       sum of  <2c, c_1, I, 2i>^C_{d1} * <c_2, J, j>_{d2}
             - <2c, c_2, I, 2i>^C_{d1} * <c_1, J, j>_{d2}
 
+    Both products are F(K) = <2c, K, 2i>^C_{d1} * <T - K, j>_{d2} of a split K
+    of T = (c_1, c_2, rest), at I + c_1 and I + c_2: the sum runs once over the
+    K a product reaches, with coefficient u_1 - u_2.  u_m = w * i_m / (2 * M_m)
+    weighs K - c_m over T - c_m, whose part with both c_m out cancels.
+
     Returns LHS - RHS, computed exactly.
     """
     # The key validates n, d and the entries (ints, each >= 1).
@@ -164,8 +169,10 @@ def theorem12_residual(
     if not 1 <= c <= MAX_CODIM or cv.k < 2:
         raise ValueError(f"need 1 <= c <= {MAX_CODIM} and two insertions to transfer between")
     c1, c2 = c_list[:2]
-    rest = cv.remove(c1).remove(c2)
-    lhs = ((1, rest.add_all((c1, c2 + 2 * c))), (-1, rest.add_all((c1 + 2 * c, c2))))
-    terms = ((-1, (2 * c, c1), (c2,)), (1, (2 * c, c2), (c1,)))  # subtracted from lhs
-    splits = enumerate_splits(rest, 2)
-    return ctx.run(product_sum(ctx.complex_ctx, ctx, n, 2 * n - 1, d, rest, splits, 2, terms, lhs))
+    lhs = ((1, cv.remove(c2).add(c2 + 2 * c)), (-1, cv.remove(c1).add(c1 + 2 * c)))
+    M1, M2 = cv.multiplicity(c1), cv.multiplicity(c2)
+    splits = [(code, k, total, w * i2 // (2 * M2) - w * i1 // (2 * M1), 0)  # LHS - RHS: u_2 - u_1
+              for code, k, total, w in (enumerate_splits(cv, 2) if d > 2 else ())
+              for i1, i2 in [(code >> B * c1 & MASK, code >> B * c2 & MASK)]
+              if i1 and i2 < M2 or i2 and i1 < M1]  # c_m in K, and T - K holds the other
+    return ctx.run(product_sum(ctx.complex_ctx, ctx, n, 2 * n - 1, d, cv, splits, 2, 2 * c, lhs))

@@ -20,7 +20,7 @@ from gwcount import (
     eval_real,
 )
 from gwcount import complex_engine, real_engine
-from gwcount.complex_engine import product_sum, wdvv_step
+from gwcount.complex_engine import _fold, product_sum, wdvv_step
 from gwcount.keys import enumerate_splits
 from gwcount.p3 import complex_codim_vectors, real_series_p3
 
@@ -320,7 +320,7 @@ def test_engine_counters_of_every_balanced_complex_key():
         eval_complex(key, ctx)
     stats = ctx.stats()
     assert tuple(stats[name] for name in ("calls", "memo_hits", "deep_evals", "memo_size")) == (
-        31_440, 29_788, 422, 422)
+        23_600, 22_079, 422, 422)
     assert stats["max_depth"] == 1
 
 
@@ -377,10 +377,10 @@ def test_the_rules_see_only_typed_cores(monkeypatch):
     # <5^3 3^2>_5 of P^5, cold: the driver strips every divisor entry first.
     assert eval_real(RealKey(n=3, d=5, insertions=CodimVector.of(5, 5, 5, 3, 3)),
                      RealEvalContext()) == 1
-    assert len(seen) == 40
+    assert len(seen) == 39
     assert all(type(cv) is CodimVector and not (d and cv.multiplicity(1)) for d, cv in seen)
-    S, terms, ctx = CodimVector.of(5, 3, 3), ((1, (4, 5), ()), (-1, (4,), (5,))), Recorder()
-    ctx.run(product_sum(ctx, ctx, 3, 5, 7, S, enumerate_splits(S, 2), 2, terms, ()))
+    T, ctx = CodimVector.of(5, 5, 3, 3), Recorder()  # a real step's splits, H^5 moved
+    ctx.run(product_sum(ctx, ctx, 3, 5, 7, T, _fold(enumerate_splits(T, 2), 7, 5, 2, 2), 2, 4, ()))
     assert ctx.log and all(type(field) is int for *_, cv in ctx.log for field in cv)
 
 
@@ -477,14 +477,14 @@ def test_no_step_recurses_under_a_low_recursion_limit(monkeypatch):
         value, cctx, depths = run("complex")
         assert value == expected["complex"] and len(depths) == 1
         assert (cctx.deep_evals, len(cctx.memo), cctx.max_depth, cctx.depth) == (198, 198, 99, 0)
-        assert_counts_add_up(cctx, ends[ComplexEvalContext], 58_814)
+        assert_counts_add_up(cctx, ends[ComplexEvalContext], 29_802)
         ends[ComplexEvalContext] = 0
         value, rctx, depths = run("real")
         assert value == expected["real"] and len(depths) == 1
         assert (rctx.deep_evals, len(rctx.memo), rctx.max_depth, rctx.depth) == (70, 70, 70, 0)
         assert (rctx.complex_ctx.deep_evals, len(rctx.complex_ctx.memo)) == (138, 138)
-        assert_counts_add_up(rctx, ends[RealEvalContext], 5_041)
-        assert_counts_add_up(rctx.complex_ctx, ends[ComplexEvalContext], 33_815)
+        assert_counts_add_up(rctx, ends[RealEvalContext], 2_556)
+        assert_counts_add_up(rctx.complex_ctx, ends[ComplexEvalContext], 17_183)
 
         results = {}
         threads = [threading.Thread(target=lambda kind=kind: results.update({kind: run(kind)}))

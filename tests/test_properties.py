@@ -10,7 +10,9 @@ total codimension in step with its pairs under every operation.  The one
 split-sum loop looks up a step's explicit terms first and then exactly the
 balanced factors that a plain loop over every degree and diagonal class
 finds, each right factor only after a nonzero left one, and returns the same
-sum; the splits come in the order
+sum.  Each caller's folded sum, one product per split of S + c, gives the
+value of the two products per split of S that its relation states, and
+looks up the same memo keys; the splits come in the order
 ``itertools.product`` gives them.  The canonical pivot and designation,
 read from the packed code, are the slots their definitions name in the
 sorted entries.
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+import random
 from collections import Counter
 from itertools import product
 from math import comb
@@ -40,8 +43,8 @@ from gwcount import (
     eval_real,
 )
 from gwcount.complex_engine import product_sum, wdvv_step
-from gwcount.keys import MAX_CODIM, B, _new, enumerate_splits
-from gwcount.real_engine import recursion_step
+from gwcount.keys import MASK, MAX_CODIM, B, _new, enumerate_splits
+from gwcount.real_engine import recursion_step, theorem12_residual
 
 from test_complex_engine import Recorder, _random_pivot_rule
 from test_real_engine import _random_designation_rule
@@ -207,56 +210,155 @@ def test_canonical_slots_match_their_definition(cv):
             canonical_designation(cv)
 
 
+def _plain_sum(N, rdim, d, weight, parts, explicit, value):
+    """(lookups, sum) of a split sum by a plain loop over every degree and
+    diagonal class.  ``parts`` are (I, J, coefficient, left_extra,
+    right_extra): the product coefficient(d1) * <I, left_extra, H^x>_{d1} *
+    <J, right_extra, H^(N-x)>_{d2}, weight*d1 + d2 = d, looked up in that order."""
+    lookups, total = [], 0
+    for coefficient, cv in explicit:  # first, and even when no degree split exists
+        lookups.append((rdim, d, tuple(cv)))
+        total += coefficient * value(rdim, d, cv)
+    for I, J, coefficient, left_extra, right_extra in parts:
+        for d1 in range(1, d):
+            for x in range(1, N):
+                if weight * d1 >= d or x % weight:
+                    continue
+                left = _new(CodimVector, tuple(I)).add_all(left_extra + (x,))
+                if (N + 1) * d1 + N - 3 + left.k - left.total_codim == 0:  # balanced
+                    lookups.append((N, d1, tuple(left)))
+                    t = value(N, d1, left)
+                    if t:  # the right factor is looked up only after a nonzero left one
+                        d2 = d - weight * d1
+                        right = _new(CodimVector, tuple(J)).add_all(right_extra + (N - x,))
+                        lookups.append((rdim, d2, tuple(right)))
+                        total += coefficient(d1) * t * value(rdim, d2, right)
+    return lookups, total
+
+
 @st.composite
 def degeneration_sums(draw):
-    """(N, d, S, weight, terms, explicit) of a complex (weight 1) or real (weight 2) step."""
+    """(N, d, T, R, weight, seed, h, explicit) of a complex (weight 1) or real
+    (weight 2) split sum over the splits of T, a part of R; ``seed`` draws
+    each split's coefficient pair."""
     N = draw(st.integers(2, 7))
     weight = draw(st.sampled_from((1, 2) if N % 2 else (1,)))
     d = draw(st.integers(1, 9))
-    S = CodimVector.from_entries(draw(st.lists(st.integers(1, N), max_size=5)))
+    T = CodimVector.from_entries(draw(st.lists(st.integers(1, N), max_size=5)))
     extras = st.lists(st.integers(0, N), max_size=2).map(tuple)
-    terms = ((1, draw(extras), draw(extras)), (-1, draw(extras), draw(extras)))
-    explicit = tuple((coefficient, S.add_all(extra)) for coefficient, extra in draw(
+    R = T.add_all(draw(extras))
+    explicit = tuple((coefficient, T.add_all(extra)) for coefficient, extra in draw(
         st.lists(st.tuples(st.integers(-d, d), extras), max_size=3)))
-    return N, d, S, weight, terms, explicit
+    return N, d, T, R, weight, draw(st.integers(0, 99)), draw(st.integers(0, N)), explicit
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(case=degeneration_sums())
-@example(case=(3, 5, CodimVector.of(3, 1), 1, ((1, (2, 3), (3,)), (-1, (2,), (3, 3))),
+@example(case=(3, 5, CodimVector.of(3, 3, 1), CodimVector.of(3, 3, 3, 1), 1, 0, 2,
                ((5, CodimVector.of(3, 3, 1)), (-5, CodimVector.of(3, 1, 1)))))
-@example(case=(5, 7, CodimVector.of(5, 3, 3), 2, ((1, (4, 5), ()), (-1, (4,), (5,))), ()))
-@example(case=(5, 1, CodimVector.of(5, 3), 2, ((1, (4, 5), ()), (-1, (4,), (5,))),
+@example(case=(5, 7, CodimVector.of(5, 5, 3, 3), CodimVector.of(5, 5, 3, 3), 2, 1, 4, ()))
+@example(case=(5, 1, CodimVector.of(5, 3), CodimVector.of(5, 3), 2, 2, 4,
                ((1, CodimVector.of(5, 3, 3)),)))
 def test_product_sum_matches_a_plain_loop(case):
-    N, d, S, weight, terms, explicit = case
+    N, d, T, R, weight, seed, h, explicit = case
     rdim = N + 1  # no left factor is looked up on it, so the log tells the sides apart
-    expected, expected_sum = [], 0
-    for coefficient, cv in explicit:  # first, and even when no degree split exists
-        expected.append((rdim, d, tuple(cv)))
-        expected_sum += coefficient * Recorder.value(rdim, d, cv)
-    for icode, ik, itotal, w in enumerate_splits(S, weight):
-        I, J = (icode, ik, itotal), (S[0] - icode, S[1] - ik, S[2] - itotal)
-        for sign, left_extra, right_extra in terms:
-            for d1 in range(1, d):
-                for x in range(1, N):
-                    if weight * d1 >= d or x % weight:
-                        continue
-                    left = _new(CodimVector, I).add_all(left_extra + (x,))
-                    if (N + 1) * d1 + N - 3 + left.k - left.total_codim == 0:  # balanced
-                        expected.append((N, d1, tuple(left)))
-                        t = Recorder.value(N, d1, left)
-                        if t:  # the right factor is looked up only after a nonzero left one
-                            d2 = d - weight * d1
-                            right = _new(CodimVector, J).add_all(right_extra + (N - x,))
-                            expected.append((rdim, d2, tuple(right)))
-                            expected_sum += sign * w * t * Recorder.value(rdim, d2, right)
+    rng = random.Random(seed)
+    splits = [(icode, ik, itotal, rng.randint(-5, 5), rng.randint(-5, 5))
+              for icode, ik, itotal, _ in enumerate_splits(T, weight)]
+    parts = [((icode, ik, itotal), (R[0] - icode, R[1] - ik, R[2] - itotal),
+              lambda d1, a=a, b=b: a - b * d1, (h,), ()) for icode, ik, itotal, a, b in splits]
+    expected, expected_sum = _plain_sum(N, rdim, d, weight, parts, explicit, Recorder.value)
     ctx = Recorder()
-    got = ctx.run(product_sum(ctx, ctx, rdim, N, d, S, enumerate_splits(S, weight), weight, terms,
-                              explicit))
+    got = ctx.run(product_sum(ctx, ctx, rdim, N, d, R, splits, weight, h, explicit))
     # Tuples of the vectors, so that the stored k and total codimension match too.
     assert [(dim, degree, tuple(cv)) for dim, degree, cv in ctx.log] == expected
     assert got == expected_sum
+
+
+class DivisorRecorder(Recorder):
+    """A Recorder whose answers obey the divisor axiom, as the driver's do: d^m
+    times ``Recorder.value`` of the core left without the m H^1 entries (none
+    at d = 0).  It is its own complex context, so it also drives a real step."""
+
+    @property
+    def complex_ctx(self):
+        return self
+
+    @staticmethod
+    def value(dim, d, cv):
+        code, k, total = cv
+        m = code >> B & MASK if d else 0
+        return d**m * Recorder.value(dim, d, (code - (m << B), k - m, total - m))
+
+
+def _cores(lookups):
+    """The memo keys (dim, d, core code) of lookups, their H^1 entries peeled."""
+    return {(dim, d, code - ((code >> B & MASK) << B if d else 0))
+            for dim, d, (code, *_) in lookups}
+
+
+@st.composite
+def relations(draw):
+    """(kind, half-dimension or N, d, entries, slots) of a complex step, a
+    real step or a transfer identity, whose moved class is absent from the
+    rest, present in it, or equal to the step's left or right extra class."""
+    kind = draw(st.sampled_from(("complex", "real", "transfer")))
+    dim = draw(st.integers(2, 6) if kind == "complex" else st.integers(2, 3))
+    N = dim if kind == "complex" else 2 * dim - 1
+    d = draw(st.integers(1, 7))
+    rest = draw(st.lists(st.integers(1, N), max_size=3))
+    low, high = sorted(draw(st.lists(st.integers(1, N), min_size=2, max_size=2)))
+    moved = draw(st.sampled_from((low - 1, high, high, draw(st.integers(1, N)))))
+    rest += [moved] * draw(st.integers(0, 2)) if moved else []
+    if kind == "complex":  # pivot (a + 1, c, e) = (low, moved, high)
+        return kind, dim, d, rest + [low, moved, high], (low, moved, high)
+    if kind == "real":  # designation (c_1, c_2) = (high, moved)
+        return kind, dim, d, rest + [high, max(moved, 1)], (high, max(moved, 1))
+    c2 = draw(st.sampled_from((high, low)))  # c_1 = c_2 or not
+    return kind, dim, d, [high, c2] + rest, draw(st.integers(1, 2))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=relations())
+@example(case=("complex", 3, 3, [2, 2, 2, 2, 3], (2, 2, 3)))  # c twice in S
+@example(case=("complex", 3, 4, [2, 2, 2, 3, 3], (2, 3, 3)))  # c absent from S, c = e
+@example(case=("complex", 4, 3, [3, 3, 3, 2, 4], (3, 2, 4)))  # c = a
+@example(case=("real", 3, 5, [3, 3, 5, 3], (5, 3)))
+@example(case=("real", 3, 5, [3, 3, 5, 5], (5, 5)))
+@example(case=("transfer", 2, 5, [3, 1, 3, 3], 1))  # c_1 != c_2
+@example(case=("transfer", 2, 5, [3, 3, 3, 1], 1))  # c_1 = c_2
+def test_the_folded_sum_matches_the_two_product_sum(case):
+    # The plain loop of the two products per split of S, as in the relation
+    # each caller states, is the oracle: the fold must give the same value and
+    # look up the same memo keys.  Its lookups answer by the divisor axiom, on
+    # which the fold rests.
+    kind, dim, d, entries, slots = case
+    cv, ctx = CodimVector.from_entries(entries), DivisorRecorder()
+    if kind == "complex":
+        (a1, c, e), N, rdim, weight = slots, dim, dim, 1
+        S, a = cv.remove(a1).remove(c).remove(e), a1 - 1
+        explicit = ((d, S.add_all((a + c, e))), (1, S.add_all((a, c, e + 1))),
+                    (-d, S.add_all((a, c + e))))
+        terms = ((1, (a, c), (e, 1)), (-1, (a, 1), (c, e)))
+        got = ctx.run(wdvv_step(N, d, cv, slots, ctx))
+    elif kind == "real":
+        (c1, c2), N, rdim, weight = slots, 2 * dim - 1, dim, 2
+        S = cv.remove(c1).remove(c2)
+        explicit = ((d, S.add(c1 + c2 - 1)),)
+        terms = ((1, (c1 - 1, c2), (1,)), (-1, (c1 - 1, 1), (c2,)))
+        got = ctx.run(recursion_step(dim, d, cv, slots, ctx))
+    else:
+        (c1, c2), c, N, rdim, weight = entries[:2], slots, 2 * dim - 1, dim, 2
+        S = cv.remove(c1).remove(c2)
+        explicit = ((1, S.add_all((c1, c2 + 2 * c))), (-1, S.add_all((c1 + 2 * c, c2))))
+        terms = ((-1, (2 * c, c1), (c2,)), (1, (2 * c, c2), (c1,)))
+        got = theorem12_residual(dim, d, c, entries, ctx)
+    parts = [(I, J, lambda d1, coefficient=sign * w: coefficient, left_extra, right_extra)
+             for I, J, w in _splits_by_product(S, weight)
+             for sign, left_extra, right_extra in terms]
+    expected, expected_sum = _plain_sum(N, rdim, d, weight, parts, explicit, DivisorRecorder.value)
+    assert got == expected_sum
+    assert _cores(ctx.log) == _cores(expected)
 
 
 def _splits_by_product(cv: CodimVector, per_element_weight: int):

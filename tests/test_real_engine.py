@@ -249,8 +249,8 @@ def test_engine_counters_on_the_p7_sweep(order):
     ctx = RealEvalContext()
     for key in keys[::order]:
         eval_real(key, ctx)
-    assert _counters(ctx.complex_ctx) == (25_757, 24_240, 483, 483)
-    assert _counters(ctx) == (2_374, 2_140, 93, 93)
+    assert _counters(ctx.complex_ctx) == (20_739, 19_253, 483, 483)
+    assert _counters(ctx) == (1_753, 1_539, 93, 93)
     assert (ctx.complex_ctx.max_depth, ctx.max_depth) == {1: (6, 1), -1: (7, 14)}[order]
 
 
@@ -260,16 +260,16 @@ def test_engine_counters_of_the_transfer_identity():
     ctx = RealEvalContext()
     for n, d, c, c_list in theorem12_samples():
         assert theorem12_residual(n, d, c, c_list, ctx) == 0
-    assert _counters(ctx.complex_ctx) == (171, 130, 9, 9)
-    assert _counters(ctx) == (248, 19, 4, 4)
+    assert _counters(ctx.complex_ctx) == (119, 82, 9, 9)
+    assert _counters(ctx) == (203, 11, 4, 4)
     assert (ctx.complex_ctx.max_depth, ctx.max_depth) == (2, 2)
 
 
 def test_engine_counters_of_table2_p5():
     ctx = RealEvalContext()
     table2_rows("p5", ctx)
-    assert _counters(ctx.complex_ctx) == (1_716, 1_454, 66, 66)
-    assert _counters(ctx) == (296, 231, 23, 23)
+    assert _counters(ctx.complex_ctx) == (1_293, 1_047, 66, 66)
+    assert _counters(ctx) == (209, 153, 23, 23)
     assert (ctx.complex_ctx.max_depth, ctx.max_depth) == (3, 1)
 
 
@@ -277,6 +277,6 @@ def test_engine_counters_of_table1_to_61():
     # The rows of `gw table1 --dmax 61 --engine both`: deep P^3 keys of one class.
     ctx = RealEvalContext()
     table1_rows(61, engine="both", ctx=ctx)
-    assert _counters(ctx.complex_ctx) == (6_095, 5_692, 58, 58)
-    assert _counters(ctx) == (991, 870, 30, 30)
+    assert _counters(ctx.complex_ctx) == (3_163, 2_845, 58, 58)
+    assert _counters(ctx) == (526, 435, 30, 30)
     assert (ctx.complex_ctx.max_depth, ctx.max_depth) == (2, 1)
