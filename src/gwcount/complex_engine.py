@@ -39,12 +39,12 @@ of T and u = w * i / M that of K - H^c over S, the first product weighs F(K)
 by d2 * u and the second by d1 * (w - u), as C(M-1, i-1) + C(M-1, i) =
 C(M, i); d2 = d - d1 makes the coefficient d * u - d1 * w.  Each split of T
 comes from a product (i >= 1 or i < M), so each factor is looked up once.
-Every step of both engines runs through one loop, ``product_sum(lctx, rctx,
-rdim, N, d, R, splits, weight, h, explicit)``, here with weight 1, R = T +
-H^e, h = a, the splits ``_fold`` weighs and the three explicit terms above.
-The loop evaluates the sum only at the one (d1, f) per split that balances
-the left factor: every other (d1, f) gives 0 by rule 2, and f = 0 or f = N
-by rule 4.  At d = 1 no degree split exists, so it draws no split.
+Every step of both engines runs through one loop, ``product_sum``, here with
+weight 1, R = T + H^e, h = a, the rows (code, k, total_codim, d * u, w) of
+``enumerate_splits(T, 1, d, c)`` and the three explicit terms above.  It
+evaluates only the one (d1, f) per split that balances the left factor: every
+other (d1, f) gives 0 by rule 2, and f = 0 or f = N by rule 4.  At d = 1 no
+degree split exists, so the step builds no split.
 
 All arithmetic is exact; only the results of step 7 are memoized, keyed on
 the core (the cheap structural rules are recomputed on the fly), so the memo
@@ -234,19 +234,8 @@ def wdvv_step(
     S = T.remove(c)
     explicit = ((d, S.add_all((a + c, e))), (1, S.add_all((a, c, e + 1))),
                 (-d, S.add_all((a, c + e))))
-    splits = _fold(enumerate_splits(T, 1), d, c, T.multiplicity(c), 1)
+    splits = enumerate_splits(T, 1, d, c) if d > 1 else ()  # d1 + d2 = d, d1, d2 >= 1
     return product_sum(ctx, ctx, N, N, d, R, splits, 1, a, explicit)
-
-
-def _fold(splits: Iterable[tuple[int, ...]], d: int, c: int, M: int, weight: int) -> list:
-    """The splits (code, k, total_codim, w) of T, which holds M copies of H^c,
-    each with a step's coefficient d * u - d1 * w as the pair (d * u, w), u =
-    w * i / (weight * M) for i copies in K; none when d <= weight."""
-    if d <= weight:
-        return []
-    bc, wM = B * c, weight * M
-    return [(code, k, total, d * (w * (code >> bc & MASK) // wM), w)
-            for code, k, total, w in splits]
 
 
 def product_sum(lctx: EvalContext, rctx: EvalContext, rdim: int, N: int, d: int,

@@ -4,18 +4,18 @@ Provides the canonical multiset of insertion codimensions (``CodimVector``,
 one integer code beside its insertion count and total codimension, whose
 classes every decoder here and in ``cache`` walks through ``_classes``), the two
 invariant key types and the weighted splittings of an insertion multiset,
-``enumerate_splits``, each a flat (code, k, total_codim, weight) tuple of its
-left part alone.  The one split-sum loop, ``complex_engine.product_sum``,
-turns a left part and its complement into factors by adding and subtracting
-integers.  All is pure and exact: values are Python ints, keys are immutable
-and hashable.
+``enumerate_splits``, each a flat row (code, k, total_codim, a, b) of its left
+part alone, built in one pass from cached per-class rows.  The one split-sum
+loop, ``complex_engine.product_sum``, turns a left part and its complement
+into factors by adding and subtracting integers.  All is pure and exact:
+values are Python ints, keys are immutable and hashable.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
 from operator import itemgetter
 
 __all__ = [
@@ -220,22 +220,34 @@ class RealKey(frozen_record("RealKey", "n d insertions phi")):
         return super().__new__(cls, n, d, insertions, phi)
 
 
-def enumerate_splits(cv: CodimVector, per_element_weight: int = 1) -> Iterator[tuple[int, ...]]:
-    """All splittings of a multiset into an ordered pair (I, J = cv - I).
+@lru_cache(maxsize=128)  # what a sweep of small keys reuses; a wide class's rows are big
+def _class_rows(c: int, m: int, w: int, moved: bool) -> tuple[tuple[int, ...], ...]:
+    """(i << B*c, i, c*i, a, b) for i = 0..m copies of class c in K: b = C(m, i) * w^i,
+    and a = b, or b * i / (w * m) = C(m-1, i-1) * w^(i-1) for the moved class."""
+    rows, b = [], 1
+    for i in range(m + 1):
+        rows.append((i << B * c, i, c * i, b * i // (w * m) if moved else b, b))
+        b = b * (m - i) * w // (i + 1)
+    return tuple(rows)
 
-    Splittings of labeled insertions collapse class-by-class: choosing i of
-    the m copies of codimension c contributes a factor C(m, i), and each
-    element routed into I additionally carries ``per_element_weight``.  Each
-    split is the flat tuple (I's code, k, total_codim, weight), the weight the
-    product over classes of C(m_c, i_c) * w^{i_c}, so the weights of all
-    splits sum to (1 + w)^k.  J is never built: subtract I's fields from cv's.
+
+def enumerate_splits(cv: CodimVector, weight: int, d: int, moved: int) -> Iterator[tuple]:
+    """The splits (K, cv - K) of a multiset as flat rows (K's code, k,
+    total_codim, a, b), weighed for a split sum that moves one copy of class
+    ``moved`` out of K; cv - K is never built: subtract K's fields from cv's.
+
+    Choosing i of the m copies of class c gives C(m, i) ways and each entry in
+    K carries w = ``weight``, so b = prod of C(m_c, i_c) * w^{i_c} (all b sum
+    to (1 + w)^k), and a = d * u, u = b * i / (w * M) for i of the M copies of
+    ``moved``: K less one ``moved`` weighed as a split of cv less one.  One
+    pass multiplies cached per-class rows onto (0, 0, 0, d, 1), last class fastest.
     """
     cv.k, cv.total_codim  # unused, but bench/tracing.py counts these property calls
-    # (I's code, k, total, weight) per split so far; the newest class varies fastest.
-    splits = [(0, 0, 0, 1)]
+    if not cv.multiplicity(moved):
+        raise ValueError(f"the moved class {moved} is not in the multiset")
+    rows = [(0, 0, 0, d, 1)]
     for c, m in cv.pairs:
-        choices = [(i << B * c, i, c * i, math.comb(m, i) * per_element_weight**i)
-                   for i in range(m + 1)]
-        splits = [(icode + ccode, ik + i, itotal + ci, weight * wi)
-                  for icode, ik, itotal, weight in splits for ccode, i, ci, wi in choices]
-    return iter(splits)
+        choices = _class_rows(c, m, weight, c == moved)
+        rows = [(code + ccode, k + i, total + ci, a * ai, b * bi)
+                for code, k, total, a, b in rows for ccode, i, ci, ai, bi in choices]
+    return iter(rows)

@@ -13,7 +13,15 @@ from gwcount import (
     eval_complex,
 )
 from gwcount.complex_engine import complex_rules
-from gwcount.keys import B, MAX_CODIM, MAX_HELD_INSERTIONS, MAX_INSERTIONS, _new
+from gwcount.keys import (
+    B,
+    MASK,
+    MAX_CODIM,
+    MAX_HELD_INSERTIONS,
+    MAX_INSERTIONS,
+    _class_rows,
+    _new,
+)
 from gwcount.real_engine import real_rules
 
 
@@ -148,32 +156,54 @@ def test_keys_reject_a_dimension_or_degree_that_is_not_an_int(dim, d):
 
 
 def test_enumerate_splits_weight_sums():
-    for entries in ([3], [3, 3], [3, 3, 5], [2, 3, 3, 5, 5], []):
+    # The weights b sum to (1 + w)^k, and the moved class's u = a / d to
+    # (1 + w)^(k - 1), the weights of the splits of the multiset less one copy.
+    for entries in ([3], [3, 3], [3, 3, 5], [2, 3, 3, 5, 5]):
         cv = CodimVector.from_entries(entries)
+        count = 1
+        for _, m in cv.pairs:
+            count *= m + 1
         for w in (1, 2, 3):
-            splits = list(enumerate_splits(cv, w))
-            count = 1
-            for _, m in cv.pairs:
-                count *= m + 1
-            assert len(splits) == count
-            assert sum(weight for *_, weight in splits) == (1 + w) ** cv.k
+            for moved, _ in cv.pairs:
+                splits = list(enumerate_splits(cv, w, 7, moved))
+                assert len(splits) == count
+                assert sum(b for *_, b in splits) == (1 + w) ** cv.k
+                assert sum(a for *_, a, _ in splits) == 7 * (1 + w) ** (cv.k - 1)
+
+
+def test_enumerate_splits_needs_the_moved_class():
+    for cv, moved in ((CodimVector.of(3, 5), 4), (CodimVector.of(), 0)):
+        with pytest.raises(ValueError, match="moved class"):
+            enumerate_splits(cv, 1, 2, moved)
 
 
 def test_enumerate_splits_parts_recombine():
-    # Each left part I fits inside the multiset digit by digit, so that its
-    # complement S - I, which the split sum forms by subtracting fields, is one too.
+    # Each left part K fits inside the multiset digit by digit, so that its
+    # complement S - K, which the split sum forms by subtracting fields, is one too.
     cv = CodimVector.of(2, 3, 3, 5)
-    for icode, ik, itotal, weight in enumerate_splits(cv, 2):
-        assert weight > 0
+    for icode, ik, itotal, a, b in enumerate_splits(cv, 2, 5, 3):
+        assert b > 0 and (a > 0) == (icode >> B * 3 & MASK > 0)  # u > 0 iff K holds a 3
         pairs = _new(CodimVector, (icode, ik, itotal)).pairs
         assert all(0 < m <= cv.multiplicity(c) for c, m in pairs)
         assert (ik, itotal) == (sum(m for _, m in pairs), sum(c * m for c, m in pairs))
 
 
+def test_the_row_cache_is_bounded():
+    # The per-class rows live in a cache of a fixed size, and rows built with a
+    # huge degree are as exact as any: a = d * u and b = w, here on 3 * 3 splits.
+    assert _class_rows.cache_info().maxsize == 128
+    d = 10**4999 + 7
+    rows = list(enumerate_splits(CodimVector.of(3, 3, 5, 5), 2, d, 5))
+    assert [(a, b) for *_, a, b in rows] == [
+        (0, 1), (d, 4), (2 * d, 4), (0, 4), (4 * d, 16), (8 * d, 16),
+        (0, 4), (4 * d, 16), (8 * d, 16)]
+    assert _class_rows.cache_info().currsize <= 128
+
+
 def test_enumerate_splits_involution_symmetry():
     cv = CodimVector.of(3, 3, 5, 5, 5)
     code, k, total = cv
-    seen = {(icode, ik, itotal): w for icode, ik, itotal, w in enumerate_splits(cv, 1)}
+    seen = {(icode, ik, itotal): b for icode, ik, itotal, _, b in enumerate_splits(cv, 1, 2, 5)}
     assert len(seen) == 12
     for (icode, ik, itotal), w in seen.items():
         assert seen[(code - icode, k - ik, total - itotal)] == w  # the complement J = S - I

@@ -13,9 +13,10 @@ finds, each right factor only after a nonzero left one, and returns the same
 sum.  Each caller's folded sum, one product per split of S + c, gives the
 value of the two products per split of S that its relation states, and
 looks up the same memo keys; the splits come in the order
-``itertools.product`` gives them.  The canonical pivot and designation,
-read from the packed code, are the slots their definitions name in the
-sorted entries.
+``itertools.product`` gives them, and their rows, built in one pass from
+cached per-class rows, equal those of a two-pass build.  The canonical pivot
+and designation, read from the packed code, are the slots their definitions
+name in the sorted entries.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from gwcount import (
     eval_real,
 )
 from gwcount.complex_engine import product_sum, wdvv_step
-from gwcount.keys import MASK, MAX_CODIM, B, _new, enumerate_splits
+from gwcount.keys import MASK, MAX_CODIM, B, _class_rows, _new, enumerate_splits
 from gwcount.real_engine import recursion_step, theorem12_residual
 
 from test_complex_engine import Recorder, _random_pivot_rule
@@ -263,8 +264,8 @@ def test_product_sum_matches_a_plain_loop(case):
     N, d, T, R, weight, seed, h, explicit = case
     rdim = N + 1  # no left factor is looked up on it, so the log tells the sides apart
     rng = random.Random(seed)
-    splits = [(icode, ik, itotal, rng.randint(-5, 5), rng.randint(-5, 5))
-              for icode, ik, itotal, _ in enumerate_splits(T, weight)]
+    splits = [(*I, rng.randint(-5, 5), rng.randint(-5, 5))
+              for I, _, _ in _splits_by_product(T, weight)]
     parts = [((icode, ik, itotal), (R[0] - icode, R[1] - ik, R[2] - itotal),
               lambda d1, a=a, b=b: a - b * d1, (h,), ()) for icode, ik, itotal, a, b in splits]
     expected, expected_sum = _plain_sum(N, rdim, d, weight, parts, explicit, Recorder.value)
@@ -329,9 +330,9 @@ def relations(draw):
 @example(case=("transfer", 2, 5, [3, 3, 3, 1], 1))  # c_1 = c_2
 def test_the_folded_sum_matches_the_two_product_sum(case):
     # The plain loop of the two products per split of S, as in the relation
-    # each caller states, is the oracle: the fold must give the same value and
-    # look up the same memo keys.  Its lookups answer by the divisor axiom, on
-    # which the fold rests.
+    # each caller states, is the oracle: the one product per weighed split of
+    # S + c must give the same value and look up the same memo keys.  Its
+    # lookups answer by the divisor axiom, on which the folding rests.
     kind, dim, d, entries, slots = case
     cv, ctx = CodimVector.from_entries(entries), DivisorRecorder()
     if kind == "complex":
@@ -375,13 +376,47 @@ def _splits_by_product(cv: CodimVector, per_element_weight: int):
 
 
 @settings(max_examples=100, deadline=None, database=None)
-@given(classes=st.dictionaries(st.integers(0, 12), st.integers(1, 3), max_size=4),
-       weight=st.sampled_from((1, 2)))
-@example(classes={2: 1, 5: 2}, weight=1)
-def test_enumerate_splits_follows_product_order(classes, weight):
+@given(classes=st.dictionaries(st.integers(0, 12), st.integers(1, 3), min_size=1, max_size=4),
+       weight=st.sampled_from((1, 2)), pick=st.integers(0, 3))
+@example(classes={2: 1, 5: 2}, weight=1, pick=1)
+def test_enumerate_splits_follows_product_order(classes, weight, pick):
     # Memo order and max_depth follow the order of the splits, not just their set.
     cv = CodimVector(sorted(classes.items()))
+    moved = sorted(classes)[pick % len(classes)]
     code, k, total = cv
-    got = [((icode, ik, itotal), (code - icode, k - ik, total - itotal), w)
-           for icode, ik, itotal, w in enumerate_splits(cv, weight)]
+    got = [((icode, ik, itotal), (code - icode, k - ik, total - itotal), b)
+           for icode, ik, itotal, _, b in enumerate_splits(cv, weight, 3, moved)]
     assert got == [(tuple(I), tuple(J), w) for I, J, w in _splits_by_product(cv, weight)]
+
+
+def _two_pass_rows(cv: CodimVector, weight: int, d: int, moved: int) -> list:
+    """Rows built in two passes, the oracle of the fused build: every split
+    (code, k, total_codim, w) of ``cv``, last class fastest, then each weighed
+    with (d * u, w), u = w * i / (weight * M) for i of the M copies of ``moved``."""
+    splits = [(0, 0, 0, 1)]
+    for c, m in cv.pairs:
+        choices = [(i << B * c, i, c * i, comb(m, i) * weight**i) for i in range(m + 1)]
+        splits = [(icode + ccode, ik + i, itotal + ci, w * wi)
+                  for icode, ik, itotal, w in splits for ccode, i, ci, wi in choices]
+    bc, wM = B * moved, weight * cv.multiplicity(moved)
+    return [(code, k, total, d * (w * (code >> bc & MASK) // wM), w)
+            for code, k, total, w in splits]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(others=st.dictionaries(st.integers(1, 12), st.integers(1, 3), max_size=3),
+       moved=st.integers(1, 12), M=st.integers(1, 5), weight=st.sampled_from((1, 2)),
+       d=st.one_of(st.integers(0, 3), st.integers(0, 10**80)), cold=st.booleans())
+@example(others={}, moved=3, M=1, weight=1, d=0, cold=True)  # the moved class alone
+@example(others={2: 2, 7: 1}, moved=5, M=4, weight=2, d=1, cold=False)
+@example(others={5: 3}, moved=5, M=2, weight=2, d=10**60, cold=True)  # others fold into moved
+def test_fused_rows_match_the_two_pass_build(others, moved, M, weight, d, cold):
+    # d runs from just above the weight to far beyond it; a cold cache builds
+    # every class's rows afresh, and the second build reads them all warm.
+    classes = {**others, moved: others.get(moved, 0) + M}
+    cv, d = CodimVector(sorted(classes.items())), weight + 1 + d
+    if cold:
+        _class_rows.cache_clear()
+    want = _two_pass_rows(cv, weight, d, moved)
+    assert list(enumerate_splits(cv, weight, d, moved)) == want
+    assert list(enumerate_splits(cv, weight, d, moved)) == want
