@@ -40,8 +40,8 @@ by d2 * u and the second by d1 * (w - u), as C(M-1, i-1) + C(M-1, i) =
 C(M, i); d2 = d - d1 makes the coefficient d * u - d1 * w.  Each split of T
 comes from a product (i >= 1 or i < M), so each factor is looked up once.
 Every step of both engines runs through one loop, ``product_sum``, here with
-weight 1, R = T + H^e, h = a, the rows (code, k, total_codim, d * u, w) of
-``enumerate_splits(T, 1, d, c)`` and the three explicit terms above.  It
+weight 1, R = T + H^e, h = a, the grouped rows (code, k, total_codim, d * u,
+w) of ``enumerate_splits(T, 1, d, c)`` and the three explicit terms above.  It
 evaluates only the one (d1, f) per split that balances the left factor: every
 other (d1, f) gives 0 by rule 2, and f = 0 or f = N by rule 4.  At d = 1 no
 degree split exists, so the step builds no split.
@@ -53,12 +53,12 @@ driver strips the m divisor entries of a key and looks up the rest in
 ``solved``, the values of its own steps.  Each is a core with d >= 1, and H^1
 entries keep the dimension balance, so a hit is exactly a key whose core was
 solved, and its value is d^m times the stored one.  Only a miss runs the
-rules, on the core.  A step is a generator: it yields each lookup as one
-flat request (ctx, dim, d, code, k, total), is sent its value and returns its
-own.  One loop, ``EvalContext.run``, drives every step; a miss starts its
-core's step while the steps that wait on it stay on a list, so no key recurses
-through Python frames.  ``max_depth`` is the deepest nesting of a context's
-own steps; steps of another engine's context do not count.
+rules, on the core.  A step is a generator: it yields each lookup but a split
+factor in ``solved`` as one flat request (ctx, dim, d, code, k, total), is
+sent its value and returns its own.  One loop, ``EvalContext.run``, drives
+every step; a miss starts its core's step while the steps that wait on it stay
+on a list, so no key recurses through Python frames.  ``max_depth`` is the
+deepest nesting of a context's own steps, not of another engine's context's.
 """
 
 from __future__ import annotations
@@ -110,16 +110,16 @@ class EvalContext:
     """Memo table, counters and the evaluation driver of both engines.
 
     A subclass supplies its pure ``rules`` and its ``step(dim, d, core)``, a
-    generator of requests (module docstring).  Only ``run`` reads a key's
-    shape: it takes a request's code, k and total_codim as three ints, strips
-    its m divisor entries if d >= 1 and hands ``rules`` the core left, typed
-    as a ``CodimVector``; ``rules`` returns the core's value or None (it needs
-    a step), and the key's value is d^m times the core's.  ``solved`` holds
-    the values of this context's own steps, all cores; ``memo`` holds them and
-    any warmed ones.  Counting happens only in ``run``: each lookup ends as a
-    memo hit (``hits``), a structural end (``ends``) or a deep evaluation, and
-    ``calls`` in ``stats`` is their sum.  Nothing is locked: one thread uses a
-    context.
+    generator of requests (module docstring).  ``run`` takes a request's
+    code, k and total_codim as three ints, strips its m divisor entries if
+    d >= 1 and hands ``rules`` the core left, typed as a ``CodimVector``;
+    ``rules`` returns the core's value or None (it needs a step), and the
+    key's value is d^m times the core's.  ``solved`` holds the values of this
+    context's own steps, all cores; ``memo`` holds them and any warmed ones.
+    Each lookup ends as a memo hit (``hits``, counted here or, for a split
+    factor in ``solved``, in ``product_sum``), a structural end (``ends``) or
+    a deep evaluation, and ``calls`` in ``stats`` is their sum.  Nothing is
+    locked: one thread uses a context.
     """
 
     __slots__ = ("memo", "solved", "hits", "ends", "deep_evals", "depth", "max_depth")
@@ -239,31 +239,46 @@ def wdvv_step(
 
 
 def product_sum(lctx: EvalContext, rctx: EvalContext, rdim: int, N: int, d: int,
-                R: CodimVector, splits: Iterable[tuple[int, ...]], weight: int, h: int,
-                explicit: Iterable[tuple[int, CodimVector]]) -> Step:
+                R: CodimVector, splits: Iterable[tuple[tuple[int, ...], tuple]], weight: int,
+                h: int, explicit: Iterable[tuple[int, CodimVector]]) -> Step:
     """A step: sum of c * <v>_d over ``explicit`` (c, v) pairs, looked up in
     ``rctx`` on ``rdim``, plus the folded degeneration sum over a diagonal of
     P^N: sum of (a - b * d1) * <H^h, K, H^x>_{d1} * <R - K, H^(N-x)>_{d2} over
-    ``splits`` (K's code, k, total_codim, a, b) of a part of R, degrees
-    weight*d1 + d2 = d with d1, d2 >= 1 and classes 0 < x < N, x a multiple
-    of ``weight`` (1 for a complex sum, 2 for a real one).  The left factor is
-    balanced only at (-d1, x) = divmod(N - 1 - h + k(K) - sum(K), N + 1), so
-    each split is solved once.  It is looked up in ``lctx`` on P^N and, if it
-    is nonzero, the right one, whose fields are R's less K's, in ``rctx`` on
-    ``rdim``; the driver counts each request, types its core and peels H^1s.
+    the grouped ``splits`` K (code, k, total_codim, a, b) of a part of R,
+    degrees weight*d1 + d2 = d with d1, d2 >= 1 and classes 0 < x < N, x a
+    multiple of ``weight`` (1 for a complex sum, 2 for a real one).  The left
+    factor is balanced only at (-d1, x) = divmod(N - 1 - h + k(K) - sum(K),
+    N + 1), so each split is solved once.  It is looked up in ``lctx`` on P^N
+    and, if it is nonzero, the right one, whose fields are R's less K's, in
+    ``rctx`` on ``rdim``, here if its core is solved and else by the driver.
     """
     total = 0
     for coefficient, (code, k, codim) in explicit:
         total += coefficient * (yield rctx, rdim, d, code, k, codim)
     shift, lcode, rcode, rk, rt = N - 1 - h, 1 << B * h, R[0], R[1] + 1, R[2] + N
-    for kcode, kk, ktotal, a, b in splits:
-        q, x = divmod(shift + kk - ktotal, N + 1)
-        if 0 < -weight * q < d and 0 < x < N and x % weight == 0:
-            t = yield lctx, N, -q, kcode + lcode + (1 << B * x), kk + 2, ktotal + h + x
-            if t:  # the right factor: R - K and H^(N-x)
-                total += (a + b * q) * t * (yield rctx, rdim, d + weight * q,
-                                            rcode - kcode + (1 << B * (N - x)), rk - kk,
-                                            rt - ktotal - x)
+    lsolved, rsolved, b, mask = lctx.solved, rctx.solved, B, MASK
+    for (pcode, pk, ptotal, pa, pb), table in splits:
+        base = shift + pk - ptotal
+        for ccode, i, ci, ai, bi in table:
+            q, x = divmod(base + i - ci, N + 1)
+            if 0 < -weight * q < d and 0 < x < N and x % weight == 0:
+                kcode, kk, ktotal = pcode + ccode, pk + i, ptotal + ci
+                code = kcode + lcode + (1 << b * x)  # d1, d2 >= 1: peel H^1s as the driver does
+                m = code >> b & mask
+                if (t := lsolved.get((N, -q, code - (m << b)))) is None:
+                    t = yield lctx, N, -q, code, kk + 2, ktotal + h + x
+                else:
+                    lctx.hits += 1
+                    t *= (-q)**m
+                if t:  # the right factor: R - K and H^(N-x)
+                    d2, code = d + weight * q, rcode - kcode + (1 << b * (N - x))
+                    m = code >> b & mask
+                    if (r := rsolved.get((rdim, d2, code - (m << b)))) is None:
+                        r = yield rctx, rdim, d2, code, rk - kk, rt - ktotal - x
+                    else:
+                        rctx.hits += 1
+                        r *= d2**m
+                    total += (pa * ai + pb * bi * q) * t * r
     return total
 
 

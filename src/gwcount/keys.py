@@ -4,11 +4,11 @@ Provides the canonical multiset of insertion codimensions (``CodimVector``,
 one integer code beside its insertion count and total codimension, whose
 classes every decoder here and in ``cache`` walks through ``_classes``), the two
 invariant key types and the weighted splittings of an insertion multiset,
-``enumerate_splits``, each a flat row (code, k, total_codim, a, b) of its left
-part alone, built in one pass from cached per-class rows.  The one split-sum
-loop, ``complex_engine.product_sum``, turns a left part and its complement
-into factors by adding and subtracting integers.  All is pure and exact:
-values are Python ints, keys are immutable and hashable.
+``enumerate_splits``, each a row (code, k, total_codim, a, b) of its left part
+alone, grouped by the choices below the highest class, from cached per-class
+rows.  The one split-sum loop, ``complex_engine.product_sum``, turns a left
+part and its complement into factors by adding and subtracting integers.  All
+is pure and exact: values are Python ints, keys are immutable and hashable.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
+from itertools import repeat
 from operator import itemgetter
 
 __all__ = [
@@ -31,6 +32,7 @@ MASK = (1 << B) - 1  # the multiplicity of class c is (code >> B*c) & MASK
 MAX_INSERTIONS = MASK - 2  # 2^B - 3, so that no step carries a digit (CodimVector)
 MAX_HELD_INSERTIONS = MASK  # the most insertions any vector, memo key or cache record holds
 MAX_CODIM = 1024
+MAX_CACHED_COPIES = 128  # the most copies of a class whose split rows stay cached (_class_rows)
 INVOLUTIONS = ("tau", "eta")
 _new = tuple.__new__  # _new(CodimVector, (code, k, total_codim)) skips the sums
 
@@ -220,10 +222,11 @@ class RealKey(frozen_record("RealKey", "n d insertions phi")):
         return super().__new__(cls, n, d, insertions, phi)
 
 
-@lru_cache(maxsize=128)  # what a sweep of small keys reuses; a wide class's rows are big
+@lru_cache(maxsize=128)  # what a sweep of small keys reuses
 def _class_rows(c: int, m: int, w: int, moved: bool) -> tuple[tuple[int, ...], ...]:
     """(i << B*c, i, c*i, a, b) for i = 0..m copies of class c in K: b = C(m, i) * w^i,
-    and a = b, or b * i / (w * m) = C(m-1, i-1) * w^(i-1) for the moved class."""
+    and a = b, or b * i / (w * m) = C(m-1, i-1) * w^(i-1) for the moved class.
+    ``enumerate_splits`` retains a table only if m <= MAX_CACHED_COPIES."""
     rows, b = [], 1
     for i in range(m + 1):
         rows.append((i << B * c, i, c * i, b * i // (w * m) if moved else b, b))
@@ -232,22 +235,26 @@ def _class_rows(c: int, m: int, w: int, moved: bool) -> tuple[tuple[int, ...], .
 
 
 def enumerate_splits(cv: CodimVector, weight: int, d: int, moved: int) -> Iterator[tuple]:
-    """The splits (K, cv - K) of a multiset as flat rows (K's code, k,
-    total_codim, a, b), weighed for a split sum that moves one copy of class
-    ``moved`` out of K; cv - K is never built: subtract K's fields from cv's.
+    """The splits (K, cv - K) of a multiset as rows (K's code, k, total_codim,
+    a, b), weighed for a split sum that moves one copy of class ``moved`` out
+    of K; cv - K is never built: subtract K's fields from cv's.
 
     Choosing i of the m copies of class c gives C(m, i) ways and each entry in
     K carries w = ``weight``, so b = prod of C(m_c, i_c) * w^{i_c} (all b sum
     to (1 + w)^k), and a = d * u, u = b * i / (w * M) for i of the M copies of
-    ``moved``: K less one ``moved`` weighed as a split of cv less one.  One
-    pass multiplies cached per-class rows onto (0, 0, 0, d, 1), last class fastest.
+    ``moved``: K less one ``moved`` weighed as a split of cv less one.  The
+    rows come in groups (prefix, table): a row of the choices of every class
+    but the highest, one pass multiplying cached per-class rows onto (0, 0, 0,
+    d, 1), and the highest class's rows, one table for all.  A row is a prefix
+    plus a table row, a and b multiplied; read flat, last class fastest.
     """
     cv.k, cv.total_codim  # unused, but bench/tracing.py counts these property calls
     if not cv.multiplicity(moved):
         raise ValueError(f"the moved class {moved} is not in the multiset")
-    rows = [(0, 0, 0, d, 1)]
-    for c, m in cv.pairs:
-        choices = _class_rows(c, m, weight, c == moved)
-        rows = [(code + ccode, k + i, total + ci, a * ai, b * bi)
-                for code, k, total, a, b in rows for ccode, i, ci, ai, bi in choices]
-    return iter(rows)
+    *head, table = [(_class_rows if m <= MAX_CACHED_COPIES else _class_rows.__wrapped__)(
+        c, m, weight, c == moved) for c, m in cv.pairs]
+    prefixes = [(0, 0, 0, d, 1)]
+    for choices in head:
+        prefixes = [(code + ccode, k + i, total + ci, a * ai, b * bi)
+                    for code, k, total, a, b in prefixes for ccode, i, ci, ai, bi in choices]
+    return zip(prefixes, repeat(table))

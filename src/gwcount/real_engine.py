@@ -31,12 +31,12 @@ weighted 2 per element routed into I:
         - d1 * <c_1 - 1, I, 2i>^C_{d1} * <c_2, J, j>_{d2}
 
 where <...>^C are complex invariants of P^{2n-1} evaluated by the shared
-complex engine.  Step 6 folds its products as step 7 does, over the rows
-(code, k, total_codim, d * u, w) of ``enumerate_splits(T, 2, d, c_2)``, T =
-rest + c_2: d2 = d - 2 * d1 makes the coefficient d * u - d1 * w.  Step 6 and
-``theorem12_residual`` run through ``complex_engine.product_sum``, which
-solves each split's one balanced (d1, 2i), with weight 2 and their other
-lookups as its explicit terms; below d = 3 neither builds a split.
+complex engine.  Step 6 folds its products as step 7 does, over the grouped
+rows (code, k, total_codim, d * u, w) of ``enumerate_splits(T, 2, d, c_2)``,
+T = rest + c_2: d2 = d - 2 * d1 makes the coefficient d * u - d1 * w.  Step
+6 and ``theorem12_residual`` run through ``complex_engine.product_sum``,
+which solves each split's one balanced (d1, 2i), with weight 2 and their
+other lookups as its explicit terms; below d = 3 neither builds a split.
 ``EvalContext.run`` drives the real steps and the complex ones they start in
 one loop.  Only step-6 results are memoized, keyed on (n, d, core insertions).
 """
@@ -170,8 +170,11 @@ def theorem12_residual(
     c1, c2 = c_list[:2]
     lhs = ((1, cv.remove(c2).add(c2 + 2 * c)), (-1, cv.remove(c1).add(c1 + 2 * c)))
     M1, M2 = cv.multiplicity(c1), cv.multiplicity(c2)
-    splits = [(code, k, total, u2 - w * i1 // (2 * M1), 0)  # LHS - RHS: u_2 - u_1
-              for code, k, total, u2, w in (enumerate_splits(cv, 2, 1, c2) if d > 2 else ())
+    groups = enumerate_splits(cv, 2, 1, c2) if d > 2 else ()
+    one = ((0, 0, 0, 1, 1),)  # a table of one row: each split below is its own group
+    splits = [((code, k, total, u2 - w * i1 // (2 * M1), 0), one)  # LHS - RHS: u_2 - u_1
+              for (pcode, pk, ptotal, pu, pw), table in groups for ccode, i, ci, ui, wi in table
+              for code, k, total, u2, w in [(pcode + ccode, pk + i, ptotal + ci, pu * ui, pw * wi)]
               for i1, i2 in [(code >> B * c1 & MASK, code >> B * c2 & MASK)]
               if i1 and i2 < M2 or i2 and i1 < M1]  # c_m in K, and T - K holds the other
     return ctx.run(product_sum(ctx.complex_ctx, ctx, n, 2 * n - 1, d, cv, splits, 2, 2 * c, lhs))

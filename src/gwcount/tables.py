@@ -15,7 +15,7 @@ exponents of 2n-1, 2n-3, ..., 3.
 
 from __future__ import annotations
 
-from .keys import CodimVector, RealKey, frozen_record
+from .keys import B, MAX_INSERTIONS, CodimVector, RealKey, _new, frozen_record
 from .p3 import real_codim_vectors, real_series_p3
 from .real_engine import RealEvalContext, eval_real
 
@@ -69,11 +69,13 @@ def table1_rows(
         series = real_series_p3(dmax)
         closed = [series[d] for d in degrees]
     if engine in ("general", "both"):
+        if degrees[-1] > MAX_INSERTIONS:  # the error CodimVector.of(*[3] * d) raises
+            raise ValueError(f"a vector holds at most {MAX_INSERTIONS} insertions")
         if ctx is None:
             ctx = RealEvalContext()
         general = []
-        for d in degrees:
-            raw = eval_real(RealKey(n=2, d=d, insertions=CodimVector.of(*[3] * d)), ctx)
+        for d in degrees:  # the key <3^d>_d of P^3, packed in O(1)
+            raw = eval_real(RealKey(2, d, _new(CodimVector, (d << B * 3, d, 3 * d))), ctx)
             general.append((-1) ** ((d - 1) // 2) * raw)
     if closed is not None and general is not None:
         diffs = [

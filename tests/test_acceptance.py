@@ -29,6 +29,7 @@ from gwcount.tables import table2_rows
 
 from golden import COMPLEX_P3_N, COMPLEX_P3_NTILDE, TABLE1, TABLE2_P5, TABLE2_P7
 from test_complex_engine import PIVOT_SAMPLE_KEYS, _random_pivot_rule
+from test_keys import flat_rows
 from test_real_engine import DESIGNATION_SAMPLE_KEYS, _random_designation_rule
 
 
@@ -181,7 +182,8 @@ def test_criterion_7_structural_suites(tmp_path, capsys):
         for raw in ((3, 3, 3), (2, 3, 5, 5), (3,) * 6):
             cv = CodimVector.from_entries(raw)
             for w in (1, 2):
-                assert sum(wt for *_, wt in enumerate_splits(cv, w, 2, raw[0])) == (1 + w) ** cv.k
+                assert sum(wt for *_, wt in flat_rows(enumerate_splits(cv, w, 2, raw[0]))) \
+                    == (1 + w) ** cv.k
 
         # warm-cache vs cold-cache equality plus save/load round trip
         cold_c = ComplexEvalContext()

@@ -18,11 +18,14 @@ from gwcount import (
     complex_series_p3,
     eval_complex,
     eval_real,
+    theorem12_residual,
 )
 from gwcount import complex_engine, real_engine
 from gwcount.complex_engine import product_sum, wdvv_step
-from gwcount.keys import enumerate_splits
-from gwcount.p3 import complex_codim_vectors, real_series_p3
+from gwcount.checks import theorem12_samples
+from gwcount.keys import B, MASK, enumerate_splits
+from gwcount.p3 import (complex_codim_vectors, real_codim_vectors,
+                        real_series_p3)
 
 from golden import COMPLEX_P3_N, COMPLEX_P3_NTILDE, KONTSEVICH_P2, SCHUBERT_P3_LINES, TABLE2_P5
 
@@ -34,10 +37,13 @@ def C(ctx, N, d, *cs):
 class Recorder:
     """A stand-in context: ``run`` drives a step, and ``evaluate`` logs each of
     its lookups as (dim, d, (code, k, total)) and answers ``value`` of it, a
-    fixed function that is 0 for some lookups."""
+    fixed function that is 0 for some lookups.  It has solved no key, so
+    ``product_sum`` answers none of its lookups in place."""
 
     def __init__(self) -> None:
         self.log: list = []
+        self.solved: dict = {}
+        self.hits = 0
 
     @staticmethod
     def value(dim: int, d: int, cv) -> int:
@@ -382,6 +388,91 @@ def test_the_rules_see_only_typed_cores(monkeypatch):
     T, ctx = CodimVector.of(5, 5, 3, 3), Recorder()  # a real step's splits, H^5 moved
     ctx.run(product_sum(ctx, ctx, 3, 5, 7, T, enumerate_splits(T, 2, 7, 5), 2, 4, ()))
     assert ctx.log and all(type(field) is int for *_, cv in ctx.log for field in cv)
+
+
+def _yielding_product_sum(lctx, rctx, rdim, N, d, R, splits, weight, h, explicit):
+    """The reference split loop: ``product_sum`` as it was before it answered
+    solved factors in place.  It reads the same groups and yields every lookup."""
+    total = 0
+    for coefficient, (code, k, codim) in explicit:
+        total += coefficient * (yield rctx, rdim, d, code, k, codim)
+    shift, lcode, rcode, rk, rt = N - 1 - h, 1 << B * h, R[0], R[1] + 1, R[2] + N
+    for (pcode, pk, ptotal, pa, pb), table in splits:
+        for ccode, i, ci, ai, bi in table:
+            kcode, kk, ktotal, a, b = pcode + ccode, pk + i, ptotal + ci, pa * ai, pb * bi
+            q, x = divmod(shift + kk - ktotal, N + 1)
+            if 0 < -weight * q < d and 0 < x < N and x % weight == 0:
+                t = yield lctx, N, -q, kcode + lcode + (1 << B * x), kk + 2, ktotal + h + x
+                if t:
+                    total += (a + b * q) * t * (yield rctx, rdim, d + weight * q,
+                                                rcode - kcode + (1 << B * (N - x)), rk - kk,
+                                                rt - ktotal - x)
+    return total
+
+
+def _watched(inner, crossed):
+    """``inner`` with a log of whether each factor it yields (its explicit
+    terms aside) was already solved, its H^1 entries peeled, when it crossed."""
+    def product_sum(*args):
+        gen, value, skip = inner(*args), None, len(args[-1])
+        while True:
+            try:
+                request = gen.send(value)
+            except StopIteration as done:
+                return done.value
+            ctx, dim, d, code, *_ = request
+            m = code >> B & MASK
+            if skip:
+                skip -= 1
+            else:
+                crossed.append((m, (dim, d, code - (m << B)) in ctx.solved))
+            value = yield request
+
+    return product_sum
+
+
+def _p7_sweep(cctx, rctx):
+    return [eval_real(RealKey(n=4, d=d, insertions=cv), rctx)
+            for d in (1, 3, 5, 7, 9) for cv in real_codim_vectors(4, d)]
+
+
+def _transfers(cctx, rctx):
+    return [theorem12_residual(*sample, rctx) for sample in theorem12_samples()]
+
+
+def _complex_keys(cctx, rctx):
+    return [C(cctx, N, d, *cv.expand()) for N in (3, 4, 5) for d in (1, 2, 3)
+            for cv in complex_codim_vectors(N, d)]
+
+
+def _donor_twos(cctx, rctx):
+    # The canonical donor is a minimal slot, here H^2, so a = 1 and the left
+    # factors carry H^1: the in-place lookups must peel it.
+    return [C(cctx, 3, d, *[2] * (4 * d)) for d in (1, 2, 3, 4)] + \
+        [C(cctx, 4, 3, 2, 2, 2, 4, 4, 4, 4, 4, 4)]
+
+
+@pytest.mark.parametrize("run", [_complex_keys, _p7_sweep, _transfers, _donor_twos])
+def test_in_loop_hits_agree_with_the_driver(monkeypatch, run):
+    # A cold context pair, once with the split loop answering solved factors
+    # in place and once with the reference loop, which yields every factor to
+    # the driver: the same values and the same five counters on each
+    # context, so each hit counts on the context that answered it.
+    results, crossed = [], {}
+    for name, inner in (("in place", product_sum), ("reference", _yielding_product_sum)):
+        crossed[name] = []
+        for module in (complex_engine, real_engine):
+            monkeypatch.setattr(module, "product_sum", _watched(inner, crossed[name]))
+        cctx = ComplexEvalContext()
+        rctx = RealEvalContext(cctx)
+        results.append((run(cctx, rctx), cctx.stats(), rctx.stats()))
+    assert results[0] == results[1]
+    # The reference loop sends solved factors, some with H^1 entries, to the
+    # driver; the in-place loop answers every one of them itself.
+    assert any(solved for _, solved in crossed["reference"])
+    assert not any(solved for _, solved in crossed["in place"])
+    if run is _donor_twos:
+        assert any(m and solved for m, solved in crossed["reference"])
 
 
 @pytest.mark.parametrize("N, d, twos, depth", [(3, 10, 40, 20), (5, 4, 26, 18)])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from math import comb
 
 import pytest
 
@@ -16,6 +17,7 @@ from gwcount.complex_engine import complex_rules
 from gwcount.keys import (
     B,
     MASK,
+    MAX_CACHED_COPIES,
     MAX_CODIM,
     MAX_HELD_INSERTIONS,
     MAX_INSERTIONS,
@@ -23,6 +25,14 @@ from gwcount.keys import (
     _new,
 )
 from gwcount.real_engine import real_rules
+
+
+def flat_rows(groups) -> list:
+    """The rows (code, k, total_codim, a, b) of grouped splits, read flat: each
+    group's prefix plus each of its table rows, fieldwise, a and b multiplied."""
+    return [(pcode + ccode, pk + i, ptotal + ci, pa * ai, pb * bi)
+            for (pcode, pk, ptotal, pa, pb), table in groups
+            for ccode, i, ci, ai, bi in table]
 
 
 def test_normalize_is_permutation_insensitive():
@@ -165,7 +175,7 @@ def test_enumerate_splits_weight_sums():
             count *= m + 1
         for w in (1, 2, 3):
             for moved, _ in cv.pairs:
-                splits = list(enumerate_splits(cv, w, 7, moved))
+                splits = flat_rows(enumerate_splits(cv, w, 7, moved))
                 assert len(splits) == count
                 assert sum(b for *_, b in splits) == (1 + w) ** cv.k
                 assert sum(a for *_, a, _ in splits) == 7 * (1 + w) ** (cv.k - 1)
@@ -181,7 +191,7 @@ def test_enumerate_splits_parts_recombine():
     # Each left part K fits inside the multiset digit by digit, so that its
     # complement S - K, which the split sum forms by subtracting fields, is one too.
     cv = CodimVector.of(2, 3, 3, 5)
-    for icode, ik, itotal, a, b in enumerate_splits(cv, 2, 5, 3):
+    for icode, ik, itotal, a, b in flat_rows(enumerate_splits(cv, 2, 5, 3)):
         assert b > 0 and (a > 0) == (icode >> B * 3 & MASK > 0)  # u > 0 iff K holds a 3
         pairs = _new(CodimVector, (icode, ik, itotal)).pairs
         assert all(0 < m <= cv.multiplicity(c) for c, m in pairs)
@@ -193,17 +203,36 @@ def test_the_row_cache_is_bounded():
     # huge degree are as exact as any: a = d * u and b = w, here on 3 * 3 splits.
     assert _class_rows.cache_info().maxsize == 128
     d = 10**4999 + 7
-    rows = list(enumerate_splits(CodimVector.of(3, 3, 5, 5), 2, d, 5))
+    rows = flat_rows(enumerate_splits(CodimVector.of(3, 3, 5, 5), 2, d, 5))
     assert [(a, b) for *_, a, b in rows] == [
         (0, 1), (d, 4), (2 * d, 4), (0, 4), (4 * d, 16), (8 * d, 16),
         (0, 4), (4 * d, 16), (8 * d, 16)]
     assert _class_rows.cache_info().currsize <= 128
 
 
+def test_a_table_past_the_cap_is_not_retained():
+    # A table of m copies holds m + 1 rows of big ints, so one of more than
+    # MAX_CACHED_COPIES copies is built afresh by each call and never kept.
+    m = MAX_CACHED_COPIES + 1
+    cv = CodimVector.of(3, *[5] * m)
+    _class_rows.cache_clear()
+    first, second = (list(enumerate_splits(cv, 2, 9, 5)) for _ in range(2))
+    info = _class_rows.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)  # the one H^3's table alone
+    assert first == second and first[0][1] is not second[0][1]
+    assert flat_rows(first) == [(j << B * 3 | i << B * 5, i + j, 3 * j + 5 * i,
+                                 9 * 2**j * comb(m - 1, i - 1) * 2 ** (i - 1) if i else 0,
+                                 2**j * comb(m, i) * 2**i)
+                                for j in (0, 1) for i in range(m + 1)]
+    list(enumerate_splits(CodimVector.of(3, *[5] * (m - 1)), 2, 9, 5))
+    assert _class_rows.cache_info().currsize == 2  # a table at the cap is kept
+
+
 def test_enumerate_splits_involution_symmetry():
     cv = CodimVector.of(3, 3, 5, 5, 5)
     code, k, total = cv
-    seen = {(icode, ik, itotal): b for icode, ik, itotal, _, b in enumerate_splits(cv, 1, 2, 5)}
+    seen = {(icode, ik, itotal): b
+            for icode, ik, itotal, _, b in flat_rows(enumerate_splits(cv, 1, 2, 5))}
     assert len(seen) == 12
     for (icode, ik, itotal), w in seen.items():
         assert seen[(code - icode, k - ik, total - itotal)] == w  # the complement J = S - I

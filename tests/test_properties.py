@@ -48,6 +48,7 @@ from gwcount.keys import MASK, MAX_CODIM, B, _class_rows, _new, enumerate_splits
 from gwcount.real_engine import recursion_step, theorem12_residual
 
 from test_complex_engine import Recorder, _random_pivot_rule
+from test_keys import flat_rows
 from test_real_engine import _random_designation_rule
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, database=None)
@@ -264,13 +265,19 @@ def test_product_sum_matches_a_plain_loop(case):
     N, d, T, R, weight, seed, h, explicit = case
     rdim = N + 1  # no left factor is looked up on it, so the log tells the sides apart
     rng = random.Random(seed)
-    splits = [(*I, rng.randint(-5, 5), rng.randint(-5, 5))
-              for I, _, _ in _splits_by_product(T, weight)]
+    # Groups as enumerate_splits makes them: a prefix of the classes below the
+    # highest, and one table of that class's rows that every group shares.
+    *head, (c, m) = T.pairs or [(0, 0)]
+    table = tuple((i << B * c, i, c * i, rng.randint(-5, 5), rng.randint(-5, 5))
+                  for i in range(m + 1))
+    groups = [((*I, rng.randint(-5, 5), rng.randint(-5, 5)), table)
+              for I, _, _ in _splits_by_product(CodimVector(head), weight)]
     parts = [((icode, ik, itotal), (R[0] - icode, R[1] - ik, R[2] - itotal),
-              lambda d1, a=a, b=b: a - b * d1, (h,), ()) for icode, ik, itotal, a, b in splits]
+              lambda d1, a=a, b=b: a - b * d1, (h,), ())
+             for icode, ik, itotal, a, b in flat_rows(groups)]
     expected, expected_sum = _plain_sum(N, rdim, d, weight, parts, explicit, Recorder.value)
     ctx = Recorder()
-    got = ctx.run(product_sum(ctx, ctx, rdim, N, d, R, splits, weight, h, explicit))
+    got = ctx.run(product_sum(ctx, ctx, rdim, N, d, R, groups, weight, h, explicit))
     # Tuples of the vectors, so that the stored k and total codimension match too.
     assert [(dim, degree, tuple(cv)) for dim, degree, cv in ctx.log] == expected
     assert got == expected_sum
@@ -385,7 +392,7 @@ def test_enumerate_splits_follows_product_order(classes, weight, pick):
     moved = sorted(classes)[pick % len(classes)]
     code, k, total = cv
     got = [((icode, ik, itotal), (code - icode, k - ik, total - itotal), b)
-           for icode, ik, itotal, _, b in enumerate_splits(cv, weight, 3, moved)]
+           for icode, ik, itotal, _, b in flat_rows(enumerate_splits(cv, weight, 3, moved))]
     assert got == [(tuple(I), tuple(J), w) for I, J, w in _splits_by_product(cv, weight)]
 
 
@@ -418,5 +425,5 @@ def test_fused_rows_match_the_two_pass_build(others, moved, M, weight, d, cold):
     if cold:
         _class_rows.cache_clear()
     want = _two_pass_rows(cv, weight, d, moved)
-    assert list(enumerate_splits(cv, weight, d, moved)) == want
-    assert list(enumerate_splits(cv, weight, d, moved)) == want
+    assert flat_rows(enumerate_splits(cv, weight, d, moved)) == want
+    assert flat_rows(enumerate_splits(cv, weight, d, moved)) == want

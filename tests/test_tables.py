@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from gwcount import RealEvalContext, real_series_p3, table1_rows, table2_rows
+from gwcount import CodimVector, RealEvalContext, RealKey, real_series_p3, table1_rows, table2_rows
+from gwcount import tables
+from gwcount.keys import MAX_INSERTIONS
 from gwcount.tables import EngineDisagreement, TableRow, format_rows
 
 from golden import TABLE1, TABLE2_P5, TABLE2_P7
@@ -41,6 +43,24 @@ def test_table1_general_engine_matches_closed_series_to_d61():
     # Only the solved (d1, f) of each degeneration term is visited; looping
     # over every degree split and diagonal class took 446,494 calls here.
     assert ctx.complex_ctx.stats()["calls"] < 50_000
+
+
+def test_table1_keys_are_packed_as_the_entries_give_them(monkeypatch):
+    # Each row's key <3^d>_d is built in O(1); it must equal the entry-by-entry
+    # build, fields and all, and past the bound fail with the same error.
+    seen = []
+    monkeypatch.setattr(tables, "eval_real", lambda key, ctx: seen.append(key) or 0)
+    table1_rows(61, engine="general")
+    assert [key.d for key in seen] == list(range(1, 62, 2))
+    for key in seen:
+        assert key == RealKey(n=2, d=key.d, insertions=CodimVector.of(*[3] * key.d))
+        assert tuple(key.insertions) == tuple(CodimVector.of(*[3] * key.d))
+    errors = []
+    for build in (lambda d: table1_rows(d, engine="general"), lambda d: CodimVector.of(*[3] * d)):
+        with pytest.raises(ValueError) as raised:
+            build(MAX_INSERTIONS + 2)
+        errors.append(str(raised.value))
+    assert errors[0] == errors[1] == f"a vector holds at most {MAX_INSERTIONS} insertions"
 
 
 def test_engine_disagreement_payload():
