@@ -1,8 +1,9 @@
 """Cross-cutting consistency suites exposed through ``gw check``.
 
-Each suite returns CheckReports, the pass/fail report type defined here;
-the CLI prints one line per check and exits nonzero when anything fails.
-The suites:
+Each suite runs on the RealEvalContext its caller passes and builds none
+(``gw check`` passes every suite one cold pair).  It returns CheckReports, the
+pass/fail report type defined here; the CLI prints one line per check and
+exits nonzero when anything fails.  The suites:
 
   parity         every dimension-balanced real invariant of P^3, P^5, P^7 and
                  P^9 at small odd degree is odd and nonzero
@@ -87,11 +88,7 @@ class CheckReport(frozen_record("CheckReport", "suite results")):
         return f"{self.suite}: {self.passed_count} passed, {self.failed_count} failed"
 
 
-def parity_report(
-    n: int,
-    d_list: tuple[int, ...] | list[int],
-    ctx: RealEvalContext | None = None,
-) -> CheckReport:
+def parity_report(n: int, d_list: Iterable[int], ctx: RealEvalContext) -> CheckReport:
     """Check that every dimension-balanced real invariant is odd (hence nonzero).
 
     Exhaustive over the base vectors (entries >= 3) for each odd degree in
@@ -99,8 +96,6 @@ def parity_report(
     to 1; padding by further 1s only multiplies values by the odd degree d,
     which preserves oddness.
     """
-    if ctx is None:
-        ctx = RealEvalContext()
     report = CheckReport(f"parity, n={n}")
     for d in d_list:
         if d % 2 == 0:
@@ -146,9 +141,8 @@ def theorem12_samples() -> list[tuple[int, int, int, tuple[int, ...]]]:
             for c_list in _SAMPLE_LISTS[n]]
 
 
-def wdvv_identity_report() -> CheckReport:
+def wdvv_identity_report(ctx: RealEvalContext) -> CheckReport:
     """Residual of the codimension-transfer identity on the sample grid."""
-    ctx = RealEvalContext()
     report = CheckReport("codimension-transfer identity")
     for n, d, c, c_list in theorem12_samples():
         residual = theorem12_residual(n, d, c, c_list, ctx)
@@ -160,17 +154,15 @@ def wdvv_identity_report() -> CheckReport:
     return report
 
 
-def cross_dim_report() -> CheckReport:
+def cross_dim_report(ctx: RealEvalContext) -> CheckReport:
     """Coincidences between invariants of different odd projective spaces."""
-    ctx = RealEvalContext()
 
     def rval(n: int, d: int, entries: dict[int, int]) -> int:
         cv = CodimVector(tuple(sorted((c, m) for c, m in entries.items() if m)))
         return eval_real(RealKey(n=n, d=d, insertions=cv), ctx)
 
     report = CheckReport("cross-dimension coincidences")
-    n3r = real_series_p3(3)[3]
-    report.check_equal("N^R_3 (closed form)", 1, n3r)
+    report.check_equal("N^R_3 (closed form)", 1, real_series_p3(3)[3])
     report.check_equal("|<5^2 3^1>_3 of P^5|", 1, abs(rval(3, 3, {5: 2, 3: 1})))
     report.check_equal("|<7^2 3^1>_3 of P^7|", 1, abs(rval(4, 3, {7: 2, 3: 1})))
     report.check_equal(
@@ -192,7 +184,7 @@ def cross_dim_report() -> CheckReport:
     return report
 
 
-def divisor_report(rctx: RealEvalContext | None = None) -> CheckReport:
+def divisor_report(rctx: RealEvalContext) -> CheckReport:
     """Divisor relation <cv, 1>_d = d * <cv>_d on seeded balanced keys, both engines.
 
     Each of DIVISOR_TRIALS trials draws (dim, d), then a balanced key with at
@@ -202,8 +194,6 @@ def divisor_report(rctx: RealEvalContext | None = None) -> CheckReport:
     terms, not a driver peel.  Complex keys run on ``rctx.complex_ctx``.
     """
     rng = random.Random(DIVISOR_SEED)
-    if rctx is None:
-        rctx = RealEvalContext()
     engines = (
         (rctx.complex_ctx, "complex N", [(N, d) for N in (3, 5) for d in (1, 2, 3)],
          complex_codim_vectors, wdvv_step, canonical_pivot, 3),
@@ -220,27 +210,23 @@ def divisor_report(rctx: RealEvalContext | None = None) -> CheckReport:
     return report
 
 
-def _parity_reports() -> list[CheckReport]:
-    ctx = RealEvalContext()
-    degrees = {2: (1, 3, 5, 7), 3: (1, 3, 5, 7), 4: (1, 3, 5, 7, 9), 5: (1, 3, 5)}
-    return [parity_report(n, ds, ctx) for n, ds in degrees.items()]
+# Target half-dimension n -> odd degrees of the parity suite, in ``gw check`` order.
+PARITY_DEGREES = {2: (1, 3, 5, 7), 3: (1, 3, 5, 7), 4: (1, 3, 5, 7, 9), 5: (1, 3, 5)}
 
-
-# Suite name -> function returning its reports, in ``gw check`` order.
+# Suite name -> function of a RealEvalContext returning its reports, in ``gw check`` order.
 SUITES = {
-    "parity": _parity_reports,
-    "mod4": lambda: [congruence_mod4_report()],
-    "wdvv-identity": lambda: [wdvv_identity_report()],
-    "cross-dim": lambda: [cross_dim_report()],
-    "divisor": lambda: [divisor_report()],
+    "parity": lambda ctx: [parity_report(n, ds, ctx) for n, ds in PARITY_DEGREES.items()],
+    "mod4": lambda ctx: [congruence_mod4_report()],
+    "wdvv-identity": lambda ctx: [wdvv_identity_report(ctx)],
+    "cross-dim": lambda ctx: [cross_dim_report(ctx)],
+    "divisor": lambda ctx: [divisor_report(ctx)],
 }
 
 
-def run_suites(names: Iterable[str]) -> list[CheckReport]:
-    """Run the named suites in order and return their reports."""
-    reports: list[CheckReport] = []
+def run_suites(names: Iterable[str], ctx: RealEvalContext) -> list[CheckReport]:
+    """Run the named suites in order on ``ctx``; an unknown name fails before any runs."""
+    names = list(names)
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        reports += SUITES[name]()
-    return reports
+    return [report for name in names for report in SUITES[name](ctx)]

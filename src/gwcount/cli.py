@@ -210,7 +210,8 @@ def _add_check(p: argparse.ArgumentParser) -> None:
 def cmd_check(args: argparse.Namespace) -> int:
     from .checks import SUITES, run_suites
     failed = 0
-    for report in run_suites(SUITES if args.suite == "all" else (args.suite,)):
+    rctx = RealEvalContext(ComplexEvalContext())  # one cold pair for every suite; no cache
+    for report in run_suites(SUITES if args.suite == "all" else (args.suite,), rctx):
         for line in report.lines():
             print(line)
         print(report.summary())

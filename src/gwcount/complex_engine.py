@@ -81,6 +81,11 @@ Step = Generator[tuple, int, int]  # yields lookup requests, is sent their value
 MemoKey = tuple[int, int, int]
 
 
+def _largest_two(code: int) -> tuple[int, int]:  # canonical pivot's (e, c), designation's (c1, c2)
+    top = (code.bit_length() - 1) // B
+    return top, ((code - (1 << B * top)).bit_length() - 1) // B  # one top removed: may equal top
+
+
 def canonical_pivot(cv: CodimVector) -> tuple[int, int, int]:
     """Default pivot: donate from a minimal slot into a maximal one.
 
@@ -89,8 +94,7 @@ def canonical_pivot(cv: CodimVector) -> tuple[int, int, int]:
     """
     if cv.k < 3:
         raise ValueError(f"a pivot needs 3 insertions, got {cv.k}")
-    e = (cv[0].bit_length() - 1) // B
-    c = ((cv[0] - (1 << B * e)).bit_length() - 1) // B  # one e removed, so c may equal e
+    e, c = _largest_two(cv[0])
     return ((cv[0] & -cv[0]).bit_length() - 1) // B, c, e
 
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from .complex_engine import ComplexEvalContext, EvalContext, Step, product_sum
+from .complex_engine import ComplexEvalContext, EvalContext, Step, _largest_two, product_sum
 from .keys import B, MASK, MAX_CODIM, CodimVector, RealKey, enumerate_splits
 
 __all__ = [
@@ -67,8 +67,7 @@ def canonical_designation(cv: CodimVector) -> tuple[int, int]:
     """Default designated pair: the largest entry, then the largest remaining."""
     if cv.k < 2:
         raise ValueError(f"a designated pair needs 2 insertions, got {cv.k}")
-    c1 = (cv[0].bit_length() - 1) // B
-    return c1, ((cv[0] - (1 << B * c1)).bit_length() - 1) // B  # one c1 removed: c2 may equal c1
+    return _largest_two(cv[0])
 
 
 def real_rules(n: int, d: int, cv: CodimVector) -> int | None:

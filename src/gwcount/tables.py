@@ -10,7 +10,8 @@ Table 2 lists real invariants of P^5 (insertions 5^a 3^b) and P^7
 (insertions 7^a 5^b 3^c) over all dimension-balanced exponent rows at small
 odd degree, computed by the general engine.  The rows are the vectors of
 ``p3.real_codim_vectors``, in descending lexicographic order of the
-exponents of 2n-1, 2n-3, ..., 3.
+exponents of 2n-1, 2n-3, ..., 3.  Both row builders run the general engine
+on the RealEvalContext their caller passes as ``ctx``; neither builds one.
 """
 
 from __future__ import annotations
@@ -49,12 +50,8 @@ class EngineDisagreement(Exception):
         super().__init__(f"table1 engines disagree: {detail}")
 
 
-def table1_rows(
-    dmax: int = 31,
-    engine: str = "both",
-    ctx: RealEvalContext | None = None,
-) -> list[TableRow]:
-    """N^R_d for odd d <= dmax, by the requested engine(s).
+def table1_rows(dmax: int = 31, engine: str = "both", *, ctx: RealEvalContext) -> list[TableRow]:
+    """N^R_d for odd d <= dmax, by the requested engine(s); the general engine runs on ``ctx``.
 
     With ``engine="both"`` the rows are computed twice and compared;
     disagreement raises EngineDisagreement listing the differing degrees.
@@ -71,8 +68,6 @@ def table1_rows(
     if engine in ("general", "both"):
         if degrees[-1] > MAX_INSERTIONS:  # the error CodimVector.of(*[3] * d) raises
             raise ValueError(f"a vector holds at most {MAX_INSERTIONS} insertions")
-        if ctx is None:
-            ctx = RealEvalContext()
         general = []
         for d in degrees:  # the key <3^d>_d of P^3, packed in O(1)
             raw = eval_real(RealKey(2, d, _new(CodimVector, (d << B * 3, d, 3 * d))), ctx)
@@ -88,12 +83,10 @@ def table1_rows(
     return [TableRow(d, None, v) for d, v in zip(degrees, values)]
 
 
-def table2_rows(space: str, ctx: RealEvalContext | None = None) -> list[TableRow]:
-    """All dimension-balanced rows of the P^5 or P^7 table, general engine."""
+def table2_rows(space: str, *, ctx: RealEvalContext) -> list[TableRow]:
+    """All dimension-balanced rows of the P^5 or P^7 table, general engine on ``ctx``."""
     if space not in TABLE2_DEGREES:
         raise ValueError(f"space must be 'p5' or 'p7', got {space!r}")
-    if ctx is None:
-        ctx = RealEvalContext()
     n, degrees = TABLE2_DEGREES[space]
     rows: list[TableRow] = []
     for d in degrees:

@@ -175,7 +175,7 @@ def test_criterion_7_structural_suites(tmp_path, capsys):
             assert got == want
 
         # divisor relation on random keys, both engines
-        report = divisor_report()
+        report = divisor_report(RealEvalContext())
         assert report.failed_count == 0, [r for r in report.results if not r.passed][:3]
 
         # split weight-sum identity
@@ -215,7 +215,7 @@ def test_criterion_7_structural_suites(tmp_path, capsys):
 
 def test_criterion_8_cross_dimension_consistency(capsys):
     def body():
-        report = cross_dim_report()
+        report = cross_dim_report(RealEvalContext())
         assert report.failed_count == 0, [r for r in report.results if not r.passed][:3]
         assert report.passed_count == 11
     _report(8, "cross-dimension coincidences between P^3, P^5, P^7", body, capsys)

@@ -43,7 +43,7 @@ class _OffReal(_OffPeel, RealEvalContext):
 
 
 def test_divisor_suite_compares_nonzero_values():
-    report = divisor_report()
+    report = divisor_report(RealEvalContext())
     assert report.failed_count == 0, [r for r in report.results if not r.passed][:3]
     assert len(report.results) == 40
     assert sum(r.expected != "0" for r in report.results) >= 30
@@ -73,6 +73,6 @@ def test_every_divisor_check_is_one_step_on_a_balanced_key(monkeypatch):
     monkeypatch.setattr(checks, "wdvv_step", spy(checks.wdvv_step, complex_codim_vectors, 3))
     monkeypatch.setattr(checks, "recursion_step",
                         spy(checks.recursion_step, real_codim_vectors, 2))
-    report = divisor_report()
+    report = divisor_report(RealEvalContext())
     assert report.failed_count == 0
     assert calls == ["wdvv_step", "recursion_step"] * 20

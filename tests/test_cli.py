@@ -312,6 +312,31 @@ def test_check_stdout_is_pinned(capsys):
         "3abb746d8d177a34a5162af5cbc27666d6405d0cf3f08243f9cb17ac7df5ec6e")
 
 
+def test_check_builds_one_cold_pair_and_never_reads_a_store(tmp_path, capsys, monkeypatch):
+    # Every suite runs on the one pair ``gw check`` builds, whatever GW_CACHE names.
+    built = []
+
+    def counted(init):
+        def record(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        return record
+
+    for cls in (ComplexEvalContext, RealEvalContext):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+    monkeypatch.delenv("GW_CACHE", raising=False)
+    code, cold_all, _ = run(capsys, "check")
+    assert code == 0 and sorted(built) == ["ComplexEvalContext", "RealEvalContext"]
+    cold_parity = run(capsys, "check", "--suite", "parity")[1]
+    # An even value: a parity check, and the divisor check of this key, fail if it is read.
+    path = tmp_path / "store.gwc"
+    path.write_text(f"{HEADER}\ngw1|R|n=2|d=3|c=3,3,3|v=998\n")
+    monkeypatch.setenv("GW_CACHE", str(path))
+    assert run(capsys, "real", "--n", "2", "--d", "3", "--codims", "3,3,3")[:2] == (0, "998\n")
+    assert run(capsys, "check")[:2] == (0, cold_all)
+    assert run(capsys, "check", "--suite", "parity")[:2] == (0, cold_parity)
+
+
 def test_cache_file_bytes_are_pinned(tmp_path, capsys):
     # Guards the render order and the decode of every stored key.
     path = str(tmp_path / "store.gwc")
@@ -324,13 +349,17 @@ def test_cache_file_bytes_are_pinned(tmp_path, capsys):
         "9a53f82f6a4bbfaeb6b562d58df3ab63004802560eb7d0ca8ab74fa68d3da113")
 
 
-def test_suite_registry_names_every_suite_once():
+def test_suite_registry_names_every_suite_once(monkeypatch):
     from gwcount.checks import SUITES, run_suites
     assert list(SUITES) == ["parity", "mod4", "wdvv-identity", "cross-dim", "divisor"]
-    assert [r.suite for r in run_suites(["mod4", "parity"])] == [
+    assert [r.suite for r in run_suites(["mod4", "parity"], RealEvalContext())] == [
         "mod4 congruences, d <= 31", "parity, n=2", "parity, n=3", "parity, n=4", "parity, n=5"]
-    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
-        run_suites(["bogus"])
+    ran = []
+    monkeypatch.setitem(SUITES, "mod4", lambda ctx: ran.append(ctx) or [])
+    for names in (["bogus"], ["mod4", "bogus"]):  # no suite runs before the unknown name fails
+        with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+            run_suites(names, RealEvalContext())
+    assert ran == []
 
 
 def test_cache_flag_persists_results(tmp_path, capsys):

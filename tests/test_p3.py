@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from gwcount import complex_series_p3, real_series_p3
+from gwcount import RealEvalContext, complex_series_p3, real_series_p3
 from gwcount.checks import congruence_mod4_report, parity_report
 from gwcount.p3 import complex_codim_vectors, real_codim_vectors
 
@@ -85,7 +85,7 @@ def test_real_codim_vector_enumeration():
     plain = list(real_codim_vectors(2, 3))
     assert [cv.expand() for cv in plain] == [(3, 3, 3)]
     # parity pads each vector with one and then two divisor entries
-    checked = [r.check_id for r in parity_report(2, (3,)).results]
+    checked = [r.check_id for r in parity_report(2, (3,), RealEvalContext()).results]
     assert checked == ["n=2 d=3 <3,3,3>", "n=2 d=3 <1,3,3,3>", "n=2 d=3 <1,1,3,3,3>"]
     # n=3, d=3: 2a + 4b = 10 over entries {3, 5}
     vecs = {cv.expand() for cv in real_codim_vectors(3, 3)}
@@ -118,13 +118,13 @@ def test_real_codim_vectors_are_all_balanced_keys_in_descending_order(n, d):
 
 
 def test_parity_report_p3():
-    report = parity_report(2, (1, 3, 5, 7))
+    report = parity_report(2, (1, 3, 5, 7), RealEvalContext())
     assert report.failed_count == 0, [r for r in report.results if not r.passed][:5]
     assert report.passed_count == 4 * 3  # one base vector per degree, 2 paddings
 
 
 def test_parity_report_p5():
-    report = parity_report(3, (1, 3, 5))
+    report = parity_report(3, (1, 3, 5), RealEvalContext())
     assert report.failed_count == 0, [r for r in report.results if not r.passed][:5]
     # base vector counts: d=1 -> 2, d=3 -> 3, d=5 -> 5; each with 2 paddings
     assert report.passed_count == (2 + 3 + 5) * 3
@@ -132,4 +132,4 @@ def test_parity_report_p5():
 
 def test_parity_report_rejects_even_degree():
     with pytest.raises(ValueError):
-        parity_report(2, (2,))
+        parity_report(2, (2,), RealEvalContext())

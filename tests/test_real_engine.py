@@ -267,7 +267,7 @@ def test_engine_counters_of_the_transfer_identity():
 
 def test_engine_counters_of_table2_p5():
     ctx = RealEvalContext()
-    table2_rows("p5", ctx)
+    table2_rows("p5", ctx=ctx)
     assert _counters(ctx.complex_ctx) == (1_293, 1_047, 66, 66)
     assert _counters(ctx) == (209, 153, 23, 23)
     assert (ctx.complex_ctx.max_depth, ctx.max_depth) == (3, 1)

@@ -22,17 +22,18 @@ def test_table1_engines_agree_and_match_golden(engines):
 
 def test_table1_single_engine_variants(engines):
     _, rctx = engines
-    closed = table1_rows(9, engine="closed")
+    closed = table1_rows(9, engine="closed", ctx=RealEvalContext())
     general = table1_rows(9, engine="general", ctx=rctx)
     assert [(r.d, r.value) for r in closed] == [(r.d, r.value) for r in general]
-    assert table1_rows(9, engine="general") == general  # a cold context of its own
+    # a cold context of its own
+    assert table1_rows(9, engine="general", ctx=RealEvalContext()) == general
 
 
 def test_table1_validation():
     with pytest.raises(ValueError):
-        table1_rows(0)
+        table1_rows(0, ctx=RealEvalContext())
     with pytest.raises(ValueError):
-        table1_rows(5, engine="quantum")
+        table1_rows(5, engine="quantum", ctx=RealEvalContext())
 
 
 def test_table1_general_engine_matches_closed_series_to_d61():
@@ -50,13 +51,14 @@ def test_table1_keys_are_packed_as_the_entries_give_them(monkeypatch):
     # build, fields and all, and past the bound fail with the same error.
     seen = []
     monkeypatch.setattr(tables, "eval_real", lambda key, ctx: seen.append(key) or 0)
-    table1_rows(61, engine="general")
+    table1_rows(61, engine="general", ctx=RealEvalContext())
     assert [key.d for key in seen] == list(range(1, 62, 2))
     for key in seen:
         assert key == RealKey(n=2, d=key.d, insertions=CodimVector.of(*[3] * key.d))
         assert tuple(key.insertions) == tuple(CodimVector.of(*[3] * key.d))
     errors = []
-    for build in (lambda d: table1_rows(d, engine="general"), lambda d: CodimVector.of(*[3] * d)):
+    for build in (lambda d: table1_rows(d, engine="general", ctx=RealEvalContext()),
+                  lambda d: CodimVector.of(*[3] * d)):
         with pytest.raises(ValueError) as raised:
             build(MAX_INSERTIONS + 2)
         errors.append(str(raised.value))
@@ -101,7 +103,7 @@ def test_table2_row_order_descends_lexicographically(engines):
     assert d1_rows == ["5^1 3^0", "5^0 3^2"]
     d3_rows = [r.signature for r in rows if r.d == 3]
     assert d3_rows == ["5^2 3^1", "5^1 3^3", "5^0 3^5"]
-    assert table2_rows("p5") == rows  # a cold context of its own
+    assert table2_rows("p5", ctx=RealEvalContext()) == rows  # a cold context of its own
     for space, n, golden in (("p5", 3, TABLE2_P5), ("p7", 4, TABLE2_P7)):
         order = [(r.d, r.signature) for r in table2_rows(space, ctx=rctx)]
         expected = [
@@ -116,7 +118,7 @@ def test_table2_row_order_descends_lexicographically(engines):
 
 def test_table2_rejects_unknown_space():
     with pytest.raises(ValueError):
-        table2_rows("p9")
+        table2_rows("p9", ctx=RealEvalContext())
 
 
 def test_format_text():
