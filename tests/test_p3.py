@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from gwcount import RealEvalContext, complex_series_p3, real_series_p3
+from gwcount import RealEvalContext, checks, complex_series_p3, real_series_p3
 from gwcount.checks import congruence_mod4_report, parity_report
 from gwcount.p3 import complex_codim_vectors, real_codim_vectors
 
@@ -72,11 +72,14 @@ def test_series_rejects_bad_dmax():
         real_series_p3(0)
 
 
-def test_congruence_mod4_report():
+# gw check runs the suite to d = 31; the paper's congruence holds at every degree.
+@pytest.mark.parametrize("dmax, count", [(31, 3 * 31 + 15), (201, 3 * 201 + 100)])
+def test_congruence_mod4_report(monkeypatch, dmax, count):
+    monkeypatch.setattr(checks, "MOD4_DMAX", dmax)
     report = congruence_mod4_report()
     assert report.failed_count == 0, [r for r in report.results if not r.passed][:5]
     # three families per degree, plus the vanishing checks at even degree
-    assert len(report.results) == 3 * 31 + 15
+    assert len(report.results) == count
     assert report.passed_count == len(report.results)
 
 
