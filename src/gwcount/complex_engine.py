@@ -43,8 +43,9 @@ Every step of both engines runs through one loop, ``product_sum``, here with
 weight 1, R = T + H^e, h = a, the grouped rows (code, k, total_codim, d * u,
 w) of ``enumerate_splits(T, 1, d, c)`` and the three explicit terms above.  It
 evaluates only the one (d1, f) per split that balances the left factor: every
-other (d1, f) gives 0 by rule 2, and f = 0 or f = N by rule 4.  At d = 1 no
-degree split exists, so the step builds no split.
+other (d1, f) gives 0 by rule 2, and f = 0 or f = N by rule 4.  It walks a
+cached view of the rows whose f is admissible (``_balanced_rows``) and never
+visits the rest.  At d = 1 no degree split exists, so the step builds no split.
 
 All arithmetic is exact; only the results of step 7 are memoized, keyed on
 the core (the cheap structural rules are recomputed on the fly), so the memo
@@ -64,6 +65,7 @@ deepest nesting of a context's own steps, not of another engine's context's.
 from __future__ import annotations
 
 from collections.abc import Callable, Generator, Iterable
+from functools import lru_cache
 
 from .keys import B, MASK, CodimVector, ComplexKey, _new, enumerate_splits
 
@@ -79,6 +81,7 @@ PivotRule = Callable[[CodimVector], tuple[int, int, int]]
 Step = Generator[tuple, int, int]  # yields lookup requests, is sent their values
 # Memo key of both engines: (dimension, degree, packed code of the CodimVector).
 MemoKey = tuple[int, int, int]
+_MAX_VIEW_ROWS = 512  # the most rows of a kept view (_balanced_rows): about 75 KB of small ints
 
 
 def _largest_two(code: int) -> tuple[int, int]:  # canonical pivot's (e, c), designation's (c1, c2)
@@ -252,38 +255,59 @@ def product_sum(lctx: EvalContext, rctx: EvalContext, rdim: int, N: int, d: int,
     degrees weight*d1 + d2 = d with d1, d2 >= 1 and classes 0 < x < N, x a
     multiple of ``weight`` (1 for a complex sum, 2 for a real one).  The left
     factor is balanced only at (-d1, x) = divmod(N - 1 - h + k(K) - sum(K),
-    N + 1), so each split is solved once.  It is looked up in ``lctx`` on P^N
-    and, if it is nonzero, the right one, whose fields are R's less K's, in
+    N + 1), so each split is solved once: a group walks the table rows that
+    ``_balanced_rows(c, N, weight, r, cap)`` lists at d1 = -(top + e), (top, r)
+    = divmod of its prefix's part.  The left factor is looked up in ``lctx`` on
+    P^N and, if it is nonzero, the right one, whose fields are R's less K's, in
     ``rctx`` on ``rdim``, here if its core is solved and else by the driver.
     """
     total = 0
     for coefficient, (code, k, codim) in explicit:
         total += coefficient * (yield rctx, rdim, d, code, k, codim)
     shift, lcode, rcode, rk, rt = N - 1 - h, 1 << B * h, R[0], R[1] + 1, R[2] + N
-    lsolved, rsolved, b, mask = lctx.solved, rctx.solved, B, MASK
+    lsolved, rsolved, b, mask, shared = lctx.solved, rctx.solved, B, MASK, None
     for (pcode, pk, ptotal, pa, pb), table in splits:
-        base = shift + pk - ptotal
-        for ccode, i, ci, ai, bi in table:
-            q, x = divmod(base + i - ci, N + 1)
-            if 0 < -weight * q < d and 0 < x < N and x % weight == 0:
-                kcode, kk, ktotal = pcode + ccode, pk + i, ptotal + ci
-                code = kcode + lcode + (1 << b * x)  # d1, d2 >= 1: peel H^1s as the driver does
+        top, residue = divmod(shift + pk - ptotal, N + 1)
+        if table is not shared:  # groups share their table, and views holds its views
+            shared, views, last = table, {}, len(table) - 1
+            c, cap = table[last][2] // last if last else 1, 1 << last.bit_length()
+            view_of = _balanced_rows if last < _MAX_VIEW_ROWS else _balanced_rows.__wrapped__
+        if (view := views.get(residue)) is None:
+            view = views[residue] = view_of(c, N, weight, residue, cap)
+        for i, e, x in view:
+            if i > last:
+                break
+            if not 0 < -weight * (q := top + e) < d:  # e falls with i if c >= 1, rises if c = 0
+                continue
+            ccode, _, ci, ai, bi = table[i]
+            kcode, kk, ktotal = pcode + ccode, pk + i, ptotal + ci
+            code = kcode + lcode + (1 << b * x)  # d1, d2 >= 1: peel H^1s as the driver does
+            m = code >> b & mask
+            if (t := lsolved.get((N, -q, code - (m << b)))) is None:
+                t = yield lctx, N, -q, code, kk + 2, ktotal + h + x
+            else:
+                lctx.hits += 1
+                t *= (-q)**m
+            if t:  # the right factor: R - K and H^(N-x)
+                d2, code = d + weight * q, rcode - kcode + (1 << b * (N - x))
                 m = code >> b & mask
-                if (t := lsolved.get((N, -q, code - (m << b)))) is None:
-                    t = yield lctx, N, -q, code, kk + 2, ktotal + h + x
+                if (r := rsolved.get((rdim, d2, code - (m << b)))) is None:
+                    r = yield rctx, rdim, d2, code, rk - kk, rt - ktotal - x
                 else:
-                    lctx.hits += 1
-                    t *= (-q)**m
-                if t:  # the right factor: R - K and H^(N-x)
-                    d2, code = d + weight * q, rcode - kcode + (1 << b * (N - x))
-                    m = code >> b & mask
-                    if (r := rsolved.get((rdim, d2, code - (m << b)))) is None:
-                        r = yield rctx, rdim, d2, code, rk - kk, rt - ktotal - x
-                    else:
-                        rctx.hits += 1
-                        r *= d2**m
-                    total += (pa * ai + pb * bi * q) * t * r
+                    rctx.hits += 1
+                    r *= d2**m
+                total += (pa * ai + pb * bi * q) * t * r
     return total
+
+
+@lru_cache(maxsize=256)  # a p7-sweep pass reads 119 views, a table1 to d = 501 reads 24
+def _balanced_rows(c: int, N: int, weight: int, r: int, cap: int) -> tuple[tuple[int, ...], ...]:
+    """(i, e, x), ascending, for the i < cap copies of class c in K at which
+    (e, x) = divmod(r - (c - 1) * i, N + 1) has 0 < x < N, x a multiple of
+    ``weight``: small ints, never a mask 1 << B*x.  cap is a power of two above
+    m, so that tables of nearby sizes share a view."""
+    return tuple([(i, e, x) for i in range(cap) for e, x in [divmod(r - (c - 1) * i, N + 1)]
+                  if 0 < x < N and x % weight == 0])
 
 
 def _ask(*request: object) -> Step:

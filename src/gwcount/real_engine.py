@@ -35,8 +35,9 @@ complex engine.  Step 6 folds its products as step 7 does, over the grouped
 rows (code, k, total_codim, d * u, w) of ``enumerate_splits(T, 2, d, c_2)``,
 T = rest + c_2: d2 = d - 2 * d1 makes the coefficient d * u - d1 * w.  Step
 6 and ``theorem12_residual`` run through ``complex_engine.product_sum``,
-which solves each split's one balanced (d1, 2i), with weight 2 and their
-other lookups as its explicit terms; below d = 3 neither builds a split.
+which solves each split's one balanced (d1, 2i), walking only the table rows
+whose 2i is admissible, with weight 2 and their other lookups as its explicit
+terms; below d = 3 neither builds a split.
 ``EvalContext.run`` drives the real steps and the complex ones they start in
 one loop.  Only step-6 results are memoized, keyed on (n, d, core insertions).
 """

@@ -475,6 +475,42 @@ def test_in_loop_hits_agree_with_the_driver(monkeypatch, run):
         assert any(m and solved for m, solved in crossed["reference"])
 
 
+@pytest.mark.parametrize("run", [_complex_keys, _p7_sweep, _transfers, _donor_twos])
+def test_the_view_cache_changes_nothing(monkeypatch, run):
+    # The same keys on cold context pairs: with every step's views of the
+    # balanced rows built afresh, then warming them, then reading them warm.
+    def cleared(*args):
+        complex_engine._balanced_rows.cache_clear()
+        return product_sum(*args)
+
+    results = []
+    for split_loop in (cleared, product_sum, product_sum):
+        for module in (complex_engine, real_engine):
+            monkeypatch.setattr(module, "product_sum", split_loop)
+        misses = complex_engine._balanced_rows.cache_info().misses
+        cctx = ComplexEvalContext()
+        rctx = RealEvalContext(cctx)
+        results.append((run(cctx, rctx), cctx.stats(), rctx.stats()))
+    assert results[0] == results[1] == results[2]
+    assert complex_engine._balanced_rows.cache_info().misses == misses  # the last run read warm
+
+
+def test_a_view_past_the_cap_is_not_retained():
+    # A kept view holds at most _MAX_VIEW_ROWS = 512 rows, in a cache of a
+    # fixed size: the table of m copies asks for a view of 2^bit_length(m) rows.
+    assert complex_engine._balanced_rows.cache_info().maxsize == 256
+    rows = complex_engine._MAX_VIEW_ROWS
+    for m, kept in ((rows - 1, 1), (rows, 0)):
+        T, results = CodimVector.of(*[3] * m), []
+        complex_engine._balanced_rows.cache_clear()
+        for loop in (product_sum, _yielding_product_sum):
+            ctx = Recorder()
+            value = ctx.run(loop(ctx, ctx, 3, 3, 9, T, enumerate_splits(T, 1, 9, 3), 1, 1, ()))
+            results.append((ctx.log, value))
+        assert complex_engine._balanced_rows.cache_info().currsize == kept
+        assert results[0][0] and results[0] == results[1]
+
+
 @pytest.mark.parametrize("N, d, twos, depth", [(3, 10, 40, 20), (5, 4, 26, 18)])
 def test_max_depth_of_deep_keys(N, d, twos, depth):
     ctx = ComplexEvalContext()

@@ -10,9 +10,10 @@ total codimension in step with its pairs under every operation.  The one
 split-sum loop looks up a step's explicit terms first and then exactly the
 balanced factors that a plain loop over every degree and diagonal class
 finds, each right factor only after a nonzero left one, and returns the same
-sum.  Each caller's folded sum, one product per split of S + c, gives the
-value of the two products per split of S that its relation states, and
-looks up the same memo keys; the splits come in the order
+sum; the view of a class table's rows it walks lists the rows that a plain
+divmod filter admits.  Each caller's folded sum, one product per split of
+S + c, gives the value of the two products per split of S that its relation
+states, and looks up the same memo keys; the splits come in the order
 ``itertools.product`` gives them, and their rows, built in one pass from
 cached per-class rows, equal those of a two-pass build.  The canonical pivot
 and designation, read from the packed code, are the slots their definitions
@@ -43,7 +44,7 @@ from gwcount import (
     eval_complex,
     eval_real,
 )
-from gwcount.complex_engine import product_sum, wdvv_step
+from gwcount.complex_engine import _balanced_rows, product_sum, wdvv_step
 from gwcount.keys import MASK, MAX_CODIM, B, _class_rows, _new, enumerate_splits
 from gwcount.real_engine import recursion_step, theorem12_residual
 
@@ -261,6 +262,13 @@ def degeneration_sums(draw):
 @example(case=(5, 7, CodimVector.of(5, 5, 3, 3), CodimVector.of(5, 5, 3, 3), 2, 1, 4, ()))
 @example(case=(5, 1, CodimVector.of(5, 3), CodimVector.of(5, 3), 2, 2, 4,
                ((1, CodimVector.of(5, 3, 3)),)))
+# A class-3 table of P^7: its rows cycle through x = 5, 3, 1, 7 (7 inadmissible).
+@example(case=(7, 6, CodimVector.of(*[3] * 6), CodimVector.of(*[3] * 6, 2), 1, 3, 1, ()))
+# At d = 3 the deep rows of the table fall past the degree range.
+@example(case=(3, 3, CodimVector.of(*[3] * 8), CodimVector.of(*[3] * 8), 1, 4, 2, ()))
+@example(case=(5, 4, CodimVector(), CodimVector.of(2), 1, 0, 3, ()))  # a one-row table, m = 0
+# A class-0 table, which only a direct call of a step reaches: no row balances.
+@example(case=(4, 5, CodimVector.of(0, 0, 0), CodimVector.of(0, 0, 0, 2), 1, 5, 2, ()))
 def test_product_sum_matches_a_plain_loop(case):
     N, d, T, R, weight, seed, h, explicit = case
     rdim = N + 1  # no left factor is looked up on it, so the log tells the sides apart
@@ -281,6 +289,25 @@ def test_product_sum_matches_a_plain_loop(case):
     # Tuples of the vectors, so that the stored k and total codimension match too.
     assert [(dim, degree, tuple(cv)) for dim, degree, cv in ctx.log] == expected
     assert got == expected_sum
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(N=st.integers(1, 1023), weight=st.sampled_from((1, 2)), m=st.integers(0, 200),
+       picks=st.tuples(st.integers(0, 1023), st.integers(0, 1023)), wider=st.booleans())
+@example(N=3, weight=1, m=60, picks=(3, 2), wider=False)  # p3-deep's complex tables
+@example(N=7, weight=2, m=0, picks=(1, 5), wider=True)  # c = 1: every row has x = r
+@example(N=1023, weight=1, m=200, picks=(0, 1023), wider=True)  # c = 0: e rises
+def test_balanced_rows_match_a_plain_filter(N, weight, m, picks, wider):
+    # The view product_sum reads for m copies of class c, at the cap it asks
+    # for or at a larger one, lists the admissible rows i <= m first, exactly
+    # as a plain divmod filter does, and then only rows past m.
+    c, r = (pick % (N + 1) for pick in picks)
+    want = [(i, e, x) for i in range(m + 1) for e, x in [divmod(r - (c - 1) * i, N + 1)]
+            if 0 < x < N and x % weight == 0]
+    view = _balanced_rows(c, N, weight, r, 1 << (m.bit_length() + wider))
+    assert list(view[:len(want)]) == want
+    assert all(i > m for i, _, _ in view[len(want):])
+    assert all(type(field) is int and abs(field) < 2**16 for row in view for field in row)
 
 
 class DivisorRecorder(Recorder):
